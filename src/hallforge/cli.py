@@ -106,13 +106,14 @@ def _run(ctx, fn):
 @click.option("--backend", required=True,
               help="backend JSON file, or a builtin name (a2, a3, loop, p1)")
 @click.option("--dim", default=6, show_default=True,
-              help="maximum total dimension for counting")
+              help="maximum total dimension of a target class")
 @click.option("--q-max", default=13, show_default=True,
-              help="largest field size sampled")
+              help="largest field size the F_q route (Hall polynomials, "
+                   "verify routes) samples")
 @click.option("--gamma", default=2, show_default=True,
               help="summand-count bound for suites that take one")
 @click.option("--cache", default=None, type=click.Path(),
-              help="persistent Hall-polynomial cache file")
+              help="persistent cache file of constants and Hall polynomials")
 @click.option("--json", "as_json", is_flag=True, help="JSON output")
 @click.pass_context
 def main(ctx, backend, dim, q_max, gamma, cache, as_json):
@@ -245,7 +246,7 @@ def verify_cmd(ctx, suite):
 
 @main.group()
 def cache():
-    """Inspect or move the persistent Hall-polynomial cache."""
+    """Inspect or move the persistent cache of constants and polynomials."""
 
 
 @cache.command()

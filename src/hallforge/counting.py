@@ -24,7 +24,8 @@ from .gf import field
 
 @dataclass(frozen=True)
 class Bounds:
-    """Resource limits for the counting kernel (configuration, not constants)."""
+    """Resource limits (configuration, not constants): max_dim bounds the
+    target of every constant, max_q the fields the F_q route samples."""
     max_dim: int = 6
     max_q: int = 13
 
@@ -86,22 +87,18 @@ def count_points(backend, sub, quot, target, q, bounds=DEFAULT_BOUNDS):
 
 
 # ---------------------------------------------------------------------------
-# survey memo
+# survey memo, keyed by the backend definition (Backend is frozen and
+# hashable), so two backends that share a name never share histograms
 
 _SURVEYS = {}
 _SUBSPACE_LISTS = {}
-
-
-def clear_survey_cache():
-    _SURVEYS.clear()
-    _SUBSPACE_LISTS.clear()
 
 
 def _survey(backend, target, q, cap):
     """Cell counts for subs of total dim <= cap (cap=None: everything)."""
     d = quiver.class_total_dim(backend, target)
     want = d if cap is None else min(cap, d)
-    key = (backend.name, target, q)
+    key = (backend, target, q)
     hit = _SURVEYS.get(key)
     if hit is not None and hit[0] >= want:
         return hit[1]

@@ -1,24 +1,39 @@
-"""Hall polynomials by interpolation and their q=1 specializations.
+"""Euler-characteristic structure constants and Hall polynomials.
 
-Point counts of the subobject variety are sampled at an ascending schedule
-of prime powers; a candidate polynomial is fitted through all but the last
-sample and accepted once it has integer coefficients and reproduces the
-held-out sample exactly.  Its value at q = 1 is the Euler-characteristic
-structure constant.  Accepted polynomials go to a versioned JSON cache.
+A structure constant is the Euler characteristic of the stratum of
+subrepresentations U of a target Y with U in class X and Y/U in class Z.
+A torus acts on each stratum with isolated fixed points, one scalar per
+direct summand of the canonical model: the fixed points are the
+subrepresentations spanned by successor-closed subsets of the coefficient
+quiver (an interval with the quiver's orientation for an interval module,
+the chain e_h -> ... -> e_1 for a Jordan block J_h), and the Euler
+characteristic of a stratum is the number of fixed points in it.  The sub
+and quotient classes of a fixed point are read off the connected components
+of the subset and of its complement.  `HallEngine.cells` lists them for a
+whole target at once.
+
+Hall polynomials remain the F_q route: point counts of the subobject variety
+are sampled at an ascending schedule of prime powers; a candidate polynomial
+is fitted through all but the last sample and accepted once it has integer
+coefficients and reproduces the held-out sample exactly.  Its value at q = 1
+is the same constant, which the `routes` verify suite checks cell by cell.
+Constants and polynomials go to a versioned JSON cache.
 """
 
 import json
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import counting, quiver
 from .errors import (BackendMismatchError, CapabilityError,
-                     NonPolynomialCountError)
+                     NonPolynomialCountError, ResourceLimitError)
 from .gf import prime_powers
 
 CACHE_VERSION = 1
+CHI_SCOPE = "chi:"  # cache keys of Euler constants, stored as degree-0 entries
 
 
 @dataclass(frozen=True)
@@ -185,12 +200,68 @@ class HallEngine:
         self.backend = backend
         self.bounds = bounds
         self.cache = cache if cache is not None else HallCache(backend)
+        self._cells = {}            # target -> {(sub, quot): chi}
+        self._p1_base_memo = {}     # see p1._base_product
         if backend.kind == quiver.KIND_P1:
             self._local = _loop_delegate(self, bounds)
         else:
             self._local = None
 
-    # -- polynomials --------------------------------------------------------
+    # -- Euler constants: torus fixed points --------------------------------
+
+    def euler_constant(self, sub, quot, target):
+        """Euler characteristic of the (sub, quot) stratum of `target`."""
+        p1 = self.backend.kind == quiver.KIND_P1
+        if p1:
+            _require_torsion(sub, quot, target)
+        key = self.cache.key(sub, quot, target, CHI_SCOPE)
+        hit = self.cache.get(key)
+        if hit is not None:
+            return hit.evaluate(1)
+        if p1:
+            value = 1
+            for cell in self._p1_local_cells(sub, quot, target):
+                value *= self._local.euler_constant(*cell)
+                if not value:
+                    break
+        else:
+            value = self.cells(target).get((sub, quot), 0)
+        self.cache.put(key, HallPolynomial((value,)))
+        return value
+
+    def cells(self, target):
+        """Every nonzero constant of `target`, as {(sub, quot): chi}.
+
+        Fixed points of a direct sum are tuples of fixed points of its
+        summands, so the per-summand splits are merged one summand at a
+        time, keyed by (sorted) sub and quotient labels: the work is the
+        product of merged option counts, not 2^dim."""
+        hit = self._cells.get(target)
+        if hit is not None:
+            return hit
+        b = self.backend
+        if b.kind == quiver.KIND_P1:
+            raise CapabilityError("p1 constants factor over support points; "
+                                  "use euler_constant")
+        n = quiver.class_total_dim(b, target)
+        if n > self.bounds.max_dim:
+            raise ResourceLimitError(
+                f"target dimension {n} exceeds bound {self.bounds.max_dim}",
+                limit=self.bounds.max_dim, requested=n)
+        splits = {l: _summand_splits(b, l) for l in set(target)}
+        merged = {((), ()): 1}
+        for l in target:
+            nxt = defaultdict(int)
+            for (s, q), c in merged.items():
+                for (ls, lq), lc in splits[l].items():
+                    nxt[(tuple(sorted(s + ls)), tuple(sorted(q + lq)))] += c * lc
+            merged = nxt
+        out = {(quiver.make_class(b, s), quiver.make_class(b, q)): c
+               for (s, q), c in merged.items()}
+        self._cells[target] = out
+        return out
+
+    # -- Hall polynomials: F_q counting ---------------------------------------
 
     def hall_polynomial(self, sub, quot, target):
         """Counting polynomial of the (sub, quot) cell of `target`."""
@@ -203,9 +274,6 @@ class HallEngine:
         poly = self._interpolate(sub, quot, target)
         self.cache.put(key, poly)
         return poly
-
-    def euler_constant(self, sub, quot, target):
-        return self.hall_polynomial(sub, quot, target).evaluate(1)
 
     def _interpolate(self, sub, quot, target):
         schedule = prime_powers(self.bounds.max_q)
@@ -229,25 +297,23 @@ class HallEngine:
 
     # -- p1 backend: constants factor over support points -------------------
 
+    def _p1_local_cells(self, sub, quot, target):
+        """The loop-backend (sub, quot, target) at each support point."""
+        points = sorted({l[1] for l in target} | {l[1] for l in sub}
+                        | {l[1] for l in quot})
+        lb = self._local.backend
+        return [tuple(_local_class(lb, cls, x) for cls in (sub, quot, target))
+                for x in points]
+
     def _p1_polynomial(self, sub, quot, target):
-        for cls in (sub, quot, target):
-            for l in cls:
-                if l[0] != "t":
-                    raise CapabilityError(
-                        "products are defined for torsion classes only")
+        _require_torsion(sub, quot, target)
         key = self.cache.key(sub, quot, target)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        points = sorted({l[1] for l in target} | {l[1] for l in sub}
-                        | {l[1] for l in quot})
         coeffs = (1,)
-        loop = self._local
-        for x in points:
-            lsub = _local_class(loop.backend, sub, x)
-            lquot = _local_class(loop.backend, quot, x)
-            ltar = _local_class(loop.backend, target, x)
-            p = loop.hall_polynomial(lsub, lquot, ltar)
+        for cell in self._p1_local_cells(sub, quot, target):
+            p = self._local.hall_polynomial(*cell)
             coeffs = _poly_mul(coeffs, p.coeffs)
             if coeffs == (0,) or not coeffs:
                 coeffs = (0,)
@@ -282,6 +348,52 @@ def _poly_mul(a, b):
     return tuple(out)
 
 
+def _summand_splits(backend, label):
+    """Counter of (sub labels, quot labels) over the successor-closed
+    subsets of one indecomposable's coefficient quiver."""
+    if label[0] == "j":
+        h = label[1]
+        return Counter(((("j", k),) if k else (), (("j", h - k),) if k < h else ())
+                       for k in range(h + 1))
+    _, a, b = label
+    # edge (v, v+1) of the path: does its arrow point towards v+1?
+    forward = {min(ar.src, ar.tgt): ar.src < ar.tgt for ar in backend.arrows}
+    out = Counter()
+
+    def runs(inside, want):
+        labels, start = [], None
+        for v, x in enumerate(inside + [not want], a):
+            if x == want and start is None:
+                start = v
+            elif x != want and start is not None:
+                labels.append(("i", start, v - 1))
+                start = None
+        return tuple(labels)
+
+    def rec(inside):
+        v = a + len(inside)
+        if v > b:
+            out[(runs(inside, True), runs(inside, False))] += 1
+            return
+        for x in (False, True):
+            # an arrow out of a chosen vertex must land on a chosen vertex
+            if inside and (inside[-1] and not x if forward[v - 1]
+                           else x and not inside[-1]):
+                continue
+            rec(inside + [x])
+
+    rec([])
+    return out
+
+
+def _require_torsion(*classes):
+    for cls in classes:
+        for l in cls:
+            if l[0] != "t":
+                raise CapabilityError(
+                    "products are defined for torsion classes only")
+
+
 def _local_class(loop_backend, cls, point):
     return quiver.make_class(loop_backend,
                              [("j", l[2]) for l in cls if l[1] == point])
@@ -303,7 +415,7 @@ class _ScopedCache:
 
     def key(self, sub, quot, target, scope=""):
         b = self.backend
-        return ("local:" + quiver.class_name(b, sub) + "|"
+        return ("local:" + scope + quiver.class_name(b, sub) + "|"
                 + quiver.class_name(b, quot) + "|" + quiver.class_name(b, target))
 
     def get(self, key):

@@ -178,7 +178,10 @@ def _base_product(engine, base, degs_a, degs_b):
     counts at q = 1 of the corresponding conflation cells, constant along
     the base by the sampling contract.
     """
-    memo = engine.__dict__.setdefault("_p1_base_memo", {})
+    # created in HallEngine.__init__; deleting the attribute clears it
+    memo = getattr(engine, "_p1_base_memo", None)
+    if memo is None:
+        memo = engine._p1_base_memo = {}
     key = (base.descriptor(), tuple(degs_a), tuple(degs_b))
     hit = memo.get(key)
     if hit is not None:

@@ -9,6 +9,7 @@ import random
 import time
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from itertools import product as iproduct
 
 from . import algebra as alg
 from . import coalgebra as co
@@ -17,7 +18,7 @@ from .errors import CapabilityError
 from .p1sets import P1Set, chi_na
 
 SUITES = ("assoc", "lie-closure", "riedtmann", "pbw", "green", "bialgebra",
-          "euler-axioms")
+          "euler-axioms", "routes")
 
 
 @dataclass
@@ -437,6 +438,38 @@ def suite_euler_axioms(engine=None, npairs=100, seed=0xE01):
     return res
 
 
+def suite_routes(engine, dim):
+    """The fixed-point route (`engine.cells`) against the F_q route (Hall
+    polynomials at q = 1) on every cell of every class up to `dim`."""
+    t0 = time.monotonic()
+    backend = engine.backend
+    if backend.kind == quiver.KIND_P1:
+        raise CapabilityError("routes suite runs on quiver backends")
+    res = SuiteResult("routes", True)
+    cells = bad = 0
+    for target in classes_up_to(backend, dim)[1:]:
+        fixed = engine.cells(target)
+        dims = quiver.class_dim(backend, target)
+        for sdims in iproduct(*(range(d + 1) for d in dims)):
+            qdims = tuple(d - e for d, e in zip(dims, sdims))
+            for sub in quiver.classes_with_dim(backend, sdims, sum(sdims)):
+                for quot in quiver.classes_with_dim(backend, qdims, sum(qdims)):
+                    got = fixed.get((sub, quot), 0)
+                    want = engine.hall_polynomial(sub, quot, target).evaluate(1)
+                    cells += 1
+                    if got != want:
+                        bad += 1
+                        res.add(f"cell ({quiver.class_name(backend, sub)},"
+                                f"{quiver.class_name(backend, quot)}) of "
+                                f"{quiver.class_name(backend, target)}", False,
+                                {"fixed_points": got, "hall_polynomial": want})
+    res.add(f"fixed-point constants equal Hall polynomials at q = 1, "
+            f"dim <= {dim}", bad == 0, f"{cells} cells")
+    res.counts = {"cells": cells, "mismatches": bad}
+    res.elapsed = time.monotonic() - t0
+    return res
+
+
 def run_suite(name, engine, *, dim=4, gamma=2, nrandom=50, families=None):
     if name == "assoc":
         return suite_assoc(engine, dim, nrandom=nrandom)
@@ -452,4 +485,6 @@ def run_suite(name, engine, *, dim=4, gamma=2, nrandom=50, families=None):
         return suite_bialgebra(engine, dim, gamma)
     if name == "euler-axioms":
         return suite_euler_axioms(engine)
+    if name == "routes":
+        return suite_routes(engine, dim)
     raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

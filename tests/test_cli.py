@@ -141,3 +141,25 @@ def test_session_cache_for_other_backend_is_refused(tmp_path):
     r = run("--backend", "a2", "--cache", str(cache), "mul", "[S1]", "[S2]")
     assert r.exit_code == 1
     assert json.loads(r.stderr.splitlines()[-1])["error"] == "BackendMismatchError"
+
+
+def test_default_bounds_riedtmann_and_deep_loop_product():
+    # constants no longer depend on the F_q sample schedule: a degree-8
+    # Hall polynomial needs 10 prime powers, only 9 are <= 13
+    r = run("--backend", "a2", "verify", "riedtmann")
+    assert r.exit_code == 0 and "suite riedtmann: pass" in r.stdout
+    r = run("--backend", "loop", "mul", "[J1+J1]", "[J1+J1+J1+J1]")
+    assert r.exit_code == 0
+    assert r.stdout.strip() == ("(1)*1_{2.{J1}+2.{J2}} + (4)*1_{4.{J1}+{J2}}"
+                                " + (15)*1_{6.{J1}}")
+
+
+def test_verify_routes_and_chi_cache_entries(tmp_path):
+    cache = tmp_path / "cache.json"
+    r = run("--backend", "loop", "--dim", "3", "--json", "--cache", str(cache),
+            "verify", "routes")
+    assert r.exit_code == 0
+    assert json.loads(r.stdout)["counts"] == {"cells": 42, "mismatches": 0}
+    r = run("--backend", "loop", "--cache", str(cache), "mul", "[J1]", "[J1]")
+    keys = [e["key"] for e in json.loads(cache.read_text())["entries"]]
+    assert "chi:[J1]|[J1]|[J2]" in keys and "[J1]|[J1]|[J2]" in keys

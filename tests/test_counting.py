@@ -149,3 +149,16 @@ def test_resource_bounds(loop):
 def test_p1_counting_is_capability_error(p1b):
     with pytest.raises(CapabilityError):
         enumerate_subreps(p1b, (("t", "x", 1),), 2)
+
+
+def test_same_name_backends_do_not_share_surveys(a3):
+    # a reversed-arrow a3 under the built-in's name gets its own histogram,
+    # even after the built-in's [P13] survey ran in this process
+    rev = quiver.backend_from_json({
+        "name": "a3", "kind": "dynkin-quiver", "vertices": ["1", "2", "3"],
+        "arrows": [{"id": "a", "src": "2", "tgt": "1"},
+                   {"id": "b", "src": "3", "tgt": "2"}]})
+    enumerate_subreps(a3, parse_class(a3, "[P13]"), 2)
+    got = cells(rev, enumerate_subreps(rev, parse_class(rev, "[P13]"), 2))
+    assert {c for c in got if "[0]" not in c} == {("[S1]", "[P23]"),
+                                                 ("[P12]", "[S3]")}

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from hallforge import counting, hall, quiver
+from hallforge import counting, hall, quiver, verify
 from hallforge.counting import Bounds
-from hallforge.errors import BackendMismatchError, NonPolynomialCountError
+from hallforge.errors import (BackendMismatchError, NonPolynomialCountError,
+                              ResourceLimitError)
 from hallforge.gf import prime_powers
 from hallforge.hall import (HallCache, HallEngine, HallPolynomial,
                             fit_polynomial, split_constant)
@@ -173,3 +174,59 @@ def test_candidate_targets(loop_engine, a2_engine):
     got = {quiver.class_name(a2, c)
            for c in a2_engine.candidate_targets(s2, s1)}
     assert got == {"[P12]", "[S2+S1]"}
+
+
+def test_cells_are_fixed_point_counts(loop_engine, a3_engine):
+    loop, a3 = loop_engine.backend, a3_engine.backend
+
+    def named(engine, text):
+        b = engine.backend
+        return {(quiver.class_name(b, s), quiver.class_name(b, t)): c
+                for (s, t), c in engine.cells(parse_class(b, text)).items()}
+
+    assert named(loop_engine, "[J1+J1]") == {
+        ("[0]", "[J1+J1]"): 1, ("[J1]", "[J1]"): 2, ("[J1+J1]", "[0]"): 1}
+    # successor-closed subsets of 1 -> 2 -> 3: {}, {3}, {2,3}, {1,2,3}
+    assert named(a3_engine, "[P13]") == {
+        ("[0]", "[P13]"): 1, ("[S3]", "[P12]"): 1, ("[P23]", "[S1]"): 1,
+        ("[P13]", "[0]"): 1}
+    assert a3_engine.cells(quiver.ZERO_CLASS) == {((), ()): 1}
+
+
+def test_euler_constant_bound_and_chi_entry(loop):
+    engine = HallEngine(loop, Bounds(max_dim=3, max_q=13))
+    j1 = parse_class(loop, "[J1]")
+    with pytest.raises(ResourceLimitError):
+        engine.euler_constant(j1, parse_class(loop, "[J3]"),
+                              parse_class(loop, "[J4]"))
+    assert engine.euler_constant(j1, parse_class(loop, "[J1+J1]"),
+                                 parse_class(loop, "[J1+J1+J1]")) == 3
+    assert engine.cache.entries == {"chi:[J1]|[J1+J1]|[J1+J1+J1]": [3]}
+
+
+def test_scoped_cache_keeps_constants_apart_from_polynomials(p1b):
+    # a fresh engine, so the constant is computed before the polynomial
+    p1_engine = HallEngine(p1b)
+    local = p1_engine._local
+    lb = local.backend
+    j1 = parse_class(lb, "[J1]")
+    target = parse_class(lb, "[J1+J1]")
+    assert local.cache.host is p1_engine.cache
+    assert local.euler_constant(j1, j1, target) == 2
+    assert local.hall_polynomial(j1, j1, target).coeffs == (1, 1)
+
+
+@pytest.mark.parametrize("name,dim", [("a2", 4), ("a3", 4), ("a3-sink", 4),
+                                      ("loop", 5)])
+def test_routes_suite_agrees(name, dim):
+    if name == "a3-sink":
+        backend = quiver.backend_from_json({
+            "name": "a3-sink", "kind": "dynkin-quiver",
+            "vertices": ["1", "2", "3"],
+            "arrows": [{"id": "a", "src": "1", "tgt": "2"},
+                       {"id": "b", "src": "3", "tgt": "2"}]})
+    else:
+        backend = quiver.builtin_backend(name)
+    res = verify.suite_routes(HallEngine(backend), dim)
+    assert res.passed, res.checks
+    assert res.counts["mismatches"] == 0 and res.counts["cells"] > 0
