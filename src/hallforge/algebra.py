@@ -53,15 +53,6 @@ class IndecFamily:
             return (0, tuple(quiver.label_key(backend, l) for l in self.labels))
         return (1, self.degree, self.base.descriptor())
 
-    def member_label_dim(self, backend):
-        if self.kind == "labels":
-            dims = {quiver.label_dim(backend, l) for l in self.labels}
-            return dims.pop() if len(dims) == 1 else None
-        return (0, self.degree)
-
-    def summand_dims_mixed(self):
-        return False
-
     def contains_label(self, label):
         if self.kind == "labels":
             return label in self.labels
@@ -322,7 +313,7 @@ def direct_sum(backend, a, b):
 @dataclass(frozen=True)
 class CFElement:
     """Exact rational combination of characteristic functions, canonical."""
-    backend_name: str
+    backend: quiver.Backend
     terms: tuple  # ((ConstructibleSet, Fraction), ...)
 
     def is_zero(self):
@@ -339,7 +330,7 @@ def char_fn(backend, cset):
     else:
         cset = normalize(backend, cset)
     if cset.is_empty():
-        return CFElement(backend.name, ())
+        return CFElement(backend, ())
     return _canonical(backend, {s: Fraction(1) for s in cset.strata})
 
 
@@ -348,7 +339,7 @@ def unit_element(backend):
 
 
 def zero_element(backend):
-    return CFElement(backend.name, ())
+    return CFElement(backend, ())
 
 
 def class_char(backend, cls):
@@ -391,7 +382,7 @@ def _canonical(backend, atom_values):
             key=lambda kv: (kv[0][0], kv[0][1].numerator, kv[0][1].denominator)):
         cset = ConstructibleSet(tuple(sorted(strata, key=lambda s: _stratum_key(backend, s))))
         terms.append((cset, v))
-    return CFElement(backend.name, tuple(terms))
+    return CFElement(backend, tuple(terms))
 
 
 def _minimize_points(backend, atom_values):
@@ -491,10 +482,13 @@ def is_indec_supported(f):
 
 
 def _check_same(backend, *elements):
+    """Elements belong to a backend definition, not just to its name."""
     for e in elements:
-        if e.backend_name != backend.name:
+        if e.backend is not backend and e.backend != backend:
+            other = " (another definition)" if e.backend.name == backend.name else ""
             raise BackendMismatchError(
-                f"element over {e.backend_name!r} used with backend {backend.name!r}")
+                f"element over {e.backend.name!r}{other} used with backend "
+                f"{backend.name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +507,8 @@ def convolve(engine, f, g):
     for x, vx in fvals.items():
         for z, vz in gvals.items():
             w = vx * vz
-            for y in engine.candidate_targets(x, z):
-                c = engine.euler_constant(x, z, y)
-                if c:
-                    acc[y] = acc.get(y, Fraction(0)) + w * c
+            for y, c in engine.product(x, z):
+                acc[y] = acc.get(y, Fraction(0)) + w * c
     return from_class_values(backend, acc)
 
 

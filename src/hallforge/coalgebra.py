@@ -13,14 +13,13 @@ from itertools import product as iproduct
 
 from . import algebra as alg
 from . import quiver
-from .errors import BackendMismatchError
 
 
 @dataclass(frozen=True)
 class TensorElement:
     """Canonical rational combination of product-set characteristic
     functions on pairs of classes."""
-    backend_name: str
+    backend: quiver.Backend
     terms: tuple  # (((ConstructibleSet, ConstructibleSet), Fraction), ...)
 
     def is_zero(self):
@@ -44,7 +43,7 @@ def _pair_canonical(backend, pair_values):
         for sl, sr in pairs:
             terms.append(((alg.ConstructibleSet((sl,)),
                            alg.ConstructibleSet((sr,))), v))
-    return TensorElement(backend.name, tuple(terms))
+    return TensorElement(backend, tuple(terms))
 
 
 def _pair_atom_map(backend, t):
@@ -100,8 +99,7 @@ def tensor_first_difference(backend, s, t):
 def comultiply(backend, f):
     """Delta(f): distribute each stratum's family multiplicities over the
     two tensor legs, coefficient 1 per split."""
-    if f.backend_name != backend.name:
-        raise BackendMismatchError("element over a different backend")
+    alg._check_same(backend, f)
     pair_values = {}
     for s, v in alg._atom_map(backend, f).items():
         fams = list(s)
@@ -141,18 +139,24 @@ def tensor_swap(backend, t):
 def tensor_convolve(engine, s, t):
     """Componentwise product (f1 x g1)*(f2 x g2) = (f1*f2) x (g1*g2)."""
     backend = engine.backend
+    products = {}  # (leg of s, leg of t) -> atom map of their product
+
+    def leg_product(a, b):
+        hit = products.get((a, b))
+        if hit is None:
+            hit = products[(a, b)] = alg._atom_map(backend, alg.convolve(
+                engine, alg.char_fn(backend, a.strata),
+                alg.char_fn(backend, b.strata)))
+        return hit
+
     out = {}
     for (al, ar), u in s.terms:
-        fl = alg.char_fn(backend, al.strata)
-        fr = alg.char_fn(backend, ar.strata)
         for (bl, br), w in t.terms:
-            gl = alg.char_fn(backend, bl.strata)
-            gr = alg.char_fn(backend, br.strata)
-            left = alg.convolve(engine, fl, gl)
-            right = alg.convolve(engine, fr, gr)
+            left = leg_product(al, bl)
+            right = leg_product(ar, br)
             c = u * w
-            for sl, vl in alg._atom_map(backend, left).items():
-                for sr, vr in alg._atom_map(backend, right).items():
+            for sl, vl in left.items():
+                for sr, vr in right.items():
                     k = (sl, sr)
                     out[k] = out.get(k, Fraction(0)) + c * vl * vr
     return _pair_canonical(backend, out)

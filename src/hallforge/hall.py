@@ -18,6 +18,18 @@ is fitted through all but the last sample and accepted once it has integer
 coefficients and reproduces the held-out sample exactly.  Its value at q = 1
 is the same constant, which the `routes` verify suite checks cell by cell.
 Constants and polynomials go to a versioned JSON cache.
+
+Each `HallEngine` also keeps three memos, created in `__init__` and freed
+with it, all keyed by class tuples of its own backend:
+
+  _cells     target -> {(sub, quot): chi}, every nonzero cell of a target;
+  _chi       (sub, quot, target) -> chi, zeros included, checked before the
+             string-keyed cache; a miss still reads or writes the cache, so
+             a cache file keeps every constant a command used;
+  _products  (x, z) -> ((y, chi), ...), the nonzero terms of 1_[x] * 1_[z]
+             that `product` returns and convolution reads.
+
+A bound failure raises before anything is stored.
 """
 
 import json
@@ -201,6 +213,8 @@ class HallEngine:
         self.bounds = bounds
         self.cache = cache if cache is not None else HallCache(backend)
         self._cells = {}            # target -> {(sub, quot): chi}
+        self._chi = {}              # (sub, quot, target) -> chi
+        self._products = {}         # (x, z) -> ((y, chi), ...), chi nonzero
         self._p1_base_memo = {}     # see p1._base_product
         if backend.kind == quiver.KIND_P1:
             self._local = _loop_delegate(self, bounds)
@@ -211,23 +225,39 @@ class HallEngine:
 
     def euler_constant(self, sub, quot, target):
         """Euler characteristic of the (sub, quot) stratum of `target`."""
+        memo_key = (sub, quot, target)
+        value = self._chi.get(memo_key)
+        if value is not None:
+            return value
         p1 = self.backend.kind == quiver.KIND_P1
         if p1:
             _require_torsion(sub, quot, target)
         key = self.cache.key(sub, quot, target, CHI_SCOPE)
         hit = self.cache.get(key)
         if hit is not None:
-            return hit.evaluate(1)
-        if p1:
-            value = 1
-            for cell in self._p1_local_cells(sub, quot, target):
-                value *= self._local.euler_constant(*cell)
-                if not value:
-                    break
+            value = hit.evaluate(1)
         else:
-            value = self.cells(target).get((sub, quot), 0)
-        self.cache.put(key, HallPolynomial((value,)))
+            if p1:
+                value = 1
+                for cell in self._p1_local_cells(sub, quot, target):
+                    value *= self._local.euler_constant(*cell)
+                    if not value:
+                        break
+            else:
+                value = self.cells(target).get((sub, quot), 0)
+            self.cache.put(key, HallPolynomial((value,)))
+        self._chi[memo_key] = value
         return value
+
+    def product(self, x, z):
+        """The nonzero ((y, chi), ...) of 1_[x] * 1_[z], in the order of
+        `candidate_targets(x, z)`."""
+        hit = self._products.get((x, z))
+        if hit is None:
+            hit = tuple((y, c) for y in self.candidate_targets(x, z)
+                        if (c := self.euler_constant(x, z, y)))
+            self._products[(x, z)] = hit
+        return hit
 
     def cells(self, target):
         """Every nonzero constant of `target`, as {(sub, quot): chi}.

@@ -297,47 +297,31 @@ def _shape_value_sampled(engine, base, degs_a, degs_b, shape):
 
 def _member_value(engine, base, degs_a, degs_b, member):
     """(1_A * 1_B)([Y]) for Y given as {point: partition}; A, B are the
-    one-base strata with block degrees degs_a, degs_b over `base`."""
+    one-base strata with block degrees degs_a, degs_b over `base`.
+
+    The conflations of Y split point by point, so the value sums, over
+    one nonzero loop cell (sub, quot) of each local target
+    (`engine._local.cells`), the product of their constants, keeping the
+    choices whose sub blocks have the degrees of A and quotient blocks
+    those of B.  Each constant is read through the loop delegate's
+    `euler_constant`, so a cache stores the nonzero local constants used
+    and no zero ones."""
     loop = engine._local
-    points = sorted(member)
-    local_classes = {x: quiver.make_class(loop.backend,
-                                          [("j", p) for p in member[x]])
-                     for x in points}
-    # all ways to split each local target and match the block degrees of A
     per_point = []
-    for x in points:
-        cls = local_classes[x]
-        opts = []
-        for sub, quot in _loop_splits(loop.backend, cls):
-            c = loop.euler_constant(sub, quot, cls)
-            if c:
-                opts.append((sub, quot, Fraction(c)))
-        per_point.append(opts)
+    for x in sorted(member):
+        cls = quiver.make_class(loop.backend, [("j", p) for p in member[x]])
+        per_point.append([(sub, quot, loop.euler_constant(sub, quot, cls))
+                          for sub, quot in loop.cells(cls)])
+    degs_a = sorted(degs_a, reverse=True)
+    degs_b = sorted(degs_b, reverse=True)
     total = Fraction(0)
     for combo in iproduct(*per_point):
-        degs_sub = sorted((l[1] for _, (s, _, _) in zip(points, combo)
-                           for l in s), reverse=True)
-        degs_quot = sorted((l[1] for _, (_, t, _) in zip(points, combo)
-                            for l in t), reverse=True)
-        if degs_sub != sorted(degs_a, reverse=True):
-            continue
-        if degs_quot != sorted(degs_b, reverse=True):
+        degs_sub = sorted((l[1] for s, _, _ in combo for l in s), reverse=True)
+        degs_quot = sorted((l[1] for _, t, _ in combo for l in t), reverse=True)
+        if degs_sub != degs_a or degs_quot != degs_b:
             continue
         v = Fraction(1)
         for _, _, c in combo:
             v *= c
         total += v
     return total
-
-
-def _loop_splits(loop_backend, cls):
-    """Candidate (sub, quot) class pairs for conflations with middle `cls`:
-    graded by dimension, sub dims 0..n."""
-    n = quiver.class_total_dim(loop_backend, cls)
-    out = []
-    for k in range(n + 1):
-        for sub in quiver.classes_with_dim(loop_backend, (k,), max(k, 1) if k else 0):
-            for quot in quiver.classes_with_dim(loop_backend, (n - k,),
-                                                max(n - k, 1) if n - k else 0):
-                out.append((sub, quot))
-    return out

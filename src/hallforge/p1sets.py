@@ -62,22 +62,6 @@ class P1Set:
     def __le__(self, other):
         return self.minus(other).is_empty
 
-    def sample_points(self, n, avoid=()):
-        """n distinct points of the set, deterministic; fresh symbols for
-        cofinite sets.  Returns None if a finite set is too small."""
-        avoid = set(avoid)
-        if not self.cofinite:
-            pool = [x for x in sorted(self.points) if x not in avoid]
-            return pool[:n] if len(pool) >= n else None
-        out = []
-        i = 1
-        while len(out) < n:
-            name = f"~p{i}"
-            if name not in self.points and name not in avoid:
-                out.append(name)
-            i += 1
-        return out
-
 
 def set_ops(a, b, op):
     """Boolean operation on P1 sets: 'intersect' | 'union' | 'minus'."""

@@ -176,8 +176,17 @@ def label_total_dim(backend, label):
 
 
 def label_key(backend, label):
-    """Canonical total order: (total dim, dim vector, backend tiebreaker)."""
-    if label[0] == "o":
+    """Canonical total order: (total dim, dim vector, backend tiebreaker).
+
+    For an interval ("i", a, b) the dimension vector is 1 exactly on a..b,
+    so among intervals of one length it is larger the smaller a is: -a
+    sorts them the same way without building the vector."""
+    k = label[0]
+    if k == "i":
+        return (label[2] - label[1] + 1, -label[1], label)
+    if k == "j":
+        return (label[1], (label[1],), label)
+    if k == "o":
         return (0, (1, label[1]), ("o", label[1]))
     return (label_total_dim(backend, label), label_dim(backend, label), label)
 

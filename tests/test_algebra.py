@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from hallforge import algebra as alg
+from hallforge import coalgebra as co
 from hallforge import quiver
 from hallforge.errors import BackendMismatchError
+from hallforge.hall import HallEngine
 from hallforge.quiver import parse_class
 
 
@@ -204,6 +206,20 @@ def test_backend_mismatch_raises(a2, loop, a2_engine):
         alg.convolve(a2_engine, f, g)
     with pytest.raises(BackendMismatchError):
         alg.add(a2, f, g)
+
+
+def test_same_name_backend_definition_mismatch_raises(a3):
+    # an a3 with reversed arrows, also named "a3", has the same labels and
+    # class tuples, so only its definition tells the two apart
+    rev = quiver.backend_from_json({
+        "name": "a3", "kind": "dynkin-quiver", "vertices": ["1", "2", "3"],
+        "arrows": [{"id": "a", "src": "2", "tgt": "1"},
+                   {"id": "b", "src": "3", "tgt": "2"}]})
+    f = char_of(a3, "[S1]")
+    with pytest.raises(BackendMismatchError, match="another definition"):
+        alg.convolve(HallEngine(rev), f, f)
+    with pytest.raises(BackendMismatchError):
+        co.comultiply(rev, f)
 
 
 def test_stratum_requires_disjoint_families(a2):

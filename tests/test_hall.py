@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hallforge import algebra as alg
 from hallforge import counting, hall, quiver, verify
 from hallforge.counting import Bounds
 from hallforge.errors import (BackendMismatchError, NonPolynomialCountError,
@@ -230,3 +231,40 @@ def test_routes_suite_agrees(name, dim):
     res = verify.suite_routes(HallEngine(backend), dim)
     assert res.passed, res.checks
     assert res.counts["mismatches"] == 0 and res.counts["cells"] > 0
+
+
+@pytest.mark.parametrize("name,dim", [("a2", 4), ("a3-sink", 4), ("loop", 5)])
+def test_product_is_the_nonzero_constants_in_target_order(name, dim):
+    if name == "a3-sink":
+        backend = quiver.backend_from_json({
+            "name": "a3-sink", "kind": "dynkin-quiver",
+            "vertices": ["1", "2", "3"],
+            "arrows": [{"id": "a", "src": "1", "tgt": "2"},
+                       {"id": "b", "src": "3", "tgt": "2"}]})
+    else:
+        backend = quiver.builtin_backend(name)
+    oracle, engine = HallEngine(backend), HallEngine(backend)
+    classes = verify.classes_up_to(backend, dim)
+    pairs = 0
+    for x in classes:
+        for z in classes:
+            if quiver.class_total_dim(backend, x + z) > dim:
+                continue
+            want = []
+            for y in oracle.candidate_targets(x, z):
+                c = oracle.euler_constant(x, z, y)
+                if c:
+                    want.append((y, c))
+            got = engine.product(x, z)
+            assert got == tuple(want)
+            assert engine.product(x, z) is got
+            pairs += 1
+    assert pairs > len(classes)
+
+
+def test_bound_failure_is_not_memoized(loop):
+    engine = HallEngine(loop, Bounds(max_dim=3))
+    j2 = alg.class_char(loop, parse_class(loop, "[J2]"))
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            alg.convolve(engine, j2, j2)

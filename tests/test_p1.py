@@ -7,6 +7,7 @@ from hallforge import algebra as alg
 from hallforge import coalgebra as co
 from hallforge import p1, quiver
 from hallforge.errors import CapabilityError, NonConstantFamilyError
+from hallforge.hall import HallEngine
 from hallforge.p1sets import P1Set, chi_na, set_ops
 from hallforge.quiver import make_class
 
@@ -194,3 +195,17 @@ def test_classes_supported(p1b):
     names = {quiver.class_name(p1b, c) for c in out}
     assert names == {"[T(x,2)]", "[T(y,2)]", "[T(x,1)+T(x,1)]",
                      "[T(y,1)+T(y,1)]", "[T(x,1)+T(y,1)]"}
+
+
+def test_family_product_caches_only_nonzero_local_constants(p1b):
+    engine = HallEngine(p1b)
+    loop = engine._local
+    f = one_family(p1b, fam_all(1))
+    alg.convolve(engine, f, f)
+    entries = engine.cache.entries
+    assert entries
+    for key, coeffs in entries.items():
+        assert key.startswith("local:chi:")
+        sub, quot, target = (quiver.parse_class(loop.backend, t)
+                             for t in key[len("local:chi:"):].split("|"))
+        assert coeffs[0] and coeffs == [loop.cells(target)[(sub, quot)]]

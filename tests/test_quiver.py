@@ -202,3 +202,21 @@ def test_canonical_order_is_total(a3):
     keys = [quiver.label_key(a3, r) for r in roots]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+def test_interval_order_is_total_dim_then_dim_vector(a3):
+    a5 = quiver.backend_from_json({
+        "name": "a5", "kind": "dynkin-quiver",
+        "vertices": ["1", "2", "3", "4", "5"],
+        "arrows": [{"id": "a", "src": "1", "tgt": "2"},
+                   {"id": "b", "src": "3", "tgt": "2"},
+                   {"id": "c", "src": "3", "tgt": "4"},
+                   {"id": "d", "src": "5", "tgt": "4"}]})
+    for b in (a3, a5):
+        intervals = [("i", a, c) for a in range(b.n_vertices)
+                     for c in range(a, b.n_vertices)]
+        random.Random(0).shuffle(intervals)
+        by_key = sorted(intervals, key=lambda l: quiver.label_key(b, l))
+        by_dims = sorted(intervals, key=lambda l: (
+            quiver.label_total_dim(b, l), quiver.label_dim(b, l), l))
+        assert by_key == by_dims
