@@ -1,11 +1,13 @@
 """hallforge: exact degenerate Ringel-Hall algebra computations.
 
 Structure constants of the convolution algebra of constructible functions
-on isomorphism classes of quiver representations, computed by exhaustive
-point counting over finite fields, polynomial interpolation in q, and
-specialization at q = 1.  Ships three backends: type-A quivers with any
-orientation, nilpotent loop-quiver representations, and the torsion part
-of coherent sheaves on the projective line.
+on isomorphism classes of quiver representations, at q = 1: each is the
+Euler characteristic of a stratum of subrepresentations, counted by its
+torus fixed points.  Hall polynomials come from point counting over finite
+fields and interpolation in q; their values at q = 1 check the constants.
+Ships three backends: type-A quivers with any orientation, nilpotent
+loop-quiver representations, and the torsion part of coherent sheaves on
+the projective line.
 """
 
 __version__ = "0.1.0"

@@ -74,12 +74,6 @@ class IndecFamily:
             return True
         return self.base.is_disjoint(other.base)
 
-    def size(self):
-        """Number of member labels, or None when infinite."""
-        if self.kind == "labels":
-            return len(self.labels)
-        return None if self.base.cofinite else len(self.base.points)
-
 
 def _check_label_kind(backend, label):
     kind = label[0]
@@ -244,21 +238,8 @@ def _distribute(backend, stratum, atom_of):
     per_part = []
     for f, m in stratum:
         atoms = atom_of[f]
-        options = []
-        for split in _compositions(m, len(atoms)):
-            opt = []
-            ok = True
-            for a, k in zip(atoms, split):
-                if not k:
-                    continue
-                sz = a.size()
-                if sz is not None and a.kind == "labels" and k > 0 and sz == 0:
-                    ok = False
-                    break
-                opt.append((a, k))
-            if ok:
-                options.append(opt)
-        per_part.append(options)
+        per_part.append([[(a, k) for a, k in zip(atoms, split) if k]
+                         for split in _compositions(m, len(atoms))])
     for combo in iproduct(*per_part):
         yield make_stratum(backend, [p for opt in combo for p in opt])
 

@@ -12,6 +12,11 @@ Large-subobject cells on the loop backend are served from the small side
 of the lattice: transposition is a self-duality of nilpotent loop modules
 exchanging (sub, quot), so #{U : U = A, M/U = B} = #{U : U = B, M/U = A}.
 The tests verify this against two-sided enumeration at small dims.
+
+This module keeps no state.  Histograms are memoized by the caller: each
+`HallEngine` owns a `_surveys` dict, keyed by (target, q), that it passes
+to `count_points`, so the memo is freed with the engine and never shared
+between two backend definitions.
 """
 
 from collections import defaultdict
@@ -41,9 +46,6 @@ class SubrepHistogram:
     q: int
     counts: dict = dfield(default_factory=dict)
 
-    def total(self):
-        return sum(self.counts.values())
-
 
 def _check_bounds(backend, target, q, bounds):
     n = quiver.class_total_dim(backend, target)
@@ -63,13 +65,16 @@ def enumerate_subreps(backend, target, q, bounds=DEFAULT_BOUNDS):
         raise CapabilityError("p1-torsion classes are counted through the "
                               "loop kernel per support point")
     _check_bounds(backend, target, q, bounds)
-    cells = _survey(backend, target, q, None)
+    cells = _survey(backend, target, q, None, {})
     return SubrepHistogram(target=target, q=q, counts=dict(cells))
 
 
-def count_points(backend, sub, quot, target, q, bounds=DEFAULT_BOUNDS):
+def count_points(backend, sub, quot, target, q, bounds=DEFAULT_BOUNDS,
+                 surveys=None):
     """Number of subrepresentations of `target` over F_q with the given
-    sub and quotient isomorphism classes."""
+    sub and quotient isomorphism classes.  `surveys` memoizes histograms
+    by (target, q); `HallEngine` passes its own, a call without one
+    surveys afresh."""
     if backend.kind == quiver.KIND_P1:
         raise CapabilityError("use the p1 family calculus")
     _check_bounds(backend, target, q, bounds)
@@ -77,120 +82,39 @@ def count_points(backend, sub, quot, target, q, bounds=DEFAULT_BOUNDS):
                       quiver.class_dim(backend, quot)) \
             != quiver.class_dim(backend, target):
         return 0
+    if surveys is None:
+        surveys = {}
     if backend.kind == quiver.KIND_LOOP:
         d = quiver.class_total_dim(backend, target)
         ks = quiver.class_total_dim(backend, sub)
         if ks <= d - ks:
-            return _survey(backend, target, q, ks).get((sub, quot), 0)
-        return _survey(backend, target, q, d - ks).get((quot, sub), 0)
-    return _survey(backend, target, q, None).get((sub, quot), 0)
+            return _survey(backend, target, q, ks, surveys).get((sub, quot), 0)
+        return _survey(backend, target, q, d - ks, surveys).get((quot, sub), 0)
+    return _survey(backend, target, q, None, surveys).get((sub, quot), 0)
 
 
-# ---------------------------------------------------------------------------
-# survey memo, keyed by the backend definition (Backend is frozen and
-# hashable), so two backends that share a name never share histograms
-
-_SURVEYS = {}
-_SUBSPACE_LISTS = {}
-
-
-def _survey(backend, target, q, cap):
-    """Cell counts for subs of total dim <= cap (cap=None: everything)."""
+def _survey(backend, target, q, cap, surveys):
+    """Cell counts for subs of total dim <= cap (cap=None: everything),
+    memoized in `surveys` as (largest dim surveyed, cells)."""
     d = quiver.class_total_dim(backend, target)
     want = d if cap is None else min(cap, d)
-    key = (backend, target, q)
-    hit = _SURVEYS.get(key)
+    key = (target, q)
+    hit = surveys.get(key)
     if hit is not None and hit[0] >= want:
         return hit[1]
-    if _is_split_semisimple(backend, target):
-        cells = _flat_cells(backend, target, q)
-        _SURVEYS[key] = (d, cells)
-    elif backend.kind == quiver.KIND_LOOP:
+    if backend.kind == quiver.KIND_LOOP and any(l[1] >= 2 for l in target):
         cells = _loop_survey(backend, target, q, want)
-        _SURVEYS[key] = (want, cells)
     else:
+        # a loop target of J1 blocks has a zero matrix: the quiver survey's
+        # fold over unconstrained vertices counts it by Gaussian binomials
+        want = d
         cells = _quiver_survey(backend, target, q)
-        _SURVEYS[key] = (d, cells)
-    return cells
-
-
-# ---------------------------------------------------------------------------
-# split-semisimple targets: every arrow matrix is zero, so subspace tuples
-# are unconstrained and a cell depends only on per-vertex dimensions; the
-# free entries of the echelon bases contribute plain q-powers, which the
-# Gaussian binomials collect.  (Cross-checked against the generic paths in
-# the tests.)
-
-def _is_split_semisimple(backend, target):
-    if backend.kind == quiver.KIND_LOOP:
-        return all(l == ("j", 1) for l in target)
-    return all(l[1] == l[2] for l in target)
-
-
-def _flat_cells(backend, target, q):
-    if backend.kind == quiver.KIND_LOOP:
-        m = len(target)
-        cells = {}
-        for k in range(m + 1):
-            sub = quiver.make_class(backend, [("j", 1)] * k)
-            quo = quiver.make_class(backend, [("j", 1)] * (m - k))
-            cells[(sub, quo)] = linalg.gaussian_binomial(m, k, q)
-        return cells
-    dims = quiver.class_dim(backend, target)
-    cells = {}
-
-    def rec(v, ks, count):
-        if v == len(dims):
-            sub = quiver.make_class(
-                backend, [l for vv, k in enumerate(ks) for l in [("i", vv, vv)] * k])
-            quo = quiver.make_class(
-                backend, [l for vv, k in enumerate(ks)
-                          for l in [("i", vv, vv)] * (dims[vv] - k)])
-            cells[(sub, quo)] = cells.get((sub, quo), 0) + count
-            return
-        for k in range(dims[v] + 1):
-            rec(v + 1, ks + [k], count * linalg.gaussian_binomial(dims[v], k, q))
-
-    rec(0, [], 1)
+    surveys[key] = (want, cells)
     return cells
 
 
 # ---------------------------------------------------------------------------
 # loop backend: invariant-subspace BFS by dimension
-
-def _small_rank(rows, d, K):
-    """Rank of a few short rows; tight Gaussian elimination on int lists."""
-    q, mul, sub, inv = K.q, K.mul, K.sub, K.inv
-    work = [list(r) for r in rows]
-    rk = 0
-    nrows = len(work)
-    for col in range(d):
-        piv = None
-        for i in range(rk, nrows):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rk], work[piv] = work[piv], work[rk]
-        pr = work[rk]
-        c = inv[pr[col]]
-        if c != 1:
-            for j in range(col, d):
-                pr[j] = mul[pr[j] * q + c]
-        for i in range(rk + 1, nrows):
-            f = work[i][col]
-            if f:
-                wi = work[i]
-                for j in range(col, d):
-                    x = pr[j]
-                    if x:
-                        wi[j] = sub[wi[j] * q + mul[x * q + f]]
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
-
 
 def _loop_survey(backend, target, q, cap):
     K = field(q)
@@ -246,7 +170,7 @@ def _loop_survey(backend, target, q, cap):
                 moves = pow_moves[j - 1]
                 vecs = []
                 for r in rows:
-                    w = [0] * d
+                    w = bytearray(d)
                     nz = False
                     for i, s in moves:
                         x = r[s]
@@ -255,7 +179,7 @@ def _loop_survey(backend, target, q, cap):
                             nz = True
                     if nz:
                         vecs.append(w)
-                kdims.append(k - _small_rank(vecs, d, K) if vecs else k)
+                kdims.append(k - linalg.rank(vecs, K))
             if kdims[-1] == k:
                 break
         sub_cls = class_of_kdims(kdims)
@@ -268,13 +192,8 @@ def _loop_survey(backend, target, q, cap):
                 kdims.append(dk)
             else:
                 comp = comp_coords[j - 1]
-                if rows and comp:
-                    proj = [[r[c] for c in comp] for r in rows]
-                    inter = k - _small_rank(proj, len(comp), K)
-                elif comp:
-                    inter = 0
-                else:
-                    inter = k
+                proj = [bytes([r[c] for c in comp]) for r in rows]
+                inter = k - linalg.rank(proj, K)
                 kdims.append(dk - (im_rank[j - 1] - inter))
             if kdims[-1] == dk:
                 break
@@ -348,15 +267,6 @@ def _partition_from_kernel_dims(kdims):
 # ---------------------------------------------------------------------------
 # quiver backends: per-vertex tuples with arrow pruning
 
-def _subspace_list(d, q):
-    key = (d, q)
-    hit = _SUBSPACE_LISTS.get(key)
-    if hit is None:
-        hit = list(linalg.all_subspaces(d, field(q)))
-        _SUBSPACE_LISTS[key] = hit
-    return hit
-
-
 def _quiver_survey(backend, target, q):
     K = field(q)
     rep = quiver.realize_class(backend, target, q)
@@ -378,7 +288,7 @@ def _quiver_survey(backend, target, q):
             active_arrows.append((ai, ar))
             arrows_by_last[max(apos[ar.src], apos[ar.tgt])].append((ai, ar))
 
-    lists = {v: _subspace_list(dims[v], q) for v in averts}
+    lists = {v: list(linalg.all_subspaces(dims[v], K)) for v in averts}
     cls_memo = {}
     active_cells = defaultdict(int)
 
@@ -402,12 +312,9 @@ def _quiver_survey(backend, target, q):
         quot_mats = []
         for ai, ar in enumerate(backend.arrows):
             s, t = ar.src, ar.tgt
+            # only active vertices are chosen: an inert one counts as 0 here
             rs, ps = chosen.get(s, ((), ()))
             rt, pt = chosen.get(t, ((), ()))
-            if s not in active:
-                rs, ps = (), ()
-            if t not in active:
-                rt, pt = (), ()
             mat = rep.mats[ai]
             ks, kt = len(rs), len(rt)
             rmat = [bytearray(ks) for _ in range(kt)]
@@ -456,15 +363,18 @@ def _quiver_survey(backend, target, q):
     else:
         active_cells[(quiver.ZERO_CLASS, quiver.ZERO_CLASS)] += 1
 
-    # fold in the unconstrained vertices (all incident arrow matrices zero)
+    # fold in the unconstrained vertices (all incident arrow matrices zero):
+    # a k-dim subspace at v splits off k simples, and F_q^dv has
+    # gaussian_binomial(dv, k, q) of them
     cells = active_cells
     for v in inert:
         dv = dims[v]
+        simple = ("j", 1) if backend.kind == quiver.KIND_LOOP else ("i", v, v)
         folded = defaultdict(int)
         for (sub, quo), n in cells.items():
             for k in range(dv + 1):
-                s2 = quiver.make_class(backend, list(sub) + [("i", v, v)] * k)
-                q2 = quiver.make_class(backend, list(quo) + [("i", v, v)] * (dv - k))
+                s2 = quiver.make_class(backend, list(sub) + [simple] * k)
+                q2 = quiver.make_class(backend, list(quo) + [simple] * (dv - k))
                 folded[(s2, q2)] += n * linalg.gaussian_binomial(dv, k, q)
         cells = folded
     return dict(cells)

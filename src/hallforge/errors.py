@@ -26,8 +26,8 @@ class BackendMismatchError(HallforgeError):
     """Operands built over different backends were combined."""
 
 
-class NonConstantFamilyError(HallforgeError):
-    """Sampled per-point structure constants differ along a family."""
+class CacheFormatError(HallforgeError):
+    """A cache file is not JSON or does not have the cache's shape."""
 
 
 class InternalInvariantError(HallforgeError):

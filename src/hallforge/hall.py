@@ -19,15 +19,20 @@ coefficients and reproduces the held-out sample exactly.  Its value at q = 1
 is the same constant, which the `routes` verify suite checks cell by cell.
 Constants and polynomials go to a versioned JSON cache.
 
-Each `HallEngine` also keeps three memos, created in `__init__` and freed
-with it, all keyed by class tuples of its own backend:
+Each `HallEngine` also keeps five memos, created in `__init__` and freed
+with it, all keyed by classes (or p1 bases) of its own backend:
 
   _cells     target -> {(sub, quot): chi}, every nonzero cell of a target;
   _chi       (sub, quot, target) -> chi, zeros included, checked before the
              string-keyed cache; a miss still reads or writes the cache, so
              a cache file keeps every constant a command used;
   _products  (x, z) -> ((y, chi), ...), the nonzero terms of 1_[x] * 1_[z]
-             that `product` returns and convolution reads.
+             that `product` returns and convolution reads;
+  _surveys   (target, q) -> (largest sub dim surveyed, {(sub, quot): count}),
+             the F_q histograms `counting.count_points` fills for
+             `hall_polynomial`;
+  _p1_base_memo  the p1 backend's one-base family products
+             (`p1._base_product`).
 
 A bound failure raises before anything is stored.
 """
@@ -40,7 +45,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import counting, quiver
-from .errors import (BackendMismatchError, CapabilityError,
+from .errors import (BackendMismatchError, CacheFormatError, CapabilityError,
                      NonPolynomialCountError, ResourceLimitError)
 from .gf import prime_powers
 
@@ -178,7 +183,15 @@ class HallCache:
         self.dirty = False
 
     def load(self, path, *, merge=False):
-        data = json.loads(Path(path).read_text())
+        """Read a cache file.  A file of another version raises ValueError
+        (a session cache rebuilds on it); one that is not JSON or not of
+        the cache's shape raises CacheFormatError and is left as it is."""
+        try:
+            data = json.loads(Path(path).read_text())
+        except (OSError, ValueError) as e:  # ValueError: also bad UTF-8
+            raise CacheFormatError(f"{path}: not a JSON cache file: {e}") from e
+        if not isinstance(data, dict):
+            raise CacheFormatError(f"{path}: a cache file is a JSON object")
         if data.get("version") != CACHE_VERSION:
             raise ValueError(
                 f"cache version {data.get('version')} != {CACHE_VERSION}; "
@@ -186,7 +199,14 @@ class HallCache:
         if data.get("backend") != self.backend.to_json():
             raise BackendMismatchError(
                 "cache was built for a different backend definition")
-        fresh = {e["key"]: list(e["coeffs"]) for e in data["entries"]}
+        entries = data.get("entries")
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and isinstance(e.get("key"), str)
+                and isinstance(e.get("coeffs"), list)
+                and all(type(c) is int for c in e["coeffs"])
+                for e in entries):
+            raise CacheFormatError(f"{path}: entries are not key/coeffs pairs")
+        fresh = {e["key"]: list(e["coeffs"]) for e in entries}
         if merge:
             for k, v in fresh.items():
                 if k in self.entries and self.entries[k] != v:
@@ -215,6 +235,7 @@ class HallEngine:
         self._cells = {}            # target -> {(sub, quot): chi}
         self._chi = {}              # (sub, quot, target) -> chi
         self._products = {}         # (x, z) -> ((y, chi), ...), chi nonzero
+        self._surveys = {}          # (target, q) -> (max sub dim, cells)
         self._p1_base_memo = {}     # see p1._base_product
         if backend.kind == quiver.KIND_P1:
             self._local = _loop_delegate(self, bounds)
@@ -310,7 +331,7 @@ class HallEngine:
         samples = []
         for i, q in enumerate(schedule):
             samples.append((q, counting.count_points(
-                self.backend, sub, quot, target, q, self.bounds)))
+                self.backend, sub, quot, target, q, self.bounds, self._surveys)))
             if i == 0:
                 continue
             coeffs = fit_polynomial(samples[:-1])
@@ -431,8 +452,7 @@ def _local_class(loop_backend, cls, point):
 
 def _loop_delegate(engine, bounds):
     loop = quiver.builtin_backend("loop")
-    delegate = HallEngine(loop, bounds, cache=_ScopedCache(engine.cache, loop))
-    return delegate
+    return HallEngine(loop, bounds, cache=_ScopedCache(engine.cache, loop))
 
 
 class _ScopedCache:
@@ -444,9 +464,7 @@ class _ScopedCache:
         self.backend = loop_backend
 
     def key(self, sub, quot, target, scope=""):
-        b = self.backend
-        return ("local:" + scope + quiver.class_name(b, sub) + "|"
-                + quiver.class_name(b, quot) + "|" + quiver.class_name(b, target))
+        return HallCache.key(self, sub, quot, target, "local:" + scope)
 
     def get(self, key):
         return self.host.get(key)

@@ -6,8 +6,15 @@ representations, so every structure constant factors over support points
 into loop-backend constants.  Families are degree-d sheaves over a finite
 or cofinite base of points.  Products of family characteristic functions
 decompose base-by-base: cross-base parts split, same-base parts pick up
-the one-point loop constants, which the per-point constancy contract
-(three sample points plus a holdout) verifies rather than assumes.
+the one-point loop constants.
+
+Why a value is constant along a base: the torsion category is the direct
+sum of its point-supported subcategories, and each one is the same loop
+category whatever the point.  A target Y is therefore, up to the name of
+its points, just its collision shape (one partition per occupied point),
+and every constant of Y is a product of loop constants of those
+partitions.  The value on a shape is computed once, from the shape alone;
+no point name ever enters it.
 """
 
 from fractions import Fraction
@@ -15,13 +22,11 @@ from itertools import product as iproduct
 
 from . import algebra as alg
 from . import quiver
-from .errors import CapabilityError, InternalInvariantError, NonConstantFamilyError
+from .errors import CapabilityError, InternalInvariantError
 from .p1sets import P1Set, chi_na, set_ops  # re-exported calculus
 
 __all__ = ["P1Set", "chi_na", "set_ops", "convolve_family", "family_from_json",
            "family_to_json", "candidate_targets", "classes_supported"]
-
-SAMPLE_POINTS = 3  # contract: this many sampled points, plus one holdout
 
 
 def family_from_json(data):
@@ -112,9 +117,10 @@ def convolve_family(engine, f, g):
 
     Operand strata are refined to a shared disjoint atom basis, grouped by
     base set, multiplied base-by-base through the loop kernel, and the
-    per-base outputs recombined.  Values on output strata are checked to
-    be constant across the point-collision patterns of the stratum and
-    across sampled points of cofinite bases.
+    per-base outputs recombined.  A value depends on a member only through
+    its collision shape (see the module docstring), and each output
+    stratum's value is checked to be the same on all of its collision
+    shapes, which is what a stratified form requires.
     """
     backend = engine.backend
     _require_torsion(f)
@@ -136,11 +142,9 @@ def _stratum_product(engine, sa, sb):
     bases = []
 
     def base_index(b):
-        for i, x in enumerate(bases):
-            if x == b:
-                return i
-        bases.append(b)
-        return len(bases) - 1
+        if b not in bases:
+            bases.append(b)
+        return bases.index(b)
 
     local_a = {}
     local_b = {}
@@ -172,16 +176,16 @@ def _stratum_product(engine, sa, sb):
 
 
 def _base_product(engine, base, degs_a, degs_b):
-    """Local product over one base: multiset of block degrees on each side.
+    """Local product over one base: the block degrees on each side, as
+    lists sorted in descending order.
 
-    Returns {(sorted (degree, mult) tuple): value}; values are the point
-    counts at q = 1 of the corresponding conflation cells, constant along
-    the base by the sampling contract.
+    Returns {(sorted (degree, mult) tuple): value}; values are the Euler
+    characteristics of the corresponding conflation cells.  The torsion
+    category splits by support point into copies of one loop category, so
+    a member is seen only through its collision shape and one evaluation
+    per shape covers the whole base.
     """
-    # created in HallEngine.__init__; deleting the attribute clears it
-    memo = getattr(engine, "_p1_base_memo", None)
-    if memo is None:
-        memo = engine._p1_base_memo = {}
+    memo = engine._p1_base_memo
     key = (base.descriptor(), tuple(degs_a), tuple(degs_b))
     hit = memo.get(key)
     if hit is not None:
@@ -193,26 +197,22 @@ def _base_product(engine, base, degs_a, degs_b):
         out[()] = Fraction(1)
     else:
         npoints = None if base.cofinite else len(base.points)
-        shape_values = {}
-        for shape in _output_shapes(total, gmax, npoints):
-            value = _shape_value_sampled(engine, base, degs_a, degs_b, shape)
-            shape_values[shape] = value
         # Krull-Schmidt stratification: members of one output stratum that
         # differ only in their point-collision pattern must share the value
         by_degmults = {}
-        for shape, value in shape_values.items():
+        for shape in _output_shapes(total, gmax, npoints):
             by_degmults.setdefault(_shape_to_degmults(shape), []).append(
-                (shape, value))
-        for degmults, items in by_degmults.items():
-            nonzero = {v for _, v in items if v}
+                _shape_value(engine, degs_a, degs_b, shape))
+        for degmults, values in by_degmults.items():
+            nonzero = {v for v in values if v}
             if len(nonzero) > 1:
                 raise InternalInvariantError(
                     f"family product is not constant on the stratum "
                     f"{degmults}: values {sorted(map(str, nonzero))}")
-            if nonzero and any(v == 0 for _, v in items):
-                # a collision pattern of the stratum is unreachable only
-                # when the base is too small to realize it; with matching
-                # block data a zero pattern contradicts stratification
+            if nonzero and 0 in values:
+                # shapes with more points than a finite base has are never
+                # generated; on the rest, with matching block data, a zero
+                # pattern contradicts stratification
                 raise InternalInvariantError(
                     f"family product vanishes on part of the stratum {degmults}")
             if nonzero:
@@ -253,51 +253,10 @@ def _shape_to_degmults(shape):
     return tuple(sorted(counts.items(), reverse=True))
 
 
-def _distinct_points(base, n, round_idx):
-    if base.cofinite:
-        avoid = set(base.points)
-        out = []
-        i = 1 + round_idx * n
-        while len(out) < n:
-            name = f"~s{i}"
-            if name not in avoid:
-                out.append(name)
-            i += 1
-        return out
-    pts = sorted(base.points)
-    if len(pts) < n:
-        return None
-    k = round_idx % len(pts)
-    return (pts[k:] + pts[:k])[:n]
-
-
-def _shape_value_sampled(engine, base, degs_a, degs_b, shape):
-    """Value of the local product on members with this collision shape,
-    with the per-point constancy contract: evaluate at SAMPLE_POINTS
-    different point choices plus one holdout and require agreement."""
-    rounds = SAMPLE_POINTS + 1
-    if not base.cofinite:
-        npts = len(base.points)
-        if npts < len(shape):
-            return Fraction(0)
-        rounds = min(rounds, npts)
-    values = []
-    for r in range(rounds):
-        pts = _distinct_points(base, len(shape), r)
-        if pts is None:
-            return Fraction(0)
-        member = {x: part for x, part in zip(pts, shape)}
-        values.append(_member_value(engine, base, degs_a, degs_b, member))
-        if len(values) > 1 and values[-1] != values[0]:
-            raise NonConstantFamilyError(
-                f"per-point structure constants differ along {base}: "
-                f"{values[0]} vs {values[-1]}")
-    return values[0]
-
-
-def _member_value(engine, base, degs_a, degs_b, member):
-    """(1_A * 1_B)([Y]) for Y given as {point: partition}; A, B are the
-    one-base strata with block degrees degs_a, degs_b over `base`.
+def _shape_value(engine, degs_a, degs_b, shape):
+    """(1_A * 1_B)([Y]) for Y of the given collision shape (one partition
+    per occupied point); A, B are the one-base strata with block degrees
+    degs_a, degs_b (sorted in descending order).
 
     The conflations of Y split point by point, so the value sums, over
     one nonzero loop cell (sub, quot) of each local target
@@ -308,12 +267,10 @@ def _member_value(engine, base, degs_a, degs_b, member):
     and no zero ones."""
     loop = engine._local
     per_point = []
-    for x in sorted(member):
-        cls = quiver.make_class(loop.backend, [("j", p) for p in member[x]])
+    for part in shape:
+        cls = quiver.make_class(loop.backend, [("j", p) for p in part])
         per_point.append([(sub, quot, loop.euler_constant(sub, quot, cls))
                           for sub, quot in loop.cells(cls)])
-    degs_a = sorted(degs_a, reverse=True)
-    degs_b = sorted(degs_b, reverse=True)
     total = Fraction(0)
     for combo in iproduct(*per_point):
         degs_sub = sorted((l[1] for s, _, _ in combo for l in s), reverse=True)

@@ -12,7 +12,6 @@ residual correction functions that fall outside the family-generated
 span.
 """
 
-import json
 import math
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction

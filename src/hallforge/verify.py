@@ -64,10 +64,6 @@ def classes_up_to(backend, total_dim, gamma_max=None):
     return out
 
 
-def _class_elements(backend, classes):
-    return [alg.class_char(backend, c) for c in classes]
-
-
 def _random_element(backend, classes, rng):
     terms = {}
     for _ in range(rng.randint(1, 2)):

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from click.testing import CliRunner
 
+import hallforge
+from hallforge import quiver
 from hallforge.cli import main
 
 
@@ -133,6 +139,43 @@ def test_stale_session_cache_is_rebuilt(tmp_path):
     assert r.exit_code == 0
     assert "cache-rebuilt" in r.stderr
     assert json.loads(cache.read_text())["version"] != 0
+
+
+def test_malformed_cache_files_fail_cleanly(tmp_path):
+    # a real process, so an uncaught exception would print its traceback
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hallforge.__file__).parent.parent))
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "hallforge.cli",
+                               "--backend", "loop", *args],
+                              capture_output=True, text=True, env=env)
+
+    backend = quiver.builtin_backend("loop").to_json()
+    files = {
+        "list.json": "[1,2]",
+        "nokey.json": json.dumps({"version": 1, "backend": backend,
+                                  "entries": [{"coeffs": [1]}]}),
+        "coeffs.json": json.dumps({"version": 1, "backend": backend,
+                                   "entries": [{"key": "chi:[J1]|[0]|[J1]",
+                                                "coeffs": 5}]}),
+        "text.json": "not json {",
+    }
+    for name, text in files.items():
+        bad = tmp_path / name
+        bad.write_text(text)
+        for args in (("--cache", str(bad), "mul", "[J1]", "[J1]"),
+                     ("--cache", str(tmp_path / "session.json"), "cache",
+                      "import", str(bad))):
+            r = cli(*args)
+            assert r.returncode == 1, (name, args, r.stderr)
+            assert "Traceback" not in r.stderr
+            err = json.loads(r.stderr.splitlines()[-1])
+            assert err["error"] == "CacheFormatError" and str(bad) in err["message"]
+            assert bad.read_bytes() == text.encode()
+    # a directory in place of the file is refused the same way
+    r = cli("--cache", str(tmp_path), "mul", "[J1]", "[J1]")
+    assert r.returncode == 1 and "Traceback" not in r.stderr
 
 
 def test_session_cache_for_other_backend_is_refused(tmp_path):

@@ -56,24 +56,17 @@ def test_dimension_mismatch_is_zero(loop):
 
 
 def test_gaussian_binomial_sanity_all_routes(loop):
-    # generic BFS, flat shortcut and the closed form must agree
+    # the loop BFS, the fold over unconstrained vertices that
+    # enumerate_subreps runs on J1 blocks, and the closed form must agree
     for m in (2, 3, 4):
         target = make_class(loop, [("j", 1)] * m)
         for q in (2, 3, 5):
             generic = counting._loop_survey(loop, target, q, m)
-            flat = counting._flat_cells(loop, target, q)
-            assert generic == flat
+            assert generic == enumerate_subreps(loop, target, q).counts
             for k in range(m + 1):
                 sub = make_class(loop, [("j", 1)] * k)
                 quo = make_class(loop, [("j", 1)] * (m - k))
                 assert generic[(sub, quo)] == linalg.gaussian_binomial(m, k, q)
-
-
-def test_flat_shortcut_matches_tuple_enumeration(a2):
-    target = parse_class(a2, "[S1+S1+S2]")
-    for q in (2, 3):
-        assert counting._quiver_survey(a2, target, q) == \
-            counting._flat_cells(a2, target, q)
 
 
 def test_histogram_total_and_grading(a3, loop):
@@ -91,6 +84,7 @@ def test_histogram_total_and_grading(a3, loop):
 
 def test_against_unpruned_brute_force(a2, a3, loop):
     cases = [(a2, "[P12+S1]", 2), (a2, "[P12+S2]", 3), (a3, "[P13]", 2),
+             (a2, "[S1+S1+S2]", 2), (a2, "[S1+S1+S2]", 3),
              (loop, "[J2+J1]", 2), (loop, "[J3]", 3)]
     for backend, text, q in cases:
         target = parse_class(backend, text)

@@ -268,3 +268,19 @@ def test_bound_failure_is_not_memoized(loop):
     for _ in range(2):
         with pytest.raises(ResourceLimitError):
             alg.convolve(engine, j2, j2)
+
+
+def test_surveys_are_engine_memos(a3):
+    # the F_q histograms belong to the engine: a reversed-arrow a3, also
+    # named "a3", counts its own [P13] after the built-in's engine ran
+    rev = quiver.backend_from_json({
+        "name": "a3", "kind": "dynkin-quiver", "vertices": ["1", "2", "3"],
+        "arrows": [{"id": "a", "src": "2", "tgt": "1"},
+                   {"id": "b", "src": "3", "tgt": "2"}]})
+    for backend, want in ((a3, 0), (rev, 1)):
+        engine = HallEngine(backend)
+        assert engine._surveys == {}
+        s1, p23, p13 = (parse_class(backend, t)
+                        for t in ("[S1]", "[P23]", "[P13]"))
+        assert engine.hall_polynomial(s1, p23, p13).evaluate(1) == want
+        assert engine._surveys

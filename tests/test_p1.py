@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hallforge import algebra as alg
 from hallforge import coalgebra as co
 from hallforge import p1, quiver
-from hallforge.errors import CapabilityError, NonConstantFamilyError
+from hallforge.errors import CapabilityError
 from hallforge.hall import HallEngine
 from hallforge.p1sets import P1Set, chi_na, set_ops
 from hallforge.quiver import make_class
@@ -172,22 +172,36 @@ def test_line_bundles_allowed_in_sets_but_not_products(p1_engine):
         p1.convolve_family(p1_engine, f, f)
 
 
-def test_per_point_contract_guard(p1_engine, monkeypatch):
-    # force point-dependent values; the sampling contract must detect it
+def test_family_product_splits_by_support_point(p1_engine):
+    # 1_A * 1_B at a target Y is the sum of the per-point constants
+    # euler_constant(sub, quot, Y) over the members sub of A and quot of B.
+    # Over {x, y, z} the atoms are single points; over the whole line one
+    # base carries every collision shape.  Members outside {x, y, z} do
+    # not meet a Y supported there, so the sum runs over {x, y, z} alone.
     b = p1_engine.backend
-    real = p1._member_value
+    pts = ["x", "y", "z"]
 
-    def crooked(engine, base, degs_a, degs_b, member):
-        v = real(engine, base, degs_a, degs_b, member)
-        return v + (1 if any(x.endswith("3") for x in member) else 0)
+    def stratum(fam, degs):
+        return alg.make_stratum(b, [(fam(d), degs.count(d)) for d in set(degs)])
 
-    monkeypatch.setattr(p1, "_member_value", crooked)
-    p1_engine.__dict__.pop("_p1_base_memo", None)
-    f = one_family(b, fam_all(1))
-    with pytest.raises(NonConstantFamilyError):
-        p1.convolve_family(p1_engine, f, f)
-    monkeypatch.undo()
-    p1_engine.__dict__.pop("_p1_base_memo", None)
+    checked = 0
+    for degs_a, degs_b in (([1], [1]), ([1], [2]), ([2], [1]),
+                           ([1, 1], [1]), ([1], [1, 1])):
+        subs = list(alg.ConstructibleSet(
+            (stratum(lambda d: fam_at(d, pts), degs_a),)).members(b))
+        quots = list(alg.ConstructibleSet(
+            (stratum(lambda d: fam_at(d, pts), degs_b),)).members(b))
+        for fam in (lambda d: fam_at(d, pts), fam_all):
+            prod = p1.convolve_family(
+                p1_engine, alg.char_fn(b, [stratum(fam, degs_a)]),
+                alg.char_fn(b, [stratum(fam, degs_b)]))
+            for y in p1.classes_supported(b, pts, sum(degs_a) + sum(degs_b),
+                                          len(degs_a) + len(degs_b)):
+                assert alg.evaluate(prod, y) == sum(
+                    p1_engine.euler_constant(s, t, y)
+                    for s in subs for t in quots)
+                checked += 1
+    assert checked > 80
 
 
 def test_classes_supported(p1b):
