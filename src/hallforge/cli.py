@@ -278,7 +278,7 @@ def import_(ctx, src):
     def go(session):
         try:
             session.engine.cache.load(src, merge=True)
-        except ValueError as e:
+        except ValueError as e:  # another version (a collision: CacheCollisionError)
             click.echo(json.dumps({"error": "cache-version",
                                    "message": str(e)}), err=True)
             return 1

@@ -30,5 +30,9 @@ class CacheFormatError(HallforgeError):
     """A cache file is not JSON or does not have the cache's shape."""
 
 
+class CacheCollisionError(HallforgeError):
+    """A merged cache file has another value under a key already present."""
+
+
 class InternalInvariantError(HallforgeError):
     """An internal consistency check failed; indicates a backend bug."""

@@ -10,7 +10,10 @@ the chain e_h -> ... -> e_1 for a Jordan block J_h), and the Euler
 characteristic of a stratum is the number of fixed points in it.  The sub
 and quotient classes of a fixed point are read off the connected components
 of the subset and of its complement.  `HallEngine.cells` lists them for a
-whole target at once.
+whole target at once, and every constant (`euler_constant`, `product`) is
+read off it.  On the p1 backend the target splits by support point: the
+part at each point is a loop-quiver class, whose cells come from the loop
+delegate, and the points merge like direct summands.
 
 Hall polynomials remain the F_q route: point counts of the subobject variety
 are sampled at an ascending schedule of prime powers; a candidate polynomial
@@ -25,7 +28,9 @@ with it, all keyed by classes (or p1 bases) of its own backend:
   _cells     target -> {(sub, quot): chi}, every nonzero cell of a target;
   _chi       (sub, quot, target) -> chi, zeros included, checked before the
              string-keyed cache; a miss still reads or writes the cache, so
-             a cache file keeps every constant a command used;
+             a cache file keeps every constant read through
+             `euler_constant` (code that reads `cells` directly, such as
+             `green_check`, stores nothing);
   _products  (x, z) -> ((y, chi), ...), the nonzero terms of 1_[x] * 1_[z]
              that `product` returns and convolution reads;
   _surveys   (target, q) -> (largest sub dim surveyed, {(sub, quot): count}),
@@ -45,8 +50,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import counting, quiver
-from .errors import (BackendMismatchError, CacheFormatError, CapabilityError,
-                     NonPolynomialCountError, ResourceLimitError)
+from .errors import (BackendMismatchError, CacheCollisionError, CacheFormatError,
+                     CapabilityError, NonPolynomialCountError,
+                     ResourceLimitError)
 from .gf import prime_powers
 
 CACHE_VERSION = 1
@@ -185,7 +191,9 @@ class HallCache:
     def load(self, path, *, merge=False):
         """Read a cache file.  A file of another version raises ValueError
         (a session cache rebuilds on it); one that is not JSON or not of
-        the cache's shape raises CacheFormatError and is left as it is."""
+        the cache's shape raises CacheFormatError and is left as it is.
+        With merge=True, a key whose value differs from this cache's
+        raises CacheCollisionError before any entry is merged."""
         try:
             data = json.loads(Path(path).read_text())
         except (OSError, ValueError) as e:  # ValueError: also bad UTF-8
@@ -210,7 +218,7 @@ class HallCache:
         if merge:
             for k, v in fresh.items():
                 if k in self.entries and self.entries[k] != v:
-                    raise ValueError(f"cache collision for {k}")
+                    raise CacheCollisionError(f"{path}: cache collision for {k}")
             self.entries.update(fresh)
         else:
             self.entries = fresh
@@ -250,22 +258,14 @@ class HallEngine:
         value = self._chi.get(memo_key)
         if value is not None:
             return value
-        p1 = self.backend.kind == quiver.KIND_P1
-        if p1:
+        if self.backend.kind == quiver.KIND_P1:
             _require_torsion(sub, quot, target)
         key = self.cache.key(sub, quot, target, CHI_SCOPE)
         hit = self.cache.get(key)
         if hit is not None:
             value = hit.evaluate(1)
         else:
-            if p1:
-                value = 1
-                for cell in self._p1_local_cells(sub, quot, target):
-                    value *= self._local.euler_constant(*cell)
-                    if not value:
-                        break
-            else:
-                value = self.cells(target).get((sub, quot), 0)
+            value = self.cells(target).get((sub, quot), 0)
             self.cache.put(key, HallPolynomial((value,)))
         self._chi[memo_key] = value
         return value
@@ -284,27 +284,39 @@ class HallEngine:
         """Every nonzero constant of `target`, as {(sub, quot): chi}.
 
         Fixed points of a direct sum are tuples of fixed points of its
-        summands, so the per-summand splits are merged one summand at a
-        time, keyed by (sorted) sub and quotient labels: the work is the
-        product of merged option counts, not 2^dim."""
+        blocks, so the per-block splits are merged one block at a time,
+        keyed by (sorted) sub and quotient labels: the work is the product
+        of merged option counts, not 2^dim.  On a quiver backend a block is
+        one summand.  On p1 a block is the part of the target at one
+        support point: its splits are the loop delegate's cells of that
+        part, relabelled to the point, and the dimension bound applies to
+        each point in the delegate."""
         hit = self._cells.get(target)
         if hit is not None:
             return hit
         b = self.backend
         if b.kind == quiver.KIND_P1:
-            raise CapabilityError("p1 constants factor over support points; "
-                                  "use euler_constant")
-        n = quiver.class_total_dim(b, target)
-        if n > self.bounds.max_dim:
-            raise ResourceLimitError(
-                f"target dimension {n} exceeds bound {self.bounds.max_dim}",
-                limit=self.bounds.max_dim, requested=n)
-        splits = {l: _summand_splits(b, l) for l in set(target)}
+            _require_torsion(target)
+            loop = self._local
+
+            def at(x, cls):
+                return tuple(("t", x, l[1]) for l in cls)
+            blocks = [{(at(x, s), at(x, q)): c for (s, q), c in
+                       loop.cells(_local_class(loop.backend, target, x)).items()}
+                      for x in sorted({l[1] for l in target})]
+        else:
+            n = quiver.class_total_dim(b, target)
+            if n > self.bounds.max_dim:
+                raise ResourceLimitError(
+                    f"target dimension {n} exceeds bound {self.bounds.max_dim}",
+                    limit=self.bounds.max_dim, requested=n)
+            splits = {l: _summand_splits(b, l) for l in set(target)}
+            blocks = [splits[l] for l in target]
         merged = {((), ()): 1}
-        for l in target:
+        for block in blocks:
             nxt = defaultdict(int)
             for (s, q), c in merged.items():
-                for (ls, lq), lc in splits[l].items():
+                for (ls, lq), lc in block.items():
                     nxt[(tuple(sorted(s + ls)), tuple(sorted(q + lq)))] += c * lc
             merged = nxt
         out = {(quiver.make_class(b, s), quiver.make_class(b, q)): c
@@ -346,7 +358,7 @@ class HallEngine:
             f"{quiver.class_name(self.backend, quot)}) did not stabilize "
             f"within q <= {self.bounds.max_q}")
 
-    # -- p1 backend: constants factor over support points -------------------
+    # -- p1 backend: Hall polynomials factor over support points ------------
 
     def _p1_local_cells(self, sub, quot, target):
         """The loop-backend (sub, quot, target) at each support point."""

@@ -79,18 +79,16 @@ def suite_assoc(engine, dim, nrandom=50, seed=0x4A11):
     t0 = time.monotonic()
     backend = engine.backend
     res = SuiteResult("assoc", True)
-    classes = [c for c in classes_up_to(backend, dim)]
+    sized = [(c, quiver.class_total_dim(backend, c), alg.class_char(backend, c))
+             for c in classes_up_to(backend, dim)]
     triples = bad = 0
-    for a in classes:
-        da = quiver.class_total_dim(backend, a)
-        for b in classes:
-            db = quiver.class_total_dim(backend, b)
+    for a, da, fa in sized:
+        for b, db, fb in sized:
             if da + db > dim:
                 continue
-            for c in classes:
-                if da + db + quiver.class_total_dim(backend, c) > dim:
+            for c, dc, fc in sized:
+                if da + db + dc > dim:
                     continue
-                fa, fb, fc = (alg.class_char(backend, x) for x in (a, b, c))
                 lhs = alg.convolve(engine, alg.convolve(engine, fa, fb), fc)
                 rhs = alg.convolve(engine, fa, alg.convolve(engine, fb, fc))
                 triples += 1
@@ -101,8 +99,7 @@ def suite_assoc(engine, dim, nrandom=50, seed=0x4A11):
                             f"*{quiver.class_name(backend, c)}", False)
     res.add(f"exhaustive singleton triples, total dim <= {dim}", bad == 0,
             f"{triples} triples")
-    small = [c for c in classes
-             if quiver.class_total_dim(backend, c) <= max(1, dim // 2)]
+    small = [c for c, dc, _ in sized if dc <= max(1, dim // 2)]
     rng = random.Random(seed)
     rbad = 0
 
@@ -126,8 +123,7 @@ def suite_assoc(engine, dim, nrandom=50, seed=0x4A11):
     res.add(f"{nrandom} random element triples", rbad == 0)
     one = alg.unit_element(backend)
     ubad = 0
-    for c in classes:
-        f = alg.class_char(backend, c)
+    for _, _, f in sized:
         if not (alg.equal(backend, alg.convolve(engine, one, f), f)
                 and alg.equal(backend, alg.convolve(engine, f, one), f)):
             ubad += 1
@@ -216,26 +212,16 @@ def suite_riedtmann(engine, dim):
 
 
 def _splits_blockwise(engine, x, z, y):
+    """Each split y1 + y2 of y carries nonzero cells (x1, z1) of y1 and
+    (x2, z2) of y2 with x1 + x2 = x and z1 + z2 = z."""
     backend = engine.backend
-    seen = set()
     for y1, y2 in co._class_splits(backend, y):
-        if not y1 or not y2 or (y1, y2) in seen:
+        if not y1 or not y2:
             continue
-        seen.add((y1, y2))
-        found = False
-        for x1, x2 in co._class_splits(backend, x):
-            if found:
-                break
-            for z1, z2 in co._class_splits(backend, z):
-                if quiver.dim_add(quiver.class_dim(backend, x1),
-                                  quiver.class_dim(backend, z1)) \
-                        != quiver.class_dim(backend, y1):
-                    continue
-                if engine.euler_constant(x1, z1, y1) \
-                        and engine.euler_constant(x2, z2, y2):
-                    found = True
-                    break
-        if not found:
+        cells2 = engine.cells(y2)
+        if not any(quiver.make_class(backend, x1 + x2) == x
+                   and quiver.make_class(backend, z1 + z2) == z
+                   for x1, z1 in engine.cells(y1) for x2, z2 in cells2):
             return False
     return True
 
@@ -277,23 +263,22 @@ def suite_green(engine, dim):
     t0 = time.monotonic()
     backend = engine.backend
     res = SuiteResult("green", True)
-    classes = classes_up_to(backend, dim)
+    sized = [(c, quiver.class_total_dim(backend, c))
+             for c in classes_up_to(backend, dim)]
     quads = bad = 0
-    for a in classes:
-        da = quiver.class_total_dim(backend, a)
-        for b in classes:
-            n = da + quiver.class_total_dim(backend, b)
+    for a, da in sized:
+        o1 = alg.singleton_set(backend, a)
+        for b, db in sized:
+            n = da + db
             if n > dim:
                 continue
-            for alpha in classes:
-                dal = quiver.class_total_dim(backend, alpha)
+            o2 = alg.singleton_set(backend, b)
+            for alpha, dal in sized:
                 if dal > n:
                     continue
-                for beta in classes:
-                    if dal + quiver.class_total_dim(backend, beta) != n:
+                for beta, dbe in sized:
+                    if dal + dbe != n:
                         continue
-                    o1 = alg.singleton_set(backend, a)
-                    o2 = alg.singleton_set(backend, b)
                     rep = co.green_check(engine, o1, o2, alpha, beta)
                     quads += 1
                     if not rep["equal"]:

@@ -178,6 +178,30 @@ def test_malformed_cache_files_fail_cleanly(tmp_path):
     assert r.returncode == 1 and "Traceback" not in r.stderr
 
 
+def test_cache_import_reports_a_collision_not_a_version(tmp_path):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(hallforge.__file__).parent.parent))
+
+    def cli(*args):
+        return subprocess.run([sys.executable, "-m", "hallforge.cli",
+                               "--backend", "loop", "--cache",
+                               str(tmp_path / "a.json"), *args],
+                              capture_output=True, text=True, env=env)
+
+    assert cli("mul", "[J1]", "[J1]").returncode == 0
+    before = (tmp_path / "a.json").read_bytes()
+    data = json.loads(before)
+    data["entries"][0]["coeffs"] = [7]
+    other = tmp_path / "b.json"
+    other.write_text(json.dumps(data))
+    r = cli("cache", "import", str(other))
+    assert r.returncode == 1 and "Traceback" not in r.stderr
+    err = json.loads(r.stderr.splitlines()[-1])
+    assert err["error"] == "CacheCollisionError", err
+    assert data["entries"][0]["key"] in err["message"]
+    assert (tmp_path / "a.json").read_bytes() == before
+
+
 def test_session_cache_for_other_backend_is_refused(tmp_path):
     cache = tmp_path / "cache.json"
     run("--backend", "loop", "--cache", str(cache), "mul", "[J1]", "[J1]")

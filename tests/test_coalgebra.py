@@ -119,3 +119,46 @@ def test_tensor_first_difference_reports(a2):
     t = tensor_of(a2, [("[S1]", "[0]", 2)])
     w = co.tensor_first_difference(a2, s, t)
     assert w is not None and w["lhs"] == "1" and w["rhs"] == "2"
+
+
+def test_green_on_label_families_matches_member_sums(a3_engine):
+    # the old route, member by member through euler_constant: lhs sums the
+    # (m1, m2) cells of alpha + beta, rhs the products over the splits
+    # m1 = rho + sigma, m2 = eps + tau
+    a3 = a3_engine.backend
+    chi = a3_engine.euler_constant
+
+    def family(names, mult):
+        fam = alg.IndecFamily.of_labels(
+            a3, [quiver.parse_label(a3, n) for n in names])
+        return alg.ConstructibleSet((alg.make_stratum(a3, [(fam, mult)]),))
+
+    def old_sides(o1, o2, alpha, beta):
+        target = make_class(a3, list(alpha) + list(beta))
+        m1s, m2s = list(o1.members(a3)), list(o2.members(a3))
+        lhs = sum(chi(m1, m2, target) for m1 in m1s for m2 in m2s)
+        rhs = sum(chi(rho, eps, alpha) * chi(sigma, tau, beta)
+                  for m1 in m1s for rho, sigma in co._class_splits(a3, m1)
+                  for m2 in m2s for eps, tau in co._class_splits(a3, m2))
+        return lhs, rhs
+
+    operands = [(family(["S1", "S2"], 1), family(["S3", "P23"], 1)),
+                (family(["S1", "S2", "S3"], 1), family(["S1", "P12"], 1)),
+                (family(["S1", "S2", "S3"], 2),
+                 alg.singleton_set(a3, parse_class(a3, "[S2]")))]
+    classes = verify.classes_up_to(a3, 3)
+    checked = multi = 0
+    for o1, o2 in operands:
+        n = (max(quiver.class_total_dim(a3, m) for m in o1.members(a3))
+             + max(quiver.class_total_dim(a3, m) for m in o2.members(a3)))
+        for alpha in classes:
+            for beta in classes:
+                if quiver.class_total_dim(a3, alpha + beta) != n:
+                    continue
+                r = co.green_check(a3_engine, o1, o2, alpha, beta)
+                lhs, rhs = old_sides(o1, o2, alpha, beta)
+                assert (r["lhs"], r["rhs"]) == (str(lhs), str(rhs))
+                assert r["equal"]
+                checked += 1
+                multi += lhs > 1
+    assert checked > 100 and multi > 0

@@ -204,6 +204,24 @@ def test_family_product_splits_by_support_point(p1_engine):
     assert checked > 80
 
 
+def test_cells_match_the_fq_route_on_two_points(p1_engine):
+    # cells splits a target by support point; the F_q route multiplies the
+    # loop Hall polynomials of each point
+    b = p1_engine.backend
+    pts = ["x", "y"]
+    checked = 0
+    for d in range(1, 5):
+        for target in p1.classes_supported(b, pts, d, d):
+            cells = p1_engine.cells(target)
+            for k in range(d + 1):
+                for sub in p1.classes_supported(b, pts, k, k):
+                    for quot in p1.classes_supported(b, pts, d - k, d - k):
+                        want = p1_engine.hall_polynomial(sub, quot, target)
+                        assert cells.get((sub, quot), 0) == want.evaluate(1)
+                        checked += 1
+    assert checked == 2578
+
+
 def test_classes_supported(p1b):
     out = p1.classes_supported(p1b, ["x", "y"], 2, 2)
     names = {quiver.class_name(p1b, c) for c in out}
