@@ -113,7 +113,7 @@ def _run(ctx, fn):
 @click.option("--gamma", default=2, show_default=True,
               help="summand-count bound for suites that take one")
 @click.option("--cache", default=None, type=click.Path(),
-              help="persistent cache file of constants and Hall polynomials")
+              help="persistent cache file of Hall polynomials")
 @click.option("--json", "as_json", is_flag=True, help="JSON output")
 @click.pass_context
 def main(ctx, backend, dim, q_max, gamma, cache, as_json):
@@ -246,7 +246,7 @@ def verify_cmd(ctx, suite):
 
 @main.group()
 def cache():
-    """Inspect or move the persistent cache of constants and polynomials."""
+    """Inspect or move the persistent cache of Hall polynomials."""
 
 
 @cache.command()

@@ -20,17 +20,13 @@ are sampled at an ascending schedule of prime powers; a candidate polynomial
 is fitted through all but the last sample and accepted once it has integer
 coefficients and reproduces the held-out sample exactly.  Its value at q = 1
 is the same constant, which the `routes` verify suite checks cell by cell.
-Constants and polynomials go to a versioned JSON cache.
+Only Hall polynomials go to the versioned JSON cache: a constant is cheaper
+to read off `cells` than to look up there.
 
-Each `HallEngine` also keeps five memos, created in `__init__` and freed
+Each `HallEngine` also keeps four memos, created in `__init__` and freed
 with it, all keyed by classes (or p1 bases) of its own backend:
 
   _cells     target -> {(sub, quot): chi}, every nonzero cell of a target;
-  _chi       (sub, quot, target) -> chi, zeros included, checked before the
-             string-keyed cache; a miss still reads or writes the cache, so
-             a cache file keeps every constant read through
-             `euler_constant` (code that reads `cells` directly, such as
-             `green_check`, stores nothing);
   _products  (x, z) -> ((y, chi), ...), the nonzero terms of 1_[x] * 1_[z]
              that `product` returns and convolution reads;
   _surveys   (target, q) -> (largest sub dim surveyed, {(sub, quot): count}),
@@ -43,7 +39,6 @@ A bound failure raises before anything is stored.
 """
 
 import json
-import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +51,6 @@ from .errors import (BackendMismatchError, CacheCollisionError, CacheFormatError
 from .gf import prime_powers
 
 CACHE_VERSION = 1
-CHI_SCOPE = "chi:"  # cache keys of Euler constants, stored as degree-0 entries
 
 
 @dataclass(frozen=True)
@@ -115,17 +109,6 @@ def fit_polynomial(points):
     return coeffs
 
 
-def split_constant(cls):
-    """Product of factorials of the summand multiplicities."""
-    out = 1
-    seen = {}
-    for l in cls:
-        seen[l] = seen.get(l, 0) + 1
-    for m in seen.values():
-        out *= math.factorial(m)
-    return out
-
-
 class HallCache:
     """Versioned polynomial store, one per backend."""
 
@@ -146,9 +129,9 @@ class HallCache:
                 self.dirty = True
                 self.rebuilt = True
 
-    def key(self, sub, quot, target, scope=""):
+    def key(self, sub, quot, target):
         b = self.backend
-        return (scope + quiver.class_name(b, sub) + "|"
+        return (quiver.class_name(b, sub) + "|"
                 + quiver.class_name(b, quot) + "|" + quiver.class_name(b, target))
 
     def get(self, key):
@@ -241,7 +224,6 @@ class HallEngine:
         self.bounds = bounds
         self.cache = cache if cache is not None else HallCache(backend)
         self._cells = {}            # target -> {(sub, quot): chi}
-        self._chi = {}              # (sub, quot, target) -> chi
         self._products = {}         # (x, z) -> ((y, chi), ...), chi nonzero
         self._surveys = {}          # (target, q) -> (max sub dim, cells)
         self._p1_base_memo = {}     # see p1._base_product
@@ -254,21 +236,9 @@ class HallEngine:
 
     def euler_constant(self, sub, quot, target):
         """Euler characteristic of the (sub, quot) stratum of `target`."""
-        memo_key = (sub, quot, target)
-        value = self._chi.get(memo_key)
-        if value is not None:
-            return value
         if self.backend.kind == quiver.KIND_P1:
             _require_torsion(sub, quot, target)
-        key = self.cache.key(sub, quot, target, CHI_SCOPE)
-        hit = self.cache.get(key)
-        if hit is not None:
-            value = hit.evaluate(1)
-        else:
-            value = self.cells(target).get((sub, quot), 0)
-            self.cache.put(key, HallPolynomial((value,)))
-        self._chi[memo_key] = value
-        return value
+        return self.cells(target).get((sub, quot), 0)
 
     def product(self, x, z):
         """The nonzero ((y, chi), ...) of 1_[x] * 1_[z], in the order of
@@ -276,7 +246,7 @@ class HallEngine:
         hit = self._products.get((x, z))
         if hit is None:
             hit = tuple((y, c) for y in self.candidate_targets(x, z)
-                        if (c := self.euler_constant(x, z, y)))
+                        if (c := self.cells(y).get((x, z), 0)))
             self._products[(x, z)] = hit
         return hit
 
@@ -475,8 +445,8 @@ class _ScopedCache:
         self.host = host
         self.backend = loop_backend
 
-    def key(self, sub, quot, target, scope=""):
-        return HallCache.key(self, sub, quot, target, "local:" + scope)
+    def key(self, sub, quot, target):
+        return "local:" + HallCache.key(self, sub, quot, target)
 
     def get(self, key):
         return self.host.get(key)

@@ -262,15 +262,13 @@ def _shape_value(engine, degs_a, degs_b, shape):
     one nonzero loop cell (sub, quot) of each local target
     (`engine._local.cells`), the product of their constants, keeping the
     choices whose sub blocks have the degrees of A and quotient blocks
-    those of B.  Each constant is read through the loop delegate's
-    `euler_constant`, so a cache stores the nonzero local constants used
-    and no zero ones."""
+    those of B."""
     loop = engine._local
     per_point = []
     for part in shape:
         cls = quiver.make_class(loop.backend, [("j", p) for p in part])
-        per_point.append([(sub, quot, loop.euler_constant(sub, quot, cls))
-                          for sub, quot in loop.cells(cls)])
+        per_point.append([(sub, quot, c)
+                          for (sub, quot), c in loop.cells(cls).items()])
     total = Fraction(0)
     for combo in iproduct(*per_point):
         degs_sub = sorted((l[1] for s, _, _ in combo for l in s), reverse=True)

@@ -241,6 +241,8 @@ def test_criterion_13_determinism_and_cache(tmp_path, loop_engine,
         ["--backend", "loop", "--json", "power", "[J1]", "2"],
         ["--backend", "loop", "--json", "comul", "[J1+J1]"],
         ["--backend", "p1", "--json", "mul", "O1", "O1"],
+        # the warm half reads Hall polynomials from the cache
+        ["--backend", "loop", "--dim", "3", "--json", "verify", "routes"],
     ]
     for args in argsets:
         cold = runner.invoke(cli_main, args)

@@ -7,7 +7,7 @@ from pathlib import Path
 from click.testing import CliRunner
 
 import hallforge
-from hallforge import quiver
+from hallforge import hall, quiver
 from hallforge.cli import main
 
 
@@ -87,7 +87,8 @@ def test_unknown_operand_and_bad_backend(tmp_path):
 def test_cache_round_trip(tmp_path):
     cache = tmp_path / "cache.json"
     exported = tmp_path / "exported.json"
-    r = run("--backend", "loop", "--cache", str(cache), "mul", "[J1]", "[J1]")
+    r = run("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",
+            "routes")
     assert r.exit_code == 0 and cache.exists()
     r = run("--backend", "loop", "--cache", str(cache), "cache", "stats")
     stats1 = json.loads(r.stdout)
@@ -108,7 +109,8 @@ def test_cache_round_trip(tmp_path):
 
 def test_cache_version_refusal(tmp_path):
     cache = tmp_path / "cache.json"
-    run("--backend", "loop", "--cache", str(cache), "mul", "[J1]", "[J1]")
+    run("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",
+        "routes")
     data = json.loads(cache.read_text())
     data["version"] = 0
     bad = tmp_path / "bad.json"
@@ -131,7 +133,8 @@ def test_determinism_and_cache_transparency(tmp_path):
 
 def test_stale_session_cache_is_rebuilt(tmp_path):
     cache = tmp_path / "cache.json"
-    run("--backend", "loop", "--cache", str(cache), "mul", "[J1]", "[J1]")
+    run("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",
+        "routes")
     data = json.loads(cache.read_text())
     data["version"] = 0
     cache.write_text(json.dumps(data))
@@ -188,7 +191,7 @@ def test_cache_import_reports_a_collision_not_a_version(tmp_path):
                                str(tmp_path / "a.json"), *args],
                               capture_output=True, text=True, env=env)
 
-    assert cli("mul", "[J1]", "[J1]").returncode == 0
+    assert cli("--dim", "2", "verify", "routes").returncode == 0
     before = (tmp_path / "a.json").read_bytes()
     data = json.loads(before)
     data["entries"][0]["coeffs"] = [7]
@@ -204,7 +207,8 @@ def test_cache_import_reports_a_collision_not_a_version(tmp_path):
 
 def test_session_cache_for_other_backend_is_refused(tmp_path):
     cache = tmp_path / "cache.json"
-    run("--backend", "loop", "--cache", str(cache), "mul", "[J1]", "[J1]")
+    run("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",
+        "routes")
     r = run("--backend", "a2", "--cache", str(cache), "mul", "[S1]", "[S2]")
     assert r.exit_code == 1
     assert json.loads(r.stderr.splitlines()[-1])["error"] == "BackendMismatchError"
@@ -227,6 +231,41 @@ def test_verify_routes_and_chi_cache_entries(tmp_path):
             "verify", "routes")
     assert r.exit_code == 0
     assert json.loads(r.stdout)["counts"] == {"cells": 42, "mismatches": 0}
+    before = cache.read_bytes()
+    # products read constants off the fixed points and write no entry
     r = run("--backend", "loop", "--cache", str(cache), "mul", "[J1]", "[J1]")
-    keys = [e["key"] for e in json.loads(cache.read_text())["entries"]]
-    assert "chi:[J1]|[J1]|[J2]" in keys and "[J1]|[J1]|[J2]" in keys
+    assert r.exit_code == 0 and cache.read_bytes() == before
+    keys = [e["key"] for e in json.loads(before)["entries"]]
+    assert "[J1]|[J1]|[J2]" in keys
+    assert not any(k.startswith("chi:") for k in keys)
+
+
+def test_cache_file_with_chi_entries_still_loads(tmp_path, monkeypatch):
+    # files written when constants were cached hold "chi:" entries: they
+    # load, and those entries are never read (these values are wrong on
+    # purpose, so a read would show in the product)
+    cache = tmp_path / "cache.json"
+    backend = quiver.builtin_backend("loop").to_json()
+    cache.write_text(json.dumps({"version": 1, "backend": backend, "entries": [
+        {"key": "chi:[J1]|[J1]|[J1+J1]", "coeffs": [9]},
+        {"key": "chi:[J1]|[J1]|[J2]", "coeffs": [9]},
+        {"key": "[J1]|[J1]|[J1+J1]", "coeffs": [1, 1]}]}))
+    before = cache.read_bytes()
+    nocache = run("--backend", "loop", "--json", "mul", "[J1]", "[J1]")
+    r = run("--backend", "loop", "--cache", str(cache), "--json", "mul",
+            "[J1]", "[J1]")
+    assert r.exit_code == 0 and r.stdout == nocache.stdout
+    assert cache.read_bytes() == before
+
+    fitted = []
+    interpolate = hall.HallEngine._interpolate
+
+    def spy(engine, sub, quot, target):
+        fitted.append("|".join(quiver.class_name(engine.backend, c)
+                               for c in (sub, quot, target)))
+        return interpolate(engine, sub, quot, target)
+    monkeypatch.setattr(hall.HallEngine, "_interpolate", spy)
+    r = run("--backend", "loop", "--dim", "2", "--json", "--cache", str(cache),
+            "verify", "routes")
+    assert r.exit_code == 0 and json.loads(r.stdout)["passed"] is True
+    assert "[J1]|[J1]|[J2]" in fitted and "[J1]|[J1]|[J1+J1]" not in fitted

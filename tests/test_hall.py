@@ -9,8 +9,7 @@ from hallforge.counting import Bounds
 from hallforge.errors import (BackendMismatchError, NonPolynomialCountError,
                               ResourceLimitError)
 from hallforge.gf import prime_powers
-from hallforge.hall import (HallCache, HallEngine, HallPolynomial,
-                            fit_polynomial, split_constant)
+from hallforge.hall import HallCache, HallEngine, HallPolynomial, fit_polynomial
 from hallforge.quiver import make_class, parse_class
 
 
@@ -72,14 +71,6 @@ def test_interpolation_stability(loop_engine):
     for upto in range(p.degree + 2, len(pts) + 1):
         coeffs = fit_polynomial(pts[:upto])
         assert tuple(int(c) for c in coeffs) == p.coeffs
-
-
-def test_split_constants():
-    loop = quiver.builtin_backend("loop")
-    assert split_constant(parse_class(loop, "[J1+J1]")) == 2
-    assert split_constant(parse_class(loop, "[J1+J2]")) == 1
-    assert split_constant(parse_class(loop, "[J1+J1+J1+J2+J2]")) == 12
-    assert split_constant(quiver.ZERO_CLASS) == 1
 
 
 def test_split_consistency_binomials(loop_engine, a2_engine):
@@ -202,11 +193,13 @@ def test_euler_constant_bound_and_chi_entry(loop):
                               parse_class(loop, "[J4]"))
     assert engine.euler_constant(j1, parse_class(loop, "[J1+J1]"),
                                  parse_class(loop, "[J1+J1+J1]")) == 3
-    assert engine.cache.entries == {"chi:[J1]|[J1+J1]|[J1+J1+J1]": [3]}
+    # constants are read off `cells`: nothing goes to the cache
+    assert engine.cache.entries == {}
 
 
 def test_scoped_cache_keeps_constants_apart_from_polynomials(p1b):
-    # a fresh engine, so the constant is computed before the polynomial
+    # a fresh engine: the constant is read off `cells` and stores nothing;
+    # the loop delegate's polynomial goes to the host cache under "local:"
     p1_engine = HallEngine(p1b)
     local = p1_engine._local
     lb = local.backend
@@ -215,6 +208,7 @@ def test_scoped_cache_keeps_constants_apart_from_polynomials(p1b):
     assert local.cache.host is p1_engine.cache
     assert local.euler_constant(j1, j1, target) == 2
     assert local.hall_polynomial(j1, j1, target).coeffs == (1, 1)
+    assert p1_engine.cache.entries == {"local:[J1]|[J1]|[J1+J1]": [1, 1]}
 
 
 @pytest.mark.parametrize("name,dim", [("a2", 4), ("a3", 4), ("a3-sink", 4),
