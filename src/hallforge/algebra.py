@@ -1,13 +1,17 @@
-"""The convolution algebra of constructible functions in stratified
-Krull-Schmidt form.
+"""The convolution algebra of constructible functions.
 
-A constructible set is a disjoint union of strata; a stratum is a formal
-direct sum of pairwise-disjoint indecomposable families with positive
-multiplicities.  Elements are exact-rational combinations of
-characteristic functions of such sets, kept in a canonical form: terms
-are grouped by (stratum summand count, coefficient) over a disjoint
-"atom" family basis, which makes equality syntactic and serialization
-byte-stable for equal elements.
+A constructible set is a disjoint union of strata in Krull-Schmidt form;
+a stratum is a formal direct sum of pairwise-disjoint indecomposable
+families with positive multiplicities.
+
+An element is a zero-free map from keys to exact rationals, and the map
+is canonical, so equality is dict equality.  On the quiver backends a key
+is an isomorphism class: there every constructible function is finitely
+supported on classes.  On p1 a key is an atom stratum, because point
+families range over cofinite sets no class map can list; arithmetic
+refines strata to common atoms and `_minimize_points` keeps the map
+canonical.  Output derives the stratified form (terms grouped by summand
+count and coefficient, strata in `_stratum_key` order) with `_canonical`.
 """
 
 import json
@@ -84,9 +88,6 @@ def _check_label_kind(backend, label):
     if not ok:
         raise BackendMismatchError(
             f"label {label!r} does not belong to backend {backend.name!r}")
-
-
-Stratum = tuple  # of (IndecFamily, multiplicity), canonically sorted
 
 
 def stratum_gamma(stratum):
@@ -187,7 +188,8 @@ def class_stratum(backend, cls):
 
 def refine_families(backend, families):
     """Disjoint atoms generating the boolean algebra of the given families.
-    Returns (atoms, map family -> list of its atoms)."""
+    Returns (atoms, map family -> list of its atoms).  Elements use it on
+    p1 only; `normalize` and `direct_sum` use it on every backend."""
     label_fams = [f for f in families if f.kind == "labels"]
     point_fams = [f for f in families if f.kind == "points"]
     atom_of = {}
@@ -234,7 +236,8 @@ def refine_families(backend, families):
 
 def _distribute(backend, stratum, atom_of):
     """Expand one stratum over the atom refinement: n copies of a family
-    split multinomially over its atoms.  Yields atom strata."""
+    split multinomially over its atoms.  Yields atom strata.  Elements use
+    it on p1 only; see `refine_families`."""
     per_part = []
     for f, m in stratum:
         atoms = atom_of[f]
@@ -293,26 +296,61 @@ def direct_sum(backend, a, b):
 
 @dataclass(frozen=True)
 class CFElement:
-    """Exact rational combination of characteristic functions, canonical."""
+    """Exact rational combination of characteristic functions: a zero-free
+    map from keys to values (see the module docstring), read-only."""
     backend: quiver.Backend
-    terms: tuple  # ((ConstructibleSet, Fraction), ...)
+    values: dict  # class (quiver backends) or atom stratum (p1) -> Fraction
 
     def is_zero(self):
-        return not self.terms
+        return not self.values
 
     def summand_count(self):
-        return max((s.summand_count() for s, _ in self.terms), default=0)
+        return max((_key_gamma(self.backend, k) for k in self.values), default=0)
+
+    @property
+    def terms(self):
+        """The stratified form ((ConstructibleSet, Fraction), ...)."""
+        return _canonical(self.backend, self.values)
+
+
+def key_stratum(backend, key):
+    """The stratum an element key stands for: the key itself on p1, the
+    class's one-member stratum on the quiver backends."""
+    return key if backend.kind == quiver.KIND_P1 else class_stratum(backend, key)
+
+
+def key_order(backend, key):
+    """Sort key of an element key: the `_stratum_key` of its stratum."""
+    return _stratum_key(backend, key_stratum(backend, key))
+
+
+def _key_gamma(backend, key):
+    return stratum_gamma(key) if backend.kind == quiver.KIND_P1 else len(key)
+
+
+def from_values(backend, values):
+    """The element with the given values: a class -> value map on the
+    quiver backends (classes as `quiver.make_class` builds them), an atom
+    stratum -> value map on p1.  Zeros are dropped; on p1, points the
+    function does not single out merge into the cofinite cores."""
+    values = {k: v for k, v in values.items() if v}
+    if backend.kind == quiver.KIND_P1:
+        values = _minimize_points(backend, values)
+    return CFElement(backend, values)
+
+
+def _strata_of(cset):
+    return tuple(cset.strata if isinstance(cset, ConstructibleSet) else cset)
 
 
 def char_fn(backend, cset):
-    """1_O for a constructible set O (normalizes first)."""
-    if isinstance(cset, ConstructibleSet):
-        cset = normalize(backend, cset.strata)
+    """1_O for a constructible set O, or for a list of its strata."""
+    strata = _strata_of(cset)
+    if backend.kind == quiver.KIND_P1:
+        keys = normalize(backend, strata).strata
     else:
-        cset = normalize(backend, cset)
-    if cset.is_empty():
-        return CFElement(backend, ())
-    return _canonical(backend, {s: Fraction(1) for s in cset.strata})
+        keys = ConstructibleSet(strata).members(backend)
+    return from_values(backend, dict.fromkeys(keys, Fraction(1)))
 
 
 def unit_element(backend):
@@ -320,24 +358,15 @@ def unit_element(backend):
 
 
 def zero_element(backend):
-    return CFElement(backend, ())
+    return CFElement(backend, {})
 
 
 def class_char(backend, cls):
     return char_fn(backend, [class_stratum(backend, cls)])
 
 
-def _atom_map(backend, element):
-    """Element as a value map over atom strata (its own atom basis)."""
-    out = {}
-    for cset, coeff in element.terms:
-        for s in cset.strata:
-            out[s] = out.get(s, Fraction(0)) + coeff
-    return out
-
-
 def _common_atoms(backend, maps):
-    """Re-express several atom maps over one common refinement."""
+    """Re-express several p1 atom-stratum maps over one common refinement."""
     fams = [f for m in maps for s in m for f, _ in s]
     _, atom_of = refine_families(backend, fams)
     outs = []
@@ -350,24 +379,21 @@ def _common_atoms(backend, maps):
     return outs
 
 
-def _canonical(backend, atom_values):
-    atom_values = {s: v for s, v in atom_values.items() if v}
-    if backend.kind == quiver.KIND_P1:
-        atom_values = _minimize_points(backend, atom_values)
+def _canonical(backend, values):
+    """The stratified form of a zero-free value map: terms grouped by
+    (stratum summand count, coefficient), strata in `_stratum_key` order."""
     groups = {}
-    for s, v in atom_values.items():
+    for k, v in values.items():
+        s = key_stratum(backend, k)
         groups.setdefault((stratum_gamma(s), v), []).append(s)
-    terms = []
-    for (g, v), strata in sorted(
-            groups.items(),
-            key=lambda kv: (kv[0][0], kv[0][1].numerator, kv[0][1].denominator)):
-        cset = ConstructibleSet(tuple(sorted(strata, key=lambda s: _stratum_key(backend, s))))
-        terms.append((cset, v))
-    return CFElement(backend, tuple(terms))
+    return tuple(
+        (ConstructibleSet(tuple(sorted(strata, key=lambda s: _stratum_key(backend, s)))), v)
+        for (_, v), strata in sorted(groups.items(), key=lambda kv: (
+            kv[0][0], kv[0][1].numerator, kv[0][1].denominator)))
 
 
 def _minimize_points(backend, atom_values):
-    """Drop mentioned points the function does not treat specially.
+    """Drop mentioned points a p1 function does not treat specially.
 
     A point x is absorbable when the function is invariant under swapping
     x with a fresh generic point; its singleton atoms then merge into the
@@ -430,15 +456,18 @@ def _absorb_point(backend, stratum, x, rest):
 
 def add(backend, f, g, scale_g=Fraction(1)):
     _check_same(backend, f, g)
-    mf, mg = _common_atoms(backend, [_atom_map(backend, f), _atom_map(backend, g)])
-    for s, v in mg.items():
-        mf[s] = mf.get(s, Fraction(0)) + scale_g * v
-    return _canonical(backend, mf)
+    if backend.kind == quiver.KIND_P1:
+        mf, mg = _common_atoms(backend, [f.values, g.values])
+    else:
+        mf, mg = dict(f.values), g.values
+    for k, v in mg.items():
+        mf[k] = mf.get(k, Fraction(0)) + scale_g * v
+    return from_values(backend, mf)
 
 
 def scale(backend, f, c):
     c = Fraction(c)
-    return _canonical(backend, {s: c * v for s, v in _atom_map(backend, f).items()})
+    return from_values(backend, {k: c * v for k, v in f.values.items()})
 
 
 def subtract(backend, f, g):
@@ -446,20 +475,22 @@ def subtract(backend, f, g):
 
 
 def equal(backend, f, g):
-    return subtract(backend, f, g).is_zero()
+    if backend.kind == quiver.KIND_P1:
+        return subtract(backend, f, g).is_zero()
+    _check_same(backend, f, g)
+    return f.values == g.values
 
 
 def evaluate(f, cls):
     """Value of the constructible function at an isomorphism class."""
-    total = Fraction(0)
-    for cset, coeff in f.terms:
-        if cset.contains(cls):
-            total += coeff
-    return total
+    if f.backend.kind != quiver.KIND_P1:
+        return f.values.get(quiver.make_class(f.backend, cls), Fraction(0))
+    return sum((v for s, v in f.values.items() if _stratum_contains(s, cls)),
+               Fraction(0))
 
 
 def is_indec_supported(f):
-    return all(stratum_gamma(s) == 1 for cset, _ in f.terms for s in cset.strata)
+    return all(_key_gamma(f.backend, k) == 1 for k in f.values)
 
 
 def _check_same(backend, *elements):
@@ -476,34 +507,19 @@ def _check_same(backend, *elements):
 # convolution
 
 def convolve(engine, f, g):
-    """Convolution product f * g."""
+    """Convolution product f * g; on classes, through `engine.product`."""
     backend = engine.backend
     _check_same(backend, f, g)
     if backend.kind == quiver.KIND_P1:
         from . import p1
         return p1.convolve_family(engine, f, g)
     acc = {}
-    fvals = _class_values(backend, f)
-    gvals = _class_values(backend, g)
-    for x, vx in fvals.items():
-        for z, vz in gvals.items():
+    for x, vx in f.values.items():
+        for z, vz in g.values.items():
             w = vx * vz
             for y, c in engine.product(x, z):
                 acc[y] = acc.get(y, Fraction(0)) + w * c
-    return from_class_values(backend, acc)
-
-
-def _class_values(backend, f):
-    out = {}
-    for cset, coeff in f.terms:
-        for cls in cset.members(backend):
-            out[cls] = out.get(cls, Fraction(0)) + coeff
-    return {k: v for k, v in out.items() if v}
-
-
-def from_class_values(backend, values):
-    return _canonical(backend, {
-        class_stratum(backend, cls): v for cls, v in values.items() if v})
+    return from_values(backend, acc)
 
 
 def convolution_power(engine, cset, k):
@@ -511,10 +527,7 @@ def convolution_power(engine, cset, k):
     Asserts the leading-term shape: k! on the k-fold sum of O, all other
     terms of strictly smaller summand count."""
     backend = engine.backend
-    if isinstance(cset, ConstructibleSet):
-        cset = normalize(backend, cset.strata)
-    else:
-        cset = normalize(backend, cset)
+    cset = normalize(backend, _strata_of(cset))
     if len(cset.strata) != 1 or len(cset.strata[0]) != 1 or cset.strata[0][0][1] != 1:
         raise ValueError("power needs a single indecomposable family")
     if k < 1:

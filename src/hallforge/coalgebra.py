@@ -1,10 +1,13 @@
 """Splitting comultiplication, counit, and the compatibility checks.
 
-Delta on a Krull-Schmidt stratum distributes the multiplicity of each
-family over the two tensor legs; the coefficient of a split is always 1,
-and a pair ([A], [B]) carries a nonzero coefficient only when A + B lies
-in the set.  Green's identity at q = 1 equates the structure constant of
-a split target with the sum over compatible splittings of the operands;
+A tensor element is a zero-free map from (left key, right key) pairs to
+exact rationals, keys as in `algebra`: on the quiver backends the map is
+canonical and equality is dict equality; on p1 equality first refines
+both maps to common atoms.  Delta(1_[Y]) puts coefficient 1 on every
+pair ([A], [B]) with A + B = Y.  Output derives the stratified form.
+
+Green's identity at q = 1 equates the structure constant of a split
+target with the sum over compatible splittings of the operands;
 `green_check` reads both sides off `HallEngine.cells`.
 """
 
@@ -18,46 +21,38 @@ from . import quiver
 
 @dataclass(frozen=True)
 class TensorElement:
-    """Canonical rational combination of product-set characteristic
-    functions on pairs of classes."""
+    """Rational combination of product-set characteristic functions on
+    pairs of classes: a zero-free map from key pairs to values, read-only."""
     backend: quiver.Backend
-    terms: tuple  # (((ConstructibleSet, ConstructibleSet), Fraction), ...)
+    values: dict  # (left key, right key) -> Fraction
 
     def is_zero(self):
-        return not self.terms
+        return not self.values
+
+    @property
+    def terms(self):
+        """The stratified form (((left set, right set), Fraction), ...), one
+        single-stratum set per leg, ordered by (left summand count, right
+        summand count, coefficient), then by the legs' stratum keys."""
+        b = self.backend
+
+        def order(item):
+            (sl, sr), v = item
+            return (alg.stratum_gamma(sl), alg.stratum_gamma(sr), v.numerator,
+                    v.denominator, alg._stratum_key(b, sl), alg._stratum_key(b, sr))
+        pairs = [((alg.key_stratum(b, kl), alg.key_stratum(b, kr)), v)
+                 for (kl, kr), v in self.values.items()]
+        return tuple(((alg.ConstructibleSet((sl,)), alg.ConstructibleSet((sr,))), v)
+                     for (sl, sr), v in sorted(pairs, key=order))
 
 
-def _pair_canonical(backend, pair_values):
-    pair_values = {k: v for k, v in pair_values.items() if v}
-    groups = {}
-    for (sl, sr), v in pair_values.items():
-        key = (alg.stratum_gamma(sl), alg.stratum_gamma(sr), v)
-        groups.setdefault(key, []).append((sl, sr))
-    terms = []
-    for (gl, gr, v), pairs in sorted(
-            groups.items(),
-            key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].numerator,
-                            kv[0][2].denominator)):
-        pairs = sorted(pairs, key=lambda p: (alg._stratum_key(backend, p[0]),
-                                             alg._stratum_key(backend, p[1])))
-        # keep one product set per (left stratum, right stratum) pair
-        for sl, sr in pairs:
-            terms.append(((alg.ConstructibleSet((sl,)),
-                           alg.ConstructibleSet((sr,))), v))
-    return TensorElement(backend, tuple(terms))
-
-
-def _pair_atom_map(backend, t):
-    out = {}
-    for (cl, cr), v in t.terms:
-        for sl in cl.strata:
-            for sr in cr.strata:
-                k = (sl, sr)
-                out[k] = out.get(k, Fraction(0)) + v
-    return out
+def tensor_from_values(backend, values):
+    """The tensor element with the given (left key, right key) values."""
+    return TensorElement(backend, {k: v for k, v in values.items() if v})
 
 
 def _pair_common(backend, maps):
+    """Re-express several p1 pair maps over one common atom refinement."""
     fams = [f for m in maps for (sl, sr) in m for s in (sl, sr) for f, _ in s]
     _, atom_of = alg.refine_families(backend, fams)
     outs = []
@@ -78,37 +73,43 @@ def tensor_equal(backend, s, t):
 def tensor_first_difference(backend, s, t):
     """None if s == t, else the first differing (left, right) stratum pair
     in canonical order, with both coefficients."""
-    ms, mt = _pair_common(backend, [_pair_atom_map(backend, s),
-                                    _pair_atom_map(backend, t)])
-    diff = [k for k in set(ms) | set(mt)
-            if ms.get(k, Fraction(0)) != mt.get(k, Fraction(0))]
-    if not diff:
+    if backend.kind == quiver.KIND_P1:
+        ms, mt = _pair_common(backend, [s.values, t.values])
+    else:
+        ms, mt = s.values, t.values
+    if ms == mt:
         return None
-    k = min(diff, key=lambda k: (alg._stratum_key(backend, k[0]),
-                                 alg._stratum_key(backend, k[1])))
-    return {"left_stratum": alg.set_to_json(backend, alg.ConstructibleSet((k[0],))),
-            "right_stratum": alg.set_to_json(backend, alg.ConstructibleSet((k[1],))),
-            "lhs": str(ms.get(k, Fraction(0))), "rhs": str(mt.get(k, Fraction(0)))}
+    zero = Fraction(0)
+    k = min((p for p in ms.keys() | mt.keys() if ms.get(p, zero) != mt.get(p, zero)),
+            key=lambda p: (alg.key_order(backend, p[0]), alg.key_order(backend, p[1])))
+    left, right = (alg.ConstructibleSet((alg.key_stratum(backend, x),)) for x in k)
+    return {"left_stratum": alg.set_to_json(backend, left),
+            "right_stratum": alg.set_to_json(backend, right),
+            "lhs": str(ms.get(k, zero)), "rhs": str(mt.get(k, zero))}
 
 
 # ---------------------------------------------------------------------------
 
 def comultiply(backend, f):
-    """Delta(f): distribute each stratum's family multiplicities over the
-    two tensor legs, coefficient 1 per split."""
+    """Delta(f): every split of a key over the two tensor legs (a class
+    into ([A], [B]) with A + B = Y, a p1 stratum family by family),
+    coefficient 1 per split."""
     alg._check_same(backend, f)
+    splits = _stratum_splits if backend.kind == quiver.KIND_P1 else _class_splits
     pair_values = {}
-    for s, v in alg._atom_map(backend, f).items():
-        fams = list(s)
-        ranges = [range(m + 1) for _, m in fams]
-        for ks in iproduct(*ranges):
-            left = alg.make_stratum(backend, [(fam, k)
-                                              for (fam, _), k in zip(fams, ks)])
-            right = alg.make_stratum(backend, [(fam, m - k)
-                                               for (fam, m), k in zip(fams, ks)])
-            key = (left, right)
-            pair_values[key] = pair_values.get(key, Fraction(0)) + v
-    return _pair_canonical(backend, pair_values)
+    for k, v in f.values.items():
+        for pair in splits(backend, k):
+            pair_values[pair] = pair_values.get(pair, Fraction(0)) + v
+    return tensor_from_values(backend, pair_values)
+
+
+def _stratum_splits(backend, stratum):
+    """All ordered pairs of strata that split each family's multiplicity."""
+    fams = list(stratum)
+    for ks in iproduct(*(range(m + 1) for _, m in fams)):
+        yield (alg.make_stratum(backend, [(fam, k) for (fam, _), k in zip(fams, ks)]),
+               alg.make_stratum(backend, [(fam, m - k)
+                                          for (fam, m), k in zip(fams, ks)]))
 
 
 def counit(f):
@@ -119,51 +120,49 @@ def counit(f):
 def counit_contract(backend, t, side):
     """(eps x id) or (id x eps) applied to a tensor element."""
     values = {}
-    for (sl, sr), v in _pair_atom_map(backend, t).items():
-        probe, keep = (sl, sr) if side == "left" else (sr, sl)
-        if not probe:  # only the empty stratum contains the zero class
+    for (kl, kr), v in t.values.items():
+        probe, keep = (kl, kr) if side == "left" else (kr, kl)
+        if not probe:  # the zero class, or on p1 the empty stratum
             values[keep] = values.get(keep, Fraction(0)) + v
-    return alg._canonical(backend, values)
+    return alg.from_values(backend, values)
 
 
 def tensor_swap(backend, t):
-    out = {}
-    for (sl, sr), v in _pair_atom_map(backend, t).items():
-        out[(sr, sl)] = out.get((sr, sl), Fraction(0)) + v
-    return _pair_canonical(backend, out)
+    return TensorElement(backend, {(r, l): v for (l, r), v in t.values.items()})
 
 
 def tensor_convolve(engine, s, t):
-    """Componentwise product (f1 x g1)*(f2 x g2) = (f1*f2) x (g1*g2)."""
+    """Componentwise product (f1 x g1)*(f2 x g2) = (f1*f2) x (g1*g2), leg
+    by leg through `engine.product`."""
     backend = engine.backend
-    products = {}  # (leg of s, leg of t) -> atom map of their product
+    if backend.kind == quiver.KIND_P1:  # legs are strata: memoize 1_a * 1_b
+        memo = {}
 
-    def leg_product(a, b):
-        hit = products.get((a, b))
-        if hit is None:
-            hit = products[(a, b)] = alg._atom_map(backend, alg.convolve(
-                engine, alg.char_fn(backend, a.strata),
-                alg.char_fn(backend, b.strata)))
-        return hit
-
+        def product(a, b):
+            if (a, b) not in memo:
+                memo[(a, b)] = alg.convolve(engine, alg.char_fn(backend, [a]),
+                                            alg.char_fn(backend, [b])).values.items()
+            return memo[(a, b)]
+    else:
+        product = engine.product
     out = {}
-    for (al, ar), u in s.terms:
-        for (bl, br), w in t.terms:
-            left = leg_product(al, bl)
-            right = leg_product(ar, br)
-            c = u * w
-            for sl, vl in left.items():
-                for sr, vr in right.items():
-                    k = (sl, sr)
-                    out[k] = out.get(k, Fraction(0)) + c * vl * vr
-    return _pair_canonical(backend, out)
+    for (al, ar), u in s.values.items():
+        for (bl, br), w in t.values.items():
+            right = product(ar, br)
+            for kl, vl in product(al, bl):
+                c = u * w * vl
+                for kr, vr in right:
+                    k = (kl, kr)
+                    out[k] = out.get(k, Fraction(0)) + c * vr
+    return tensor_from_values(backend, out)
 
 
 # ---------------------------------------------------------------------------
 # Green's identity at q = 1
 
 def _class_splits(backend, cls):
-    """All ordered pairs (a, b) of classes with a + b = cls."""
+    """All ordered pairs (a, b) of classes with a + b = cls.  Both parts
+    take the labels in `label_key` order, so they are classes as built."""
     counts = {}
     for l in cls:
         counts[l] = counts.get(l, 0) + 1
@@ -175,7 +174,7 @@ def _class_splits(backend, cls):
         for l, k in zip(labels, ks):
             a.extend([l] * k)
             b.extend([l] * (counts[l] - k))
-        yield quiver.make_class(backend, a), quiver.make_class(backend, b)
+        yield tuple(a), tuple(b)
 
 
 def green_check(engine, o1, o2, alpha_p, beta_p):

@@ -48,12 +48,11 @@ def family_to_json(fam):
 
 
 def _require_torsion(f):
-    for cset, _ in f.terms:
-        for s in cset.strata:
-            for fam, _m in s:
-                if fam.kind != "points":
-                    raise CapabilityError(
-                        "products involving line bundles are out of scope")
+    for s in f.values:
+        for fam, _m in s:
+            if fam.kind != "points":
+                raise CapabilityError(
+                    "products involving line bundles are out of scope")
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +112,7 @@ def candidate_targets(engine, x, z):
 # family convolution
 
 def convolve_family(engine, f, g):
-    """Product of torsion-family elements, in stratified KS form.
+    """Product of torsion-family elements, keyed by atom strata.
 
     Operand strata are refined to a shared disjoint atom basis, grouped by
     base set, multiplied base-by-base through the loop kernel, and the
@@ -125,15 +124,14 @@ def convolve_family(engine, f, g):
     backend = engine.backend
     _require_torsion(f)
     _require_torsion(g)
-    mf, mg = alg._common_atoms(
-        backend, [alg._atom_map(backend, f), alg._atom_map(backend, g)])
+    mf, mg = alg._common_atoms(backend, [f.values, g.values])
     acc = {}
     for sa, va in mf.items():
         for sb, vb in mg.items():
             for stratum, value in _stratum_product(engine, sa, sb).items():
                 if value:
                     acc[stratum] = acc.get(stratum, Fraction(0)) + va * vb * value
-    return alg._canonical(backend, acc)
+    return alg.from_values(backend, acc)
 
 
 def _stratum_product(engine, sa, sb):

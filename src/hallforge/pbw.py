@@ -10,6 +10,9 @@ certificate checks exactly that, degree by degree, and back-substitutes
 to express the stratum functions in monomial images, reporting any
 residual correction functions that fall outside the family-generated
 span.
+
+Certificates run on the quiver backends, where an element is a class
+map: values and coordinates are read off classes.
 """
 
 import math
@@ -17,6 +20,8 @@ from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
 from . import algebra as alg
+from . import quiver
+from .errors import CapabilityError
 
 
 @dataclass(frozen=True)
@@ -62,20 +67,14 @@ def monomial_image(engine, mono):
 
 def value_on_set(backend, f, cset):
     """Value of f on a constructible set if constant there, else None."""
-    fmap = alg._atom_map(backend, f)
-    fams = [fam for s in list(fmap) + list(cset.strata) for fam, _ in s]
-    _, atom_of = alg.refine_families(backend, fams)
-    fat = {}
-    for s, v in fmap.items():
-        for a in alg._distribute(backend, s, atom_of):
-            fat[a] = fat.get(a, Fraction(0)) + v
-    values = set()
-    for s in cset.strata:
-        for a in alg._distribute(backend, s, atom_of):
-            values.add(fat.get(a, Fraction(0)))
-    if len(values) != 1:
-        return None
-    return values.pop()
+    _require_quiver(backend)
+    values = {f.values.get(cls, Fraction(0)) for cls in cset.members(backend)}
+    return values.pop() if len(values) == 1 else None
+
+
+def _require_quiver(backend):
+    if backend.kind == quiver.KIND_P1:
+        raise CapabilityError("PBW certificates run on quiver backends")
 
 
 @dataclass
@@ -121,6 +120,7 @@ def certify_truncation(engine, families, gamma_max):
     """Certify the filtered isomorphism on the window spanned by the given
     pairwise-disjoint families up to the given summand-count bound."""
     backend = engine.backend
+    _require_quiver(backend)
     families = sorted(families, key=lambda f: f.descriptor(backend))
     monos = {}
     for g in range(gamma_max + 1):
@@ -186,26 +186,15 @@ def certify_truncation(engine, families, gamma_max):
         report.graded_bijective = False
 
     # back-substitution: solve 1_{stratum(e)} in the span of the images,
-    # coordinates taken over a common atom refinement
-    maps = [alg._atom_map(backend, images[e]) for e in monos]
-    targets = [alg._atom_map(backend, alg.char_fn(backend, leadings[e][1].strata))
-               for e in monos]
-    all_maps = alg._common_atoms(backend, maps + targets)
-    img_maps = all_maps[:len(maps)]
-    tgt_maps = all_maps[len(maps):]
-    atoms = sorted({a for m in all_maps for a in m},
-                   key=lambda s: alg._stratum_key(backend, s))
-    aidx = {a: i for i, a in enumerate(atoms)}
+    # one coordinate per class
     emons = list(monos)
-    cols = [[Fraction(0)] * len(atoms) for _ in emons]
-    for ci, m in enumerate(img_maps):
-        for a, v in m.items():
-            cols[ci][aidx[a]] = v
-    for ti, e in enumerate(emons):
-        rhs = [Fraction(0)] * len(atoms)
-        for a, v in tgt_maps[ti].items():
-            rhs[aidx[a]] = v
-        sol, residual = _solve_in_span(cols, rhs)
+    img_maps = [images[e].values for e in emons]
+    tgt_maps = [alg.char_fn(backend, leadings[e][1]).values for e in emons]
+    classes = sorted({c for m in img_maps + tgt_maps for c in m},
+                     key=lambda c: alg.key_order(backend, c))
+    cols = [[m.get(c, Fraction(0)) for c in classes] for m in img_maps]
+    rhss = [[m.get(c, Fraction(0)) for c in classes] for m in tgt_maps]
+    for e, (sol, residual) in zip(emons, _solve_in_span(cols, rhss)):
         entry = {
             "stratum": alg.set_to_json(backend, leadings[e][1]),
             "expressible": not residual,
@@ -216,18 +205,20 @@ def certify_truncation(engine, families, gamma_max):
         if residual:
             report.correction_closed = False
             entry["residual_atoms"] = [
-                alg.set_to_json(backend, alg.ConstructibleSet((atoms[i],)))
+                alg.set_to_json(backend, alg.singleton_set(backend, classes[i]))
                 for i in residual]
         report.back_substitution.append(entry)
     return report
 
 
-def _solve_in_span(cols, rhs):
-    """Exact solve of (columns)·x = rhs; returns (coefficients, residual
-    atom-row indices the span cannot reach)."""
+def _solve_in_span(cols, rhss):
+    """Exact solves of (columns)·x = rhs, one per right-hand side, from one
+    elimination (its pivots depend on the columns alone).  Returns a
+    (coefficients, residual row indices the span cannot reach) per rhs."""
     ncols = len(cols)
-    nrows = len(rhs)
-    aug = [[cols[c][r] for c in range(ncols)] + [rhs[r]] for r in range(nrows)]
+    nrows = len(rhss[0])
+    aug = [[cols[c][r] for c in range(ncols)] + [rhs[r] for rhs in rhss]
+           for r in range(nrows)]
     origin = list(range(nrows))
     pivots = []
     row = 0
@@ -245,10 +236,11 @@ def _solve_in_span(cols, rhs):
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
         pivots.append(col)
         row += 1
-    residual = sorted(origin[r] for r in range(row, nrows) if aug[r][ncols])
-    if residual:
-        return None, residual
-    sol = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    return sol, []
+    out = []
+    for j in range(ncols, ncols + len(rhss)):
+        residual = sorted(origin[r] for r in range(row, nrows) if aug[r][j])
+        sol = [Fraction(0)] * ncols
+        for r, col in enumerate(pivots):
+            sol[col] = aug[r][j]
+        out.append((None if residual else sol, residual))
+    return out

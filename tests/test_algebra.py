@@ -43,7 +43,7 @@ def test_overlap_identity_four_pieces(a2):
     # strata denote pairwise disjoint sets
     seen = {}
     for s in ds.strata:
-        for c in alg._stratum_members(a2, s):
+        for c in alg.ConstructibleSet((s,)).members(a2):
             assert c not in seen
             seen[c] = s
 
@@ -159,8 +159,8 @@ def test_support_lemma_on_products(a2_engine, loop_engine):
             for y in cset.members(backend):
                 witnesses = [
                     (x, z)
-                    for x in alg._class_values(backend, f)
-                    for z in alg._class_values(backend, g)
+                    for x in f.values
+                    for z in g.values
                     if engine.euler_constant(x, z, y)
                 ]
                 assert witnesses

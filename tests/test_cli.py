@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 import hallforge
@@ -269,3 +270,113 @@ def test_cache_file_with_chi_entries_still_loads(tmp_path, monkeypatch):
             "verify", "routes")
     assert r.exit_code == 0 and json.loads(r.stdout)["passed"] is True
     assert "[J1]|[J1]|[J2]" in fitted and "[J1]|[J1]|[J1+J1]" not in fitted
+
+
+# Exact stdout of commands that print elements, tensors and reports, held
+# as literals so that a change of the element representation cannot
+# change a byte of what the program prints.
+GOLDEN = [
+    (('--backend', 'a3', '--json', 'mul', '[S2+S3]', '[S1+S2]'),
+     '{"backend":"a3","terms":[{"coeff":"1",'
+     '"set":{"strata":[[[{"labels":["P23"]},1],[{"labels":["P12"]},'
+     '1]]]}},{"coeff":"1","set":{"strata":[[[{"labels":["S3"]},1],'
+     '[{"labels":["S2"]},1],[{"labels":["P12"]},1]],'
+     '[[{"labels":["S2"]},1],[{"labels":["S1"]},1],'
+     '[{"labels":["P23"]},1]]]}},{"coeff":"2",'
+     '"set":{"strata":[[[{"labels":["S3"]},1],[{"labels":["S2"]},2],'
+     '[{"labels":["S1"]},1]]]}}]}\n'),
+    (('--backend', 'a3', 'mul', '[S2+S3]', '[S1+S2]'),
+     '(1)*1_{{P23}+{P12}} + (1)*1_{{S3}+{S2}+{P12} u {S2}+{S1}+{P23}} '
+     '+ (2)*1_{{S3}+2.{S2}+{S1}}\n'),
+    (('--backend', 'loop', '--json', 'mul', '[J1+J2]', '[J2+J1]'),
+     '{"backend":"loop","terms":[{"coeff":"1",'
+     '"set":{"strata":[[[{"labels":["J2"]},1],[{"labels":["J4"]},'
+     '1]]]}},{"coeff":"2","set":{"strata":[[[{"labels":["J3"]},2]]]}},'
+     '{"coeff":"2","set":{"strata":[[[{"labels":["J1"]},1],'
+     '[{"labels":["J2"]},1],[{"labels":["J3"]},1]],'
+     '[[{"labels":["J1"]},2],[{"labels":["J4"]},1]]]}},{"coeff":"6",'
+     '"set":{"strata":[[[{"labels":["J2"]},3]]]}},{"coeff":"4",'
+     '"set":{"strata":[[[{"labels":["J1"]},2],[{"labels":["J2"]},'
+     '2]]]}}]}\n'),
+    (('--backend', 'loop', 'mul', '[J1+J2]', '[J2+J1]'),
+     '(1)*1_{{J2}+{J4}} + (2)*1_{2.{J3}} + (2)*1_{{J1}+{J2}+{J3} u '
+     '2.{J1}+{J4}} + (6)*1_{3.{J2}} + (4)*1_{2.{J1}+2.{J2}}\n'),
+    (('--backend', 'a2', 'bracket', '[S2+S2]', '[S1]'),
+     '(1)*1_{{S2}+{P12}}\n'),
+    (('--backend', 'a2', '--json', 'bracket', '[S1]', '[S2]'),
+     '{"backend":"a2","terms":[{"coeff":"-1",'
+     '"set":{"strata":[[[{"labels":["P12"]},1]]]}}]}\n'),
+    (('--backend', 'loop', 'power', '[J1]', '3'),
+     '(1)*1_{{J3}} + (3)*1_{{J1}+{J2}} + (6)*1_{3.{J1}}\n'),
+    (('--backend', 'loop', '--json', 'comul', '[J2+J1]'),
+     '{"backend":"loop","terms":[{"coeff":"1","left":{"strata":[[]]},'
+     '"right":{"strata":[[[{"labels":["J1"]},1],[{"labels":["J2"]},'
+     '1]]]}},{"coeff":"1","left":{"strata":[[[{"labels":["J1"]},1]]]},'
+     '"right":{"strata":[[[{"labels":["J2"]},1]]]}},{"coeff":"1",'
+     '"left":{"strata":[[[{"labels":["J2"]},1]]]},'
+     '"right":{"strata":[[[{"labels":["J1"]},1]]]}},{"coeff":"1",'
+     '"left":{"strata":[[[{"labels":["J1"]},1],[{"labels":["J2"]},'
+     '1]]]},"right":{"strata":[[]]}}]}\n'),
+    (('--backend', 'loop', 'comul', '[J2+J1]'),
+     '(1) * 1_{[0]} (x) 1_{{J1}+{J2}}\n(1) * 1_{{J1}} (x) 1_{{J2}}\n(1) '
+     '* 1_{{J2}} (x) 1_{{J1}}\n(1) * 1_{{J1}+{J2}} (x) 1_{[0]}\n'),
+    (('--backend', 'a2', '--dim', '3', '--json', 'verify', 'bialgebra'),
+     '{"checks":[{"detail":"37 pairs","name":"homomorphism property '
+     'on basis pairs, dim <= 3, gamma <= 2","passed":true},'
+     '{"name":"counit laws and cocommutativity","passed":true},'
+     '{"name":"coassociativity on basis classes","passed":true}],'
+     '"counts":{"classes":9,"pairs":37},"passed":true,'
+     '"suite":"bialgebra"}\n'),
+    (('--backend', 'a2', '--gamma', '2', '--json', 'verify', 'pbw'),
+     '{"checks":[{"name":"gamma-triangularity","passed":true},'
+     '{"name":"diagonal entries are products of factorials",'
+     '"passed":true},{"name":"graded bijectivity per filtration '
+     'degree","passed":true},{"detail":"correction-closed",'
+     '"name":"back-substitution residuals recorded","passed":true}],'
+     '"counts":{"gamma":2,"monomials":10},"passed":true,'
+     '"report":{"back_substitution":[{"coefficients":{"[0, 0, '
+     '0]":"1"},"expressible":true,"stratum":{"strata":[[]]}},'
+     '{"coefficients":{"[0, 0, 1]":"1"},"expressible":true,'
+     '"stratum":{"strata":[[[{"labels":["P12"]},1]]]}},'
+     '{"coefficients":{"[0, 1, 0]":"1"},"expressible":true,'
+     '"stratum":{"strata":[[[{"labels":["S1"]},1]]]}},'
+     '{"coefficients":{"[1, 0, 0]":"1"},"expressible":true,'
+     '"stratum":{"strata":[[[{"labels":["S2"]},1]]]}},'
+     '{"coefficients":{"[0, 0, 2]":"1/2"},"expressible":true,'
+     '"stratum":{"strata":[[[{"labels":["P12"]},2]]]}},'
+     '{"coefficients":{"[0, 1, 1]":"1"},"expressible":true,'
+     '"stratum":{"strata":[[[{"labels":["S1"]},1],[{"labels":["P12"]},'
+     '1]]]}},{"coefficients":{"[0, 2, 0]":"1/2"},"expressible":true,'
+     '"stratum":{"strata":[[[{"labels":["S1"]},2]]]}},'
+     '{"coefficients":{"[1, 0, 1]":"1"},"expressible":true,'
+     '"stratum":{"strata":[[[{"labels":["S2"]},1],[{"labels":["P12"]},'
+     '1]]]}},{"coefficients":{"[0, 0, 1]":"-1","[1, 1, 0]":"1"},'
+     '"expressible":true,"stratum":{"strata":[[[{"labels":["S2"]},1],'
+     '[{"labels":["S1"]},1]]]}},{"coefficients":{"[2, 0, 0]":"1/2"},'
+     '"expressible":true,"stratum":{"strata":[[[{"labels":["S2"]},'
+     '2]]]}}],"blocks":[{"diagonal":["1"],"diagonal_block":true,'
+     '"entries":[[[0,0,0],[0,0,0],"1"]],"gamma":0},{"diagonal":["1",'
+     '"1","1"],"diagonal_block":true,"entries":[[[0,0,1],[0,0,1],"1"],'
+     '[[0,1,0],[0,1,0],"1"],[[1,0,0],[1,0,0],"1"]],"gamma":1},'
+     '{"diagonal":["2","1","2","1","1","2"],"diagonal_block":true,'
+     '"entries":[[[0,0,2],[0,0,2],"2"],[[0,1,1],[0,1,1],"1"],[[0,2,0],'
+     '[0,2,0],"2"],[[1,0,1],[1,0,1],"1"],[[1,1,0],[1,1,0],"1"],[[2,0,'
+     '0],[2,0,0],"2"]],"gamma":2}],"correction_closed":true,'
+     '"counterexample":null,"diagonal_ok":true,'
+     '"families":[{"labels":["S2"]},{"labels":["S1"]},'
+     '{"labels":["P12"]}],"gamma_max":2,"graded_bijective":true,'
+     '"triangular":true},"suite":"pbw"}\n'),
+    (('--backend', 'p1', '--json', 'mul', 'O1', 'O1'),
+     '{"backend":"p1","terms":[{"coeff":"1",'
+     '"set":{"strata":[[[{"base":{"kind":"cofinite","points":[]},'
+     '"degree":2},1]]]}},{"coeff":"2",'
+     '"set":{"strata":[[[{"base":{"kind":"cofinite","points":[]},'
+     '"degree":1},2]]]}}]}\n'),
+]
+
+
+@pytest.mark.parametrize("args,want", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(args, want):
+    r = run(*args)
+    assert r.exit_code == 0
+    assert r.stdout == want

@@ -13,10 +13,9 @@ def char_of(backend, text):
 def tensor_of(backend, pairs):
     out = {}
     for ltext, rtext, v in pairs:
-        key = (alg.class_stratum(backend, parse_class(backend, ltext)),
-               alg.class_stratum(backend, parse_class(backend, rtext)))
+        key = (parse_class(backend, ltext), parse_class(backend, rtext))
         out[key] = out.get(key, Fraction(0)) + Fraction(v)
-    return co._pair_canonical(backend, out)
+    return co.tensor_from_values(backend, out)
 
 
 def test_comultiply_indecomposable(a2):
@@ -41,11 +40,9 @@ def test_comultiply_support(loop):
     # Delta(1_[Y])([X],[Z]) != 0 forces X + Z = Y
     y = parse_class(loop, "[J2+J1]")
     d = co.comultiply(loop, alg.class_char(loop, y))
-    for (l, r), v in co._pair_atom_map(loop, d).items():
+    for (l, r), v in d.values.items():
         assert v == 1
-        lx = next(iter(alg._stratum_members(loop, l))) if l else ()
-        rx = next(iter(alg._stratum_members(loop, r))) if r else ()
-        assert make_class(loop, list(lx) + list(rx)) == y
+        assert make_class(loop, list(l) + list(r)) == y
 
 
 def test_counit_examples(a2):
@@ -162,3 +159,31 @@ def test_green_on_label_families_matches_member_sums(a3_engine):
                 checked += 1
                 multi += lhs > 1
     assert checked > 100 and multi > 0
+
+
+def test_tensor_first_difference_is_the_least_differing_pair(a3_engine):
+    # Delta(1_[S1] * 1_[S2]) against 2 Delta(1_[S2] * 1_[S1]) differ in six
+    # (left, right) pairs, and against Delta(1_[S2]) * Delta(1_[S1]) in
+    # two; the witness is the least of them, left stratum first
+    a3 = a3_engine.backend
+    s1, s2 = char_of(a3, "[S1]"), char_of(a3, "[S2]")
+    s = co.comultiply(a3, alg.convolve(a3_engine, s1, s2))
+    t = co.comultiply(a3, alg.scale(a3, alg.convolve(a3_engine, s2, s1), 2))
+    u = co.tensor_convolve(a3_engine, co.comultiply(a3, s2),
+                           co.comultiply(a3, s1))
+    empty = {"strata": [[]]}
+    p12 = {"strata": [[[{"labels": ["P12"]}, 1]]]}
+    assert co.tensor_first_difference(a3, s, t) == {
+        "left_stratum": empty, "right_stratum": p12, "lhs": "0", "rhs": "2"}
+    assert co.tensor_first_difference(a3, s, u) == {
+        "left_stratum": empty, "right_stratum": p12, "lhs": "0", "rhs": "1"}
+    assert co.tensor_first_difference(a3, u, s) == {
+        "left_stratum": empty, "right_stratum": p12, "lhs": "1", "rhs": "0"}
+    w = co.comultiply(a3, alg.add(a3, char_of(a3, "[S2+P23]"),
+                                  char_of(a3, "[S1+S3]")))
+    assert co.tensor_first_difference(
+        a3, w, co.comultiply(a3, char_of(a3, "[S1+S3]"))) == {
+        "left_stratum": empty,
+        "right_stratum": {"strata": [[[{"labels": ["S2"]}, 1],
+                                      [{"labels": ["P23"]}, 1]]]},
+        "lhs": "1", "rhs": "0"}

@@ -1,0 +1,113 @@
+"""Element arithmetic on the quiver backends against pointwise dict
+arithmetic on random zero-free class maps."""
+
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
+
+from hypothesis import given, settings, strategies as st
+
+from hallforge import algebra as alg
+from hallforge import coalgebra as co
+from hallforge import quiver, verify
+
+BACKENDS = {name: quiver.builtin_backend(name) for name in ("a2", "a3", "loop")}
+POOLS = {name: verify.classes_up_to(b, 3) for name, b in BACKENDS.items()}
+VALUES = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+PROPS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+@st.composite
+def class_maps(draw, n=2):
+    """A backend name and n random zero-free class -> value maps on it."""
+    name = draw(st.sampled_from(sorted(BACKENDS)))
+    pool = st.sampled_from(POOLS[name])
+    return name, [draw(st.dictionaries(pool, VALUES, max_size=4)) for _ in range(n)]
+
+
+def built_by_sums(backend, values, order):
+    """The element sum v * 1_[c], added up one class at a time."""
+    f = alg.zero_element(backend)
+    for cls in order:
+        f = alg.add(backend, f, alg.scale(backend, alg.class_char(backend, cls),
+                                          values[cls]))
+    return f
+
+
+def pointwise(d1, d2, c=Fraction(1)):
+    out = {k: d1.get(k, 0) + c * d2.get(k, 0) for k in d1.keys() | d2.keys()}
+    return {k: v for k, v in out.items() if v}
+
+
+@PROPS
+@given(class_maps(), VALUES)
+def test_arithmetic_is_pointwise(maps, c):
+    name, (d1, d2) = maps
+    b = BACKENDS[name]
+    f, g = alg.from_values(b, d1), alg.from_values(b, d2)
+    assert alg.add(b, f, g, c).values == pointwise(d1, d2, c)
+    assert alg.subtract(b, f, g).values == pointwise(d1, d2, Fraction(-1))
+    assert alg.scale(b, f, c).values == {k: c * v for k, v in d1.items()}
+    assert alg.scale(b, f, 0).is_zero()
+    assert alg.equal(b, f, g) == (d1 == d2)
+    assert alg.equal(b, alg.add(b, f, g), alg.add(b, g, f))
+    for cls in POOLS[name]:
+        assert alg.evaluate(f, cls) == d1.get(cls, 0)
+        # a class given in another label order reads the same value
+        assert alg.evaluate(f, tuple(reversed(cls))) == d1.get(cls, 0)
+
+
+@PROPS
+@given(class_maps(n=1))
+def test_counit_contracts_the_comultiplication(maps):
+    name, (d,) = maps
+    b = BACKENDS[name]
+    f = alg.from_values(b, d)
+    delta = co.comultiply(b, f)
+    assert alg.equal(b, co.counit_contract(b, delta, "left"), f)
+    assert alg.equal(b, co.counit_contract(b, delta, "right"), f)
+    assert co.tensor_equal(b, delta, co.tensor_swap(b, delta))
+    assert co.counit(f) == d.get(quiver.ZERO_CLASS, 0)
+
+
+@PROPS
+@given(st.sampled_from(sorted(BACKENDS)), st.data())
+def test_family_char_fn_sums_its_members(name, data):
+    # a stratum of one or two disjoint multi-label families, such as a3
+    # 2.{S1,P12}, against the sum of its members' class characteristic
+    # functions, members listed without the stratum code
+    b = BACKENDS[name]
+    labels = quiver.indec_labels(b, 2)
+    chosen = data.draw(st.lists(st.sampled_from(labels), min_size=1,
+                                max_size=4, unique=True))
+    cut = data.draw(st.integers(1, len(chosen)))
+    parts = [(fam, data.draw(st.integers(1, 2)))
+             for fam in (chosen[:cut], chosen[cut:]) if fam]
+    stratum = alg.make_stratum(b, [(alg.IndecFamily.of_labels(b, fam), m)
+                                   for fam, m in parts])
+    members = {quiver.make_class(b, [l for pick in picks for l in pick])
+               for picks in product(*(combinations_with_replacement(fam, m)
+                                      for fam, m in parts))}
+    want = alg.zero_element(b)
+    for cls in members:
+        want = alg.add(b, want, alg.class_char(b, cls))
+    got = alg.char_fn(b, [stratum])
+    assert got == want
+    assert got.values == dict.fromkeys(members, Fraction(1))
+
+
+@PROPS
+@given(class_maps(n=1), st.randoms(use_true_random=False))
+def test_canonical_json_does_not_depend_on_construction(maps, rng):
+    name, (d,) = maps
+    b = BACKENDS[name]
+    order = sorted(d, key=lambda c: quiver.class_name(b, c))
+    rng.shuffle(order)
+    direct = alg.from_values(b, d)
+    summed = built_by_sums(b, d, order)
+    # through a detour that cancels: (f + 1_[0]) - 1_[0]
+    unit = alg.unit_element(b)
+    detour = alg.subtract(b, alg.add(b, summed, unit), unit)
+    text = alg.canonical_json(b, direct)
+    assert alg.canonical_json(b, summed) == text
+    assert alg.canonical_json(b, detour) == text
+    assert alg.element_to_text(b, summed) == alg.element_to_text(b, direct)
