@@ -8,10 +8,14 @@ An element is a zero-free map from keys to exact rationals, and the map
 is canonical, so equality is dict equality.  On the quiver backends a key
 is an isomorphism class: there every constructible function is finitely
 supported on classes.  On p1 a key is an atom stratum, because point
-families range over cofinite sets no class map can list; arithmetic
-refines strata to common atoms and `_minimize_points` keeps the map
-canonical.  Output derives the stratified form (terms grouped by summand
-count and coefficient, strata in `_stratum_key` order) with `_canonical`.
+families range over cofinite sets no class map can list.  Arithmetic
+refines strata to common atoms over one point set for every degree, so
+atoms of different degrees sit on bases that are equal or disjoint and
+a product can work base by base; `_minimize_points` then keeps, degree
+by degree, only the points the function singles out, which makes the
+map canonical.  Output derives the stratified form (terms grouped by
+summand count and coefficient, strata in `_stratum_key` order) with
+`_canonical`.
 """
 
 import json
@@ -98,7 +102,7 @@ def make_stratum(backend, parts):
     parts = [(f, m) for f, m in parts if m]
     for i, (f, _) in enumerate(parts):
         for g, _ in parts[i + 1:]:
-            if f is not g and not f.is_disjoint(g):
+            if f != g and not f.is_disjoint(g):
                 raise ValueError("stratum families must be pairwise disjoint")
     merged = {}
     for f, m in parts:
@@ -187,51 +191,30 @@ def class_stratum(backend, cls):
 # multiplicities distributed, so distinct strata denote disjoint sets.
 
 def refine_families(backend, families):
-    """Disjoint atoms generating the boolean algebra of the given families.
-    Returns (atoms, map family -> list of its atoms).  Elements use it on
-    p1 only; `normalize` and `direct_sum` use it on every backend."""
-    label_fams = [f for f in families if f.kind == "labels"]
-    point_fams = [f for f in families if f.kind == "points"]
+    """Disjoint atoms generating the boolean algebra of the given families,
+    as a map family -> list of its atoms.  Elements use it on p1 only;
+    `normalize` and `direct_sum` use it on every backend.
+
+    Label families atomize to singletons: canonical and always available
+    for finite sets.  Point families of every degree refine over one
+    point set S, every point any of them mentions: a family's atoms are
+    the singletons {x}, x in S, that it contains, and the core P^1 \\ S
+    when it is cofinite.  One S for all degrees makes any two atom bases
+    equal or disjoint, whatever their degrees, which is what lets
+    `p1._stratum_product` multiply base by base."""
+    mentioned = sorted({x for f in families if f.kind == "points"
+                        for x in f.base.points})
+    core = P1Set.cofinite_of(mentioned)
     atom_of = {}
-    atoms = []
-    if label_fams:
-        # atomize to singletons: canonical and always available for finite sets
-        seen = {}
-        for f in label_fams:
-            mine = []
-            for l in f.labels:
-                a = seen.get(l)
-                if a is None:
-                    a = IndecFamily.of_labels(backend, [l])
-                    seen[l] = a
-                    atoms.append(a)
-                mine.append(a)
-            atom_of[f] = mine
-    by_degree = {}
-    for f in point_fams:
-        by_degree.setdefault(f.degree, []).append(f)
-    for d in sorted(by_degree):
-        fams = by_degree[d]
-        mentioned = set()
-        for f in fams:
-            mentioned |= f.base.points
-        degree_atoms = {}
-        for x in sorted(mentioned):
-            degree_atoms[x] = IndecFamily.of_points(d, P1Set.finite([x]))
-        core = P1Set.cofinite_of(mentioned)
-        core_atom = IndecFamily.of_points(d, core) if not core.is_empty else None
-        for f in fams:
-            mine = []
-            for x in sorted(mentioned):
-                if f.base.contains(x):
-                    mine.append(degree_atoms[x])
-            if f.base.cofinite:
-                mine.append(core_atom)
-            atom_of[f] = mine
-        atoms.extend(degree_atoms.values())
-        if core_atom is not None:
-            atoms.append(core_atom)
-    return atoms, atom_of
+    for f in families:
+        if f.kind == "labels":
+            atom_of[f] = [IndecFamily.of_labels(backend, [l]) for l in f.labels]
+            continue
+        atom_of[f] = [IndecFamily.of_points(f.degree, P1Set.finite([x]))
+                      for x in mentioned if f.base.contains(x)]
+        if f.base.cofinite:
+            atom_of[f].append(IndecFamily.of_points(f.degree, core))
+    return atom_of
 
 
 def _distribute(backend, stratum, atom_of):
@@ -261,10 +244,13 @@ def _compositions(n, k):
 
 
 def normalize(backend, strata):
-    """Canonical stratified Krull-Schmidt form of a union of strata."""
+    """Canonical stratified Krull-Schmidt form of a union of strata.  On
+    p1 the strata are atom strata over the point set of `refine_families`,
+    disjoint but not minimal: `from_values` drops the points an element
+    does not single out."""
     strata = [s if isinstance(s, tuple) else tuple(s) for s in strata]
     fams = [f for s in strata for f, _ in s]
-    _, atom_of = refine_families(backend, fams)
+    atom_of = refine_families(backend, fams)
     out = set()
     for s in strata:
         for a in _distribute(backend, s, atom_of):
@@ -281,7 +267,7 @@ def direct_sum(backend, a, b):
     """Pointwise direct sum {[X + Y]} of two constructible sets, in
     stratified Krull-Schmidt form."""
     fams = [f for s in list(a.strata) + list(b.strata) for f, _ in s]
-    _, atom_of = refine_families(backend, fams)
+    atom_of = refine_families(backend, fams)
     out = set()
     for sa in a.strata:
         for sb in b.strata:
@@ -368,7 +354,7 @@ def class_char(backend, cls):
 def _common_atoms(backend, maps):
     """Re-express several p1 atom-stratum maps over one common refinement."""
     fams = [f for m in maps for s in m for f, _ in s]
-    _, atom_of = refine_families(backend, fams)
+    atom_of = refine_families(backend, fams)
     outs = []
     for m in maps:
         acc = {}
@@ -393,65 +379,49 @@ def _canonical(backend, values):
 
 
 def _minimize_points(backend, atom_values):
-    """Drop mentioned points a p1 function does not treat specially.
+    """Drop the points a p1 function does not single out, degree by degree.
 
-    A point x is absorbable when the function is invariant under swapping
-    x with a fresh generic point; its singleton atoms then merge into the
-    cofinite cores.  The merged map is checked to re-expand to the
-    original one, so the rewrite is exact, not heuristic."""
-    def mentioned(values):
-        out = set()
-        for s in values:
-            for f, _ in s:
-                if f.kind == "points":
-                    out |= f.base.points
-        return out
+    The keys are atom strata over a point set S_d per degree d: each
+    degree-d family is a singleton {x}, x in S_d, or the core P^1 \\ S_d.
+    Dropping x from S_d maps a key to its image: the degree-d atom at x
+    and the degree-d core become core' = P^1 \\ (S_d - {x}), their
+    multiplicities added.  An image I with m_I copies of core' is the
+    disjoint union of its m_I + 1 preimage strata, one for each split of
+    those copies between x and the core, and none of them is empty.  So
+    the function is constant on every I, and x can go, exactly when every
+    image has m_I + 1 preimages that all carry one value (a missing
+    preimage reads 0).
 
+    Whether x can go from S_d does not depend on which other points have
+    gone, from degree d or any other: the fibre condition holds before a
+    merge exactly when it holds after it.  So each degree has one least
+    point set, and one pass over (d, x) reaches it."""
     values = atom_values
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(mentioned(values)):
-            rest = mentioned(values) - {x}
-            merged = {}
-            ok = True
+    points = {}
+    for s in values:
+        for f, _ in s:
+            if f.kind == "points":
+                points.setdefault(f.degree, set()).update(f.base.points)
+    for d in sorted(points):
+        for x in sorted(points[d]):
+            rest = points[d] - {x}
+            core = IndecFamily.of_points(d, P1Set.cofinite_of(rest))
+            fibres = {}
             for s, v in values.items():
-                image = _absorb_point(backend, s, x, rest)
-                if image is None:
-                    ok = False
-                    break
-                if image in merged and merged[image] != v:
-                    ok = False
-                    break
-                merged[image] = v
-            if not ok:
-                continue
-            ma, mb = _common_atoms(backend, [merged, dict(values)])
-            if ma == mb:
-                values = merged
-                changed = True
-                break
+                parts, m = [], 0
+                for f, k in s:
+                    if f.kind == "points" and f.degree == d \
+                            and (f.base.cofinite or x in f.base.points):
+                        m += k
+                    else:
+                        parts.append((f, k))
+                image = make_stratum(backend, parts + [(core, m)])
+                fibres.setdefault(image, (m, []))[1].append(v)
+            if all(len(vs) == m + 1 and len(set(vs)) == 1
+                   for m, vs in fibres.values()):
+                values = {image: vs[0] for image, (_, vs) in fibres.items()}
+                points[d] = rest
     return values
-
-
-def _absorb_point(backend, stratum, x, rest):
-    """Stratum with the point x merged into the generic cofinite cores
-    over the remaining mentioned set; None when the merge is ill-formed."""
-    parts = {}
-    for f, m in stratum:
-        if f.kind == "points" and x in f.base.points:
-            if f.base.cofinite:
-                nf = IndecFamily.of_points(
-                    f.degree, P1Set.cofinite_of(f.base.points - {x}))
-            else:
-                nf = IndecFamily.of_points(f.degree, P1Set.cofinite_of(rest))
-        else:
-            nf = f
-        parts[nf] = parts.get(nf, 0) + m
-    try:
-        return make_stratum(backend, parts.items())
-    except ValueError:
-        return None
 
 
 def add(backend, f, g, scale_g=Fraction(1)):
@@ -527,13 +497,13 @@ def convolution_power(engine, cset, k):
     Asserts the leading-term shape: k! on the k-fold sum of O, all other
     terms of strictly smaller summand count."""
     backend = engine.backend
-    cset = normalize(backend, _strata_of(cset))
-    if len(cset.strata) != 1 or len(cset.strata[0]) != 1 or cset.strata[0][0][1] != 1:
+    strata = _strata_of(cset)
+    if len(strata) != 1 or len(strata[0]) != 1 or strata[0][0][1] != 1:
         raise ValueError("power needs a single indecomposable family")
     if k < 1:
         raise ValueError("power exponent must be >= 1")
-    fam = cset.strata[0][0][0]
-    base = char_fn(backend, cset)
+    fam = strata[0][0][0]
+    base = char_fn(backend, strata)
     result = base
     for _ in range(k - 1):
         result = convolve(engine, result, base)

@@ -135,9 +135,8 @@ def indecomposables(ctx):
                                        "backend file to list them"}), err=True)
                 return 1
             if session.as_json:
-                from . import p1
                 click.echo(json.dumps(
-                    {"families": {n: p1.family_to_json(f)
+                    {"families": {n: alg.family_to_json(b, f)
                                   for n, f in sorted(session.families.items())}},
                     sort_keys=True, separators=(",", ":")))
             else:

@@ -54,7 +54,7 @@ def tensor_from_values(backend, values):
 def _pair_common(backend, maps):
     """Re-express several p1 pair maps over one common atom refinement."""
     fams = [f for m in maps for (sl, sr) in m for s in (sl, sr) for f, _ in s]
-    _, atom_of = alg.refine_families(backend, fams)
+    atom_of = alg.refine_families(backend, fams)
     outs = []
     for m in maps:
         acc = {}

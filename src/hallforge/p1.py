@@ -13,8 +13,10 @@ sum of its point-supported subcategories, and each one is the same loop
 category whatever the point.  A target Y is therefore, up to the name of
 its points, just its collision shape (one partition per occupied point),
 and every constant of Y is a product of loop constants of those
-partitions.  The value on a shape is computed once, from the shape alone;
-no point name ever enters it.
+partitions.  The value on a shape is computed once, read off
+`HallEngine.cells` of one representative target of that shape; the
+point names it uses are arbitrary, since the value depends on the shape
+alone.
 """
 
 from fractions import Fraction
@@ -26,7 +28,7 @@ from .errors import CapabilityError, InternalInvariantError
 from .p1sets import P1Set, chi_na, set_ops  # re-exported calculus
 
 __all__ = ["P1Set", "chi_na", "set_ops", "convolve_family", "family_from_json",
-           "family_to_json", "candidate_targets", "classes_supported"]
+           "candidate_targets", "classes_supported"]
 
 
 def family_from_json(data):
@@ -39,12 +41,6 @@ def family_from_json(data):
     else:
         raise ValueError(f"bad base kind {base['kind']!r}")
     return alg.IndecFamily.of_points(int(data["degree"]), b)
-
-
-def family_to_json(fam):
-    return {"degree": fam.degree,
-            "base": {"kind": "cofinite" if fam.base.cofinite else "finite",
-                     "points": sorted(fam.base.points)}}
 
 
 def _require_torsion(f):
@@ -114,8 +110,9 @@ def candidate_targets(engine, x, z):
 def convolve_family(engine, f, g):
     """Product of torsion-family elements, keyed by atom strata.
 
-    Operand strata are refined to a shared disjoint atom basis, grouped by
-    base set, multiplied base-by-base through the loop kernel, and the
+    Operand strata are refined to a shared disjoint atom basis, one point
+    set for every degree, so any two atom bases are equal or disjoint;
+    they are grouped by base set, multiplied base-by-base, and the
     per-base outputs recombined.  A value depends on a member only through
     its collision shape (see the module docstring), and each output
     stratum's value is checked to be the same on all of its collision
@@ -256,25 +253,15 @@ def _shape_value(engine, degs_a, degs_b, shape):
     per occupied point); A, B are the one-base strata with block degrees
     degs_a, degs_b (sorted in descending order).
 
-    The conflations of Y split point by point, so the value sums, over
-    one nonzero loop cell (sub, quot) of each local target
-    (`engine._local.cells`), the product of their constants, keeping the
-    choices whose sub blocks have the degrees of A and quotient blocks
-    those of B."""
-    loop = engine._local
-    per_point = []
-    for part in shape:
-        cls = quiver.make_class(loop.backend, [("j", p) for p in part])
-        per_point.append([(sub, quot, c)
-                          for (sub, quot), c in loop.cells(cls).items()])
+    Read off `engine.cells` of one representative Y, its occupied points
+    named apart: the sum of the cells whose sub blocks have the degrees
+    of A and whose quotient blocks have those of B."""
+    y = quiver.make_class(engine.backend, [("t", f"p{i}", d)
+                                           for i, part in enumerate(shape)
+                                           for d in part])
     total = Fraction(0)
-    for combo in iproduct(*per_point):
-        degs_sub = sorted((l[1] for s, _, _ in combo for l in s), reverse=True)
-        degs_quot = sorted((l[1] for _, t, _ in combo for l in t), reverse=True)
-        if degs_sub != degs_a or degs_quot != degs_b:
-            continue
-        v = Fraction(1)
-        for _, _, c in combo:
-            v *= c
-        total += v
+    for (sub, quot), c in engine.cells(y).items():
+        if sorted((l[2] for l in sub), reverse=True) == degs_a \
+                and sorted((l[2] for l in quot), reverse=True) == degs_b:
+            total += c
     return total

@@ -46,7 +46,12 @@ class SuiteResult:
 
 
 def classes_up_to(backend, total_dim, gamma_max=None):
-    """All iso classes with total dimension <= total_dim."""
+    """All iso classes with total dimension <= total_dim.  On p1 the
+    classes range over point families no finite list covers, so the
+    suites built on this list refuse it; its suite is euler-axioms."""
+    if backend.kind == quiver.KIND_P1:
+        raise CapabilityError("p1-torsion classes range over point families; "
+                              "its suite is euler-axioms")
     gamma_max = total_dim if gamma_max is None else gamma_max
     out = [quiver.ZERO_CLASS]
     if backend.kind == quiver.KIND_LOOP:

@@ -68,6 +68,43 @@ def test_verify_exit_codes():
     assert r.exit_code == 2
 
 
+def test_p1_refuses_suites_built_on_a_class_list():
+    # p1 classes range over point families; its suite is euler-axioms
+    for suite in ("assoc", "bialgebra"):
+        r = run("--backend", "p1", "--dim", "2", "--json", "verify", suite)
+        assert r.exit_code == 1 and r.stdout == ""
+        assert json.loads(r.stderr.splitlines()[-1])["error"] == "CapabilityError"
+    r = run("--backend", "p1", "--json", "verify", "euler-axioms")
+    assert r.exit_code == 0 and json.loads(r.stdout)["passed"] is True
+
+
+def p1_backend_file(tmp_path, families):
+    path = tmp_path / "p1x.json"
+    path.write_text(json.dumps({
+        "name": "p1x", "kind": "p1-torsion", "vertices": [], "arrows": [],
+        "families": [{"name": n, "degree": d,
+                      "base": {"kind": kind, "points": pts}}
+                     for n, d, kind, pts in families]}))
+    return str(path)
+
+
+def test_p1_families_on_different_bases(tmp_path):
+    # degree 1 off x meets degree 2 everywhere but at x
+    backend = p1_backend_file(tmp_path, [("O1x", 1, "cofinite", ["x"]),
+                                         ("O2", 2, "cofinite", [])])
+    r = run("--backend", backend, "mul", "O1x", "O2")
+    assert r.exit_code == 0
+    assert r.stdout == "(1)*1_{O3\\{x}} + (1)*1_{O1\\{x}+O2}\n"
+
+
+def test_power_of_a_family_over_two_points(tmp_path):
+    backend = p1_backend_file(tmp_path, [("Oxy", 1, "finite", ["x", "y"])])
+    r = run("--backend", backend, "power", "Oxy", "2")
+    assert r.exit_code == 0
+    assert r.stdout == ("(1)*1_{O2{x} u O2{y}} + "
+                        "(2)*1_{O1{x}+O1{y} u 2.O1{x} u 2.O1{y}}\n")
+
+
 def test_resource_error_is_machine_readable():
     r = run("--backend", "loop", "--dim", "2", "mul", "[J2]", "[J2]")
     assert r.exit_code == 3

@@ -178,29 +178,39 @@ def test_family_product_splits_by_support_point(p1_engine):
     # Over {x, y, z} the atoms are single points; over the whole line one
     # base carries every collision shape.  Members outside {x, y, z} do
     # not meet a Y supported there, so the sum runs over {x, y, z} alone.
+    # The last operand pairs put their degrees on different bases, which
+    # still meet at x or y.
     b = p1_engine.backend
     pts = ["x", "y", "z"]
+    on_pts, full = P1Set.finite(pts), P1Set.cofinite_of([])
+    off_x, at_y = P1Set.cofinite_of(["x"]), P1Set.finite(["y"])
 
-    def stratum(fam, degs):
-        return alg.make_stratum(b, [(fam(d), degs.count(d)) for d in set(degs)])
+    def stratum(base, degs):
+        return alg.make_stratum(b, [(alg.IndecFamily.of_points(d, base),
+                                     degs.count(d)) for d in set(degs)])
 
+    def members(base, degs):
+        return list(alg.ConstructibleSet(
+            (stratum(base.intersect(on_pts), degs),)).members(b))
+
+    cases = [((base, degs_a), (base, degs_b))
+             for degs_a, degs_b in (([1], [1]), ([1], [2]), ([2], [1]),
+                                    ([1, 1], [1]), ([1], [1, 1]))
+             for base in (on_pts, full)]
+    for mixed in (((off_x, [1]), (full, [2])), ((at_y, [1]), (full, [2]))):
+        cases += [mixed, mixed[::-1]]
     checked = 0
-    for degs_a, degs_b in (([1], [1]), ([1], [2]), ([2], [1]),
-                           ([1, 1], [1]), ([1], [1, 1])):
-        subs = list(alg.ConstructibleSet(
-            (stratum(lambda d: fam_at(d, pts), degs_a),)).members(b))
-        quots = list(alg.ConstructibleSet(
-            (stratum(lambda d: fam_at(d, pts), degs_b),)).members(b))
-        for fam in (lambda d: fam_at(d, pts), fam_all):
-            prod = p1.convolve_family(
-                p1_engine, alg.char_fn(b, [stratum(fam, degs_a)]),
-                alg.char_fn(b, [stratum(fam, degs_b)]))
-            for y in p1.classes_supported(b, pts, sum(degs_a) + sum(degs_b),
-                                          len(degs_a) + len(degs_b)):
-                assert alg.evaluate(prod, y) == sum(
-                    p1_engine.euler_constant(s, t, y)
-                    for s in subs for t in quots)
-                checked += 1
+    for (base_a, degs_a), (base_b, degs_b) in cases:
+        subs, quots = members(base_a, degs_a), members(base_b, degs_b)
+        prod = p1.convolve_family(
+            p1_engine, alg.char_fn(b, [stratum(base_a, degs_a)]),
+            alg.char_fn(b, [stratum(base_b, degs_b)]))
+        for y in p1.classes_supported(b, pts, sum(degs_a) + sum(degs_b),
+                                      len(degs_a) + len(degs_b)):
+            assert alg.evaluate(prod, y) == sum(
+                p1_engine.euler_constant(s, t, y)
+                for s in subs for t in quots)
+            checked += 1
     assert checked > 80
 
 

@@ -1,5 +1,6 @@
 """Element arithmetic on the quiver backends against pointwise dict
-arithmetic on random zero-free class maps."""
+arithmetic on random zero-free class maps, and the canonical form of
+random p1 elements."""
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
@@ -9,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from hallforge import algebra as alg
 from hallforge import coalgebra as co
 from hallforge import quiver, verify
+from hallforge.hall import HallEngine
+from hallforge.p1sets import P1Set
 
 BACKENDS = {name: quiver.builtin_backend(name) for name in ("a2", "a3", "loop")}
 POOLS = {name: verify.classes_up_to(b, 3) for name, b in BACKENDS.items()}
@@ -111,3 +114,40 @@ def test_canonical_json_does_not_depend_on_construction(maps, rng):
     assert alg.canonical_json(b, summed) == text
     assert alg.canonical_json(b, detour) == text
     assert alg.element_to_text(b, summed) == alg.element_to_text(b, direct)
+
+
+P1 = quiver.builtin_backend("p1")
+P1_ENGINE = HallEngine(P1)
+P1_PROPS = settings(derandomize=True, max_examples=50, deadline=None)
+
+
+@st.composite
+def p1_elements(draw):
+    """A sum of one or two multiples of 1_S, each S a stratum of one or two
+    point families of degree 1 or 2 over a subset of {x, y, z} or its
+    complement (a family that meets an earlier one of its degree is left
+    out)."""
+    f = alg.zero_element(P1)
+    for _ in range(draw(st.integers(1, 2))):
+        parts = []
+        for _ in range(draw(st.integers(1, 2))):
+            pts = draw(st.frozensets(st.sampled_from("xyz")))
+            base = P1Set(draw(st.booleans()) or not pts, pts)
+            fam = alg.IndecFamily.of_points(draw(st.integers(1, 2)), base)
+            if all(fam.is_disjoint(g) for g, _ in parts):
+                parts.append((fam, 1))
+        s = alg.char_fn(P1, [alg.make_stratum(P1, parts)])
+        f = alg.add(P1, f, alg.scale(P1, s, draw(VALUES)))
+    return f
+
+
+@P1_PROPS
+@given(p1_elements(), p1_elements(), st.sampled_from("xyzw"))
+def test_p1_canonical_form(f, g, point):
+    # keys re-refined over one more point come back to the same values
+    extra = alg.make_stratum(P1, [(alg.IndecFamily.of_points(
+        1, P1Set.finite([point])), 1)])
+    refined, _ = alg._common_atoms(P1, [f.values, {extra: Fraction(1)}])
+    assert alg.from_values(P1, refined).values == f.values
+    assert alg.from_values(P1, f.values).values == f.values
+    assert alg.convolve(P1_ENGINE, f, g) == alg.convolve(P1_ENGINE, g, f)
