@@ -245,9 +245,9 @@ def _compositions(n, k):
 
 def normalize(backend, strata):
     """Canonical stratified Krull-Schmidt form of a union of strata.  On
-    p1 the strata are atom strata over the point set of `refine_families`,
-    disjoint but not minimal: `from_values` drops the points an element
-    does not single out."""
+    p1 the strata are atom strata, refined by `refine_families` and then
+    stripped of the points the set does not single out
+    (`_minimize_points`), so equal sets give equal strata."""
     strata = [s if isinstance(s, tuple) else tuple(s) for s in strata]
     fams = [f for s in strata for f, _ in s]
     atom_of = refine_families(backend, fams)
@@ -255,6 +255,8 @@ def normalize(backend, strata):
     for s in strata:
         for a in _distribute(backend, s, atom_of):
             out.add(a)
+    if backend.kind == quiver.KIND_P1:
+        out = _minimize_points(backend, dict.fromkeys(out, 1))
     return ConstructibleSet(tuple(sorted(out, key=lambda s: _stratum_key(backend, s))))
 
 
@@ -336,7 +338,7 @@ def char_fn(backend, cset):
         keys = normalize(backend, strata).strata
     else:
         keys = ConstructibleSet(strata).members(backend)
-    return from_values(backend, dict.fromkeys(keys, Fraction(1)))
+    return CFElement(backend, dict.fromkeys(keys, Fraction(1)))
 
 
 def unit_element(backend):

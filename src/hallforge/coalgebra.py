@@ -8,7 +8,7 @@ pair ([A], [B]) with A + B = Y.  Output derives the stratified form.
 
 Green's identity at q = 1 equates the structure constant of a split
 target with the sum over compatible splittings of the operands;
-`green_check` reads both sides off `HallEngine.cells`.
+`green_check` reads both sides off `HallEngine.cells` for any operand sets.
 """
 
 from dataclasses import dataclass
@@ -183,9 +183,9 @@ def green_check(engine, o1, o2, alpha_p, beta_p):
     Both sides are read off `engine.cells`: the lhs sums the cells (s, t)
     of alpha' + beta' with s in o1 and t in o2; the rhs sums c1 * c2 over
     the cells (rho, eps) of alpha' and (sigma, tau) of beta' with
-    rho + sigma in o1 and eps + tau in o2.  At q = 1 this checks the
-    direct-sum merge in `cells` against the splittings of the operands;
-    the independent cross-check of the constants is the `routes` suite.
+    rho + sigma in o1 and eps + tau in o2.  On singletons the rhs is a
+    cell of `hall.merge_cells`, which the `green` suite compares once per
+    split target; the independent check of the constants is `routes`.
 
     Convention: euler_constant(X, Z, Y) is the coefficient of the
     conflation with subobject class X and quotient class Z, i.e. the value

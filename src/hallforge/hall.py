@@ -11,9 +11,9 @@ characteristic of a stratum is the number of fixed points in it.  The sub
 and quotient classes of a fixed point are read off the connected components
 of the subset and of its complement.  `HallEngine.cells` lists them for a
 whole target at once, and every constant (`euler_constant`, `product`) is
-read off it.  On the p1 backend the target splits by support point: the
-part at each point is a loop-quiver class, whose cells come from the loop
-delegate, and the points merge like direct summands.
+read off it.  A target's cells are the direct-sum merge (`merge_cells`)
+of its blocks' cells: its summands, or on p1 its parts at each support
+point, loop-quiver classes whose cells come from the loop delegate.
 
 Hall polynomials remain the F_q route: point counts of the subobject variety
 are sampled at an ascending schedule of prime powers; a candidate polynomial
@@ -253,12 +253,11 @@ class HallEngine:
     def cells(self, target):
         """Every nonzero constant of `target`, as {(sub, quot): chi}.
 
-        Fixed points of a direct sum are tuples of fixed points of its
-        blocks, so the per-block splits are merged one block at a time,
-        keyed by (sorted) sub and quotient labels: the work is the product
-        of merged option counts, not 2^dim.  On a quiver backend a block is
-        one summand.  On p1 a block is the part of the target at one
-        support point: its splits are the loop delegate's cells of that
+        The target is the direct sum of its blocks, and its cells are
+        `merge_cells` of theirs.  On a quiver backend a block is one
+        summand, whose splits are the successor-closed subsets of its
+        coefficient quiver.  On p1 a block is the part of the target at
+        one support point: its splits are the loop delegate's cells of that
         part, relabelled to the point, and the dimension bound applies to
         each point in the delegate."""
         hit = self._cells.get(target)
@@ -282,16 +281,7 @@ class HallEngine:
                     limit=self.bounds.max_dim, requested=n)
             splits = {l: _summand_splits(b, l) for l in set(target)}
             blocks = [splits[l] for l in target]
-        merged = {((), ()): 1}
-        for block in blocks:
-            nxt = defaultdict(int)
-            for (s, q), c in merged.items():
-                for (ls, lq), lc in block.items():
-                    nxt[(tuple(sorted(s + ls)), tuple(sorted(q + lq)))] += c * lc
-            merged = nxt
-        out = {(quiver.make_class(b, s), quiver.make_class(b, q)): c
-               for (s, q), c in merged.items()}
-        self._cells[target] = out
+        self._cells[target] = out = merge_cells(b, blocks)
         return out
 
     # -- Hall polynomials: F_q counting ---------------------------------------
@@ -360,14 +350,31 @@ class HallEngine:
     def candidate_targets(self, x, z):
         """Classes Y that can carry a conflation with sub x and quotient z:
         dim(Y) = dim(x) + dim(z) and at most summand_count(x) +
-        summand_count(z) indecomposable summands."""
+        summand_count(z) indecomposable summands (quiver backends only)."""
         b = self.backend
-        if b.kind == quiver.KIND_P1:
-            from . import p1
-            return p1.candidate_targets(self, x, z)
         dims = quiver.dim_add(quiver.class_dim(b, x), quiver.class_dim(b, z))
         gmax = quiver.summand_count(x) + quiver.summand_count(z)
         return quiver.classes_with_dim(b, dims, gmax)
+
+
+def merge_cells(backend, blocks):
+    """The cells {(sub, quot): chi} of a direct sum from its blocks' cells,
+    each a {(sub labels, quot labels): chi} map such as `cells` returns.
+    A fixed point of the sum is a tuple of fixed points of its blocks, so
+    subs and quotients add up and constants multiply.  Blocks merge one at
+    a time, keyed by sorted labels: the work is the product of merged
+    option counts, not 2^dim.  At q = 1 Green's theorem on a split target
+    reads cells(a + b) = merge_cells([cells(a), cells(b)]).
+    """
+    merged = {((), ()): 1}
+    for block in blocks:
+        nxt = defaultdict(int)
+        for (s, q), c in merged.items():
+            for (ls, lq), lc in block.items():
+                nxt[(tuple(sorted(s + ls)), tuple(sorted(q + lq)))] += c * lc
+        merged = nxt
+    return {(quiver.make_class(backend, s), quiver.make_class(backend, q)): c
+            for (s, q), c in merged.items()}
 
 
 def _poly_mul(a, b):

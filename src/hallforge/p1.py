@@ -28,7 +28,7 @@ from .errors import CapabilityError, InternalInvariantError
 from .p1sets import P1Set, chi_na, set_ops  # re-exported calculus
 
 __all__ = ["P1Set", "chi_na", "set_ops", "convolve_family", "family_from_json",
-           "candidate_targets", "classes_supported"]
+           "classes_supported"]
 
 
 def family_from_json(data):
@@ -91,17 +91,6 @@ def classes_supported(backend, points, total_degree, max_summands):
 
     rec(0, total_degree, max_summands, [])
     return out
-
-
-def candidate_targets(engine, x, z):
-    backend = engine.backend
-    for l in list(x) + list(z):
-        if l[0] != "t":
-            raise CapabilityError("products involving line bundles are out of scope")
-    points = sorted({l[1] for l in x} | {l[1] for l in z})
-    total = sum(l[2] for l in x) + sum(l[2] for l in z)
-    gmax = len(x) + len(z)
-    return classes_supported(backend, points, total, gmax)
 
 
 # ---------------------------------------------------------------------------

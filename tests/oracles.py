@@ -5,11 +5,18 @@ indecomposability is tested by enumerating idempotent endomorphisms,
 isomorphy by enumerating invertible intertwiners, and subrepresentation
 histograms by checking every subspace tuple against every arrow with no
 pruning.  Only usable at tiny sizes.
+
+The suite oracles run the `green` and `riedtmann` checks one quadruple
+or one cell at a time, with no direct-sum merge: Green's identity through
+`coalgebra.green_check` on singleton sets, the blockwise condition by
+pairing the cells of every split y1 + y2 of the target.
 """
 
 from itertools import product as iproduct
 
-from hallforge import linalg, quiver
+from hallforge import algebra as alg
+from hallforge import coalgebra as co
+from hallforge import linalg, quiver, verify
 from hallforge.gf import field
 
 
@@ -221,3 +228,91 @@ def classify_by_iso(backend, candidates_by_dim):
                 return cls
         raise AssertionError(f"no candidate class for dims {dims}")
     return classify
+
+
+def green_suite(engine, dim):
+    """`verify.suite_green`'s checks and counts, one quadruple at a time."""
+    backend = engine.backend
+    res = verify.SuiteResult("green", True)
+    sized = [(c, quiver.class_total_dim(backend, c))
+             for c in verify.classes_up_to(backend, dim)]
+    quads = bad = 0
+    for a, da in sized:
+        o1 = alg.singleton_set(backend, a)
+        for b, db in sized:
+            n = da + db
+            if n > dim:
+                continue
+            o2 = alg.singleton_set(backend, b)
+            for alpha, dal in sized:
+                if dal > n:
+                    continue
+                for beta, dbe in sized:
+                    if dal + dbe != n:
+                        continue
+                    rep = co.green_check(engine, o1, o2, alpha, beta)
+                    quads += 1
+                    if not rep["equal"]:
+                        bad += 1
+                        res.add(f"green ({quiver.class_name(backend, a)},"
+                                f"{quiver.class_name(backend, b)};"
+                                f"{quiver.class_name(backend, alpha)},"
+                                f"{quiver.class_name(backend, beta)})", False,
+                                rep)
+    res.add(f"Green identity on singleton quadruples, dim <= {dim}", bad == 0,
+            f"{quads} quadruples")
+    res.counts = {"quadruples": quads}
+    return res
+
+
+def riedtmann_suite(engine, dim):
+    """`verify.suite_riedtmann`'s checks and counts, the blockwise
+    condition tested cell by cell."""
+    backend = engine.backend
+    res = verify.SuiteResult("riedtmann", True)
+    classes = verify.classes_up_to(backend, dim)
+    checked = nonzero = viol = blockviol = 0
+    for x in classes:
+        dx = quiver.class_total_dim(backend, x)
+        for z in classes:
+            if dx + quiver.class_total_dim(backend, z) > dim:
+                continue
+            for y in engine.candidate_targets(x, z):
+                c = engine.euler_constant(x, z, y)
+                checked += 1
+                if not c:
+                    continue
+                nonzero += 1
+                gy = quiver.summand_count(y)
+                gxz = quiver.summand_count(x) + quiver.summand_count(z)
+                split = quiver.make_class(backend, list(x) + list(z))
+                if gy > gxz or ((gy == gxz) != (y == split)):
+                    viol += 1
+                    res.add(f"gamma bound at ({quiver.class_name(backend, x)},"
+                            f"{quiver.class_name(backend, z)},"
+                            f"{quiver.class_name(backend, y)})", False)
+                if gy >= 2 and not _splits_blockwise(engine, x, z, y):
+                    blockviol += 1
+                    res.add(f"blockwise split at ({quiver.class_name(backend, x)},"
+                            f"{quiver.class_name(backend, z)},"
+                            f"{quiver.class_name(backend, y)})", False)
+    res.add(f"summand-count bound and equality case, dim <= {dim}", viol == 0,
+            f"{nonzero} nonzero of {checked} cells")
+    res.add("blockwise decomposition of nonzero cells", blockviol == 0)
+    res.counts = {"cells": checked, "nonzero": nonzero}
+    return res
+
+
+def _splits_blockwise(engine, x, z, y):
+    """Each split y1 + y2 of y carries cells (x1, z1) of y1 and (x2, z2)
+    of y2 with x1 + x2 = x and z1 + z2 = z."""
+    backend = engine.backend
+    for y1, y2 in co._class_splits(backend, y):
+        if not y1 or not y2:
+            continue
+        cells2 = engine.cells(y2)
+        if not any(quiver.make_class(backend, x1 + x2) == x
+                   and quiver.make_class(backend, z1 + z2) == z
+                   for x1, z1 in engine.cells(y1) for x2, z2 in cells2):
+            return False
+    return True

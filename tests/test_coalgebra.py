@@ -1,8 +1,12 @@
 from fractions import Fraction
 
+import pytest
+
+import oracles
 from hallforge import algebra as alg
 from hallforge import coalgebra as co
 from hallforge import quiver, verify
+from hallforge.hall import HallEngine
 from hallforge.quiver import make_class, parse_class
 
 
@@ -187,3 +191,47 @@ def test_tensor_first_difference_is_the_least_differing_pair(a3_engine):
         "right_stratum": {"strata": [[[{"labels": ["S2"]}, 1],
                                       [{"labels": ["P23"]}, 1]]]},
         "lhs": "1", "rhs": "0"}
+
+
+@pytest.mark.parametrize("name,dim", [("a2", 4), ("loop", 4), ("a3", 3)])
+def test_green_and_riedtmann_suites_match_their_oracles(name, dim):
+    # the suites check each split target once, through one direct-sum
+    # merge; the oracles check one quadruple or one cell at a time.  In a
+    # scratch engine's memo one cell (s, q) of a split target y is raised
+    # by 1, or dropped from the first split target y0, or a spurious cell
+    # (x, 0) is added that no split of y carries
+    backend = quiver.builtin_backend(name)
+    zero = quiver.ZERO_CLASS
+    classes = verify.classes_up_to(backend, dim)
+    y0 = next(y for y in classes if quiver.summand_count(y) >= 2)
+    y, x = next((y, x) for y in classes if quiver.summand_count(y) >= 2
+                for x in classes
+                if quiver.class_dim(backend, x) == quiver.class_dim(backend, y)
+                and quiver.summand_count(x) > quiver.summand_count(y))
+
+    def scratch(target, edit):
+        engine = HallEngine(backend)
+        cells = dict(engine.cells(target))
+        edit(cells, next(k for k in cells if k[0] and k[1]))
+        engine._cells[target] = cells
+        return engine
+
+    engines = {
+        "clean": HallEngine(backend),
+        "value": scratch(y, lambda cells, sq: cells.update({sq: cells[sq] + 1})),
+        "dropped": scratch(y0, lambda cells, sq: cells.pop(sq)),
+        "spurious": scratch(y, lambda cells, sq: cells.update({(x, zero): 1}))}
+    passed = {}
+    for case, engine in engines.items():
+        for suite, oracle in ((verify.suite_green, oracles.green_suite),
+                              (verify.suite_riedtmann, oracles.riedtmann_suite)):
+            got, want = suite(engine, dim), oracle(engine, dim)
+            assert got.checks == want.checks
+            assert (got.passed, got.counts) == (want.passed, want.counts)
+            passed[case, got.suite] = got.passed
+    assert passed == {("clean", "green"): True, ("clean", "riedtmann"): True,
+                      ("value", "green"): False, ("value", "riedtmann"): True,
+                      ("dropped", "green"): False,
+                      ("dropped", "riedtmann"): False,
+                      ("spurious", "green"): False,
+                      ("spurious", "riedtmann"): False}

@@ -128,6 +128,14 @@ def test_family_products_are_stratified_ks(p1_engine):
     for cset, coeff in prod.terms:
         renorm = alg.normalize(b, cset.strata)
         assert renorm.strata == cset.strata
+    # normalize keeps only the points a set singles out, in every degree
+    rest = alg.IndecFamily.of_points(1, P1Set.cofinite_of(["x"]))
+    one = alg.make_stratum(b, [(fam_at(1, ["x"]), 1), (fam_all(2), 1)])
+    assert alg.normalize(b, [one]).strata == (one,)
+    split = [alg.make_stratum(b, [(fam_at(1, ["x"]), 1)]),
+             alg.make_stratum(b, [(rest, 1)])]
+    assert alg.normalize(b, split).strata == (
+        alg.make_stratum(b, [(fam_all(1), 1)]),)
 
 
 def test_green_and_bialgebra_match_pointwise_on_finite_bases(p1_engine):
