@@ -168,10 +168,14 @@ def _stratum_members(backend, stratum):
 
 
 def singleton_set(backend, cls):
+    """The constructible set {[cls]}, whose one stratum is `class_stratum`."""
     return ConstructibleSet((class_stratum(backend, cls),))
 
 
 def class_stratum(backend, cls):
+    """The Krull-Schmidt stratum of one class, labels checked.  Strata
+    serve sets, output (`key_stratum`) and p1, not the quiver operands:
+    there `class_char` builds the one-key class map {[x]: 1}."""
     counts = {}
     for l in cls:
         _check_label_kind(backend, l)
@@ -332,7 +336,8 @@ def _strata_of(cset):
 
 
 def char_fn(backend, cset):
-    """1_O for a constructible set O, or for a list of its strata."""
+    """1_O for a constructible set O, or for a list of its strata: sets and
+    p1 elements, not the quiver operands 1_[x] (see `class_char`)."""
     strata = _strata_of(cset)
     if backend.kind == quiver.KIND_P1:
         keys = normalize(backend, strata).strata
@@ -350,7 +355,12 @@ def zero_element(backend):
 
 
 def class_char(backend, cls):
-    return char_fn(backend, [class_stratum(backend, cls)])
+    """1_[cls]; on the quiver backends the one-key class map {cls: 1}."""
+    if backend.kind == quiver.KIND_P1:
+        return char_fn(backend, [class_stratum(backend, cls)])
+    for l in cls:
+        _check_label_kind(backend, l)
+    return CFElement(backend, {quiver.make_class(backend, cls): Fraction(1)})
 
 
 def _common_atoms(backend, maps):

@@ -11,6 +11,7 @@ target with the sum over compatible splittings of the operands;
 `green_check` reads both sides off `HallEngine.cells` for any operand sets.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
@@ -163,17 +164,13 @@ def tensor_convolve(engine, s, t):
 def _class_splits(backend, cls):
     """All ordered pairs (a, b) of classes with a + b = cls.  Both parts
     take the labels in `label_key` order, so they are classes as built."""
-    counts = {}
-    for l in cls:
-        counts[l] = counts.get(l, 0) + 1
-    labels = sorted(counts, key=lambda l: quiver.label_key(backend, l))
-    ranges = [range(counts[l] + 1) for l in labels]
-    for ks in iproduct(*ranges):
+    counts = Counter(quiver.make_class(backend, cls))
+    for ks in iproduct(*(range(m + 1) for m in counts.values())):
         a = []
         b = []
-        for l, k in zip(labels, ks):
+        for (l, m), k in zip(counts.items(), ks):
             a.extend([l] * k)
-            b.extend([l] * (counts[l] - k))
+            b.extend([l] * (m - k))
         yield tuple(a), tuple(b)
 
 

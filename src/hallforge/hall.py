@@ -23,12 +23,13 @@ is the same constant, which the `routes` verify suite checks cell by cell.
 Only Hall polynomials go to the versioned JSON cache: a constant is cheaper
 to read off `cells` than to look up there.
 
-Each `HallEngine` also keeps four memos, created in `__init__` and freed
+Each `HallEngine` also keeps five memos, created in `__init__` and freed
 with it, all keyed by classes (or p1 bases) of its own backend:
 
   _cells     target -> {(sub, quot): chi}, every nonzero cell of a target;
   _products  (x, z) -> ((y, chi), ...), the nonzero terms of 1_[x] * 1_[z]
              that `product` returns and convolution reads;
+  _classes   (dims, gmax) -> the classes `classes_with_dim` lists;
   _surveys   (target, q) -> (largest sub dim surveyed, {(sub, quot): count}),
              the F_q histograms `counting.count_points` fills for
              `hall_polynomial`;
@@ -225,6 +226,7 @@ class HallEngine:
         self.cache = cache if cache is not None else HallCache(backend)
         self._cells = {}            # target -> {(sub, quot): chi}
         self._products = {}         # (x, z) -> ((y, chi), ...), chi nonzero
+        self._classes = {}          # (dims, gmax) -> classes
         self._surveys = {}          # (target, q) -> (max sub dim, cells)
         self._p1_base_memo = {}     # see p1._base_product
         if backend.kind == quiver.KIND_P1:
@@ -352,9 +354,16 @@ class HallEngine:
         dim(Y) = dim(x) + dim(z) and at most summand_count(x) +
         summand_count(z) indecomposable summands (quiver backends only)."""
         b = self.backend
-        dims = quiver.dim_add(quiver.class_dim(b, x), quiver.class_dim(b, z))
-        gmax = quiver.summand_count(x) + quiver.summand_count(z)
-        return quiver.classes_with_dim(b, dims, gmax)
+        return self.classes_with_dim(
+            quiver.dim_add(quiver.class_dim(b, x), quiver.class_dim(b, z)),
+            quiver.summand_count(x) + quiver.summand_count(z))
+
+    def classes_with_dim(self, dims, gmax):
+        """`quiver.classes_with_dim(backend, dims, gmax)`, memoized."""
+        if (dims, gmax) not in self._classes:
+            self._classes[dims, gmax] = quiver.classes_with_dim(
+                self.backend, dims, gmax)
+        return self._classes[dims, gmax]
 
 
 def merge_cells(backend, blocks):

@@ -16,7 +16,7 @@ normal form.  Labels are plain tuples so they hash and sort cheaply:
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -64,6 +64,11 @@ class Backend:
     @property
     def n_vertices(self):
         return len(self.vertices)
+
+    @cached_property
+    def label_table(self):
+        """This backend's `LabelTable`; not a field, so == and hash ignore it."""
+        return LabelTable(self)
 
     def to_json(self):
         return {
@@ -147,53 +152,55 @@ def builtin_backend(name):
 # ---------------------------------------------------------------------------
 # labels and classes
 
+class LabelTable(dict):
+    """label -> (label_key, dimension vector), each entry made on its first
+    lookup; also the vertex-name index `parse_label` reads and the Hom
+    tables `decompose` solves with, keyed by (labels, q)."""
+
+    def __init__(self, backend):
+        super().__init__()
+        self.n_vertices = backend.n_vertices
+        self.vertex_index = {v: i for i, v in enumerate(backend.vertices)}
+        self.homs = {}
+
+    def __missing__(self, label):
+        k = label[0]
+        if k == "i":
+            dim = tuple(int(label[1] <= v <= label[2])
+                        for v in range(self.n_vertices))
+        elif k == "j":
+            dim = (label[1],)
+        elif k in ("t", "o"):
+            dim = (int(k == "o"), label[-1])      # (rank, degree)
+        else:
+            raise ValueError(f"bad label {label!r}")
+        # line bundles first, then by total dimension and dimension vector
+        self[label] = entry = ((0 if k == "o" else sum(dim), dim, label), dim)
+        return entry
+
+
 def label_dim(backend, label):
     """Dimension vector of an indecomposable label (K'-class)."""
-    k = label[0]
-    if k == "i":
-        _, a, b = label
-        return tuple(1 if a <= v <= b else 0 for v in range(backend.n_vertices))
-    if k == "j":
-        return (label[1],)
-    if k == "t":
-        return (0, label[2])      # (rank, degree)
-    if k == "o":
-        return (1, label[1])
-    raise ValueError(f"bad label {label!r}")
+    return backend.label_table[label][1]
 
 
 def label_total_dim(backend, label):
-    k = label[0]
-    if k == "i":
-        return label[2] - label[1] + 1
-    if k == "j":
-        return label[1]
-    if k == "t":
-        return label[2]
-    if k == "o":
+    if label[0] == "o":
         raise CapabilityError("line bundles have no total dimension here")
-    raise ValueError(f"bad label {label!r}")
+    return backend.label_table[label][0][0]
 
 
 def label_key(backend, label):
-    """Canonical total order: (total dim, dim vector, backend tiebreaker).
-
-    For an interval ("i", a, b) the dimension vector is 1 exactly on a..b,
-    so among intervals of one length it is larger the smaller a is: -a
-    sorts them the same way without building the vector."""
-    k = label[0]
-    if k == "i":
-        return (label[2] - label[1] + 1, -label[1], label)
-    if k == "j":
-        return (label[1], (label[1],), label)
-    if k == "o":
-        return (0, (1, label[1]), ("o", label[1]))
-    return (label_total_dim(backend, label), label_dim(backend, label), label)
+    """Canonical total order: (total dim, dim vector, the label itself);
+    line bundles come first."""
+    return backend.label_table[label][0]
 
 
 def make_class(backend, labels):
-    """Krull-Schmidt normal form: canonically sorted multiset of labels."""
-    return tuple(sorted(labels, key=lambda l: label_key(backend, l)))
+    """Krull-Schmidt normal form: canonically sorted multiset of labels.
+    Table entries start with the key, which ends with the label: they sort
+    as the keys do."""
+    return tuple(sorted(labels, key=backend.label_table.__getitem__))
 
 
 ZERO_CLASS = ()
@@ -209,8 +216,7 @@ def class_dim(backend, cls):
         if backend.kind == KIND_P1:
             return (0, 0)
         return (0,) * max(backend.n_vertices, 1)
-    dims = [label_dim(backend, l) for l in cls]
-    return tuple(sum(c) for c in zip(*dims))
+    return tuple(map(sum, zip(*(backend.label_table[l][1] for l in cls))))
 
 
 def class_total_dim(backend, cls):
@@ -257,7 +263,7 @@ def parse_label(backend, text):
         if t.startswith("O(") and t.endswith(")"):
             return ("o", int(t[2:-1]))
         raise ValueError(f"bad p1 label {text!r}")
-    vidx = {v: i for i, v in enumerate(backend.vertices)}
+    vidx = backend.label_table.vertex_index
     if t.startswith("S") and t[1:] in vidx:
         i = vidx[t[1:]]
         return ("i", i, i)
@@ -321,10 +327,13 @@ def indec_labels(backend, total_bound):
                           "from the backend file's family declarations")
 
 
-@lru_cache(maxsize=None)
-def _classes_with_dim_cached(backend, dimvec, max_summands):
+def classes_with_dim(backend, dimvec, max_summands):
+    """Iso classes with the given dimension vector and at most max_summands
+    indecomposable summands; `HallEngine.classes_with_dim` memoizes them."""
+    dimvec = tuple(dimvec)
     if backend.kind == KIND_DYNKIN:
-        roots = positive_roots(backend, dimvec)
+        roots = [(r, label_dim(backend, r))
+                 for r in positive_roots(backend, dimvec)]
         out = []
 
         def rec(idx, remaining, budget, acc):
@@ -334,8 +343,7 @@ def _classes_with_dim_cached(backend, dimvec, max_summands):
             if idx == len(roots) or budget == 0:
                 return
             rec(idx + 1, remaining, budget, acc)
-            r = roots[idx]
-            d = label_dim(backend, r)
+            r, d = roots[idx]
             if all(x >= y for x, y in zip(remaining, d)):
                 acc.append(r)
                 rec(idx, tuple(x - y for x, y in zip(remaining, d)), budget - 1, acc)
@@ -361,12 +369,6 @@ def _classes_with_dim_cached(backend, dimvec, max_summands):
         parts(n, n, max_summands, [])
         return tuple(make_class(backend, c) for c in out)
     raise CapabilityError("class enumeration by dimension is not defined for p1")
-
-
-def classes_with_dim(backend, dimvec, max_summands):
-    """Iso classes with the given dimension vector and at most max_summands
-    indecomposable summands."""
-    return _classes_with_dim_cached(backend, tuple(dimvec), max_summands)
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +506,15 @@ def decompose(backend, rep):
     return _solve_multiplicities(backend, labels, profile, rep.q)
 
 
-@lru_cache(maxsize=None)
-def _hom_table(backend, labels, q):
-    reps = [realize(backend, l, q) for l in labels]
-    return tuple(tuple(hom_dim(backend, ri, rj) for rj in reps) for ri in reps)
-
-
 def _solve_multiplicities(backend, labels, profile, q):
     from fractions import Fraction
     labels = tuple(labels)
-    table = _hom_table(backend, labels, q)
+    homs = backend.label_table.homs
+    if (labels, q) not in homs:
+        reps = [realize(backend, l, q) for l in labels]
+        homs[labels, q] = tuple(tuple(hom_dim(backend, ri, rj) for rj in reps)
+                                for ri in reps)
+    table = homs[labels, q]
     n = len(labels)
     # solve table^T . m = profile exactly
     aug = [[Fraction(table[i][j]) for j in range(n)] + [Fraction(profile[i])]

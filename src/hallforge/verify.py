@@ -435,8 +435,8 @@ def suite_routes(engine, dim):
         dims = quiver.class_dim(backend, target)
         for sdims in iproduct(*(range(d + 1) for d in dims)):
             qdims = tuple(d - e for d, e in zip(dims, sdims))
-            for sub in quiver.classes_with_dim(backend, sdims, sum(sdims)):
-                for quot in quiver.classes_with_dim(backend, qdims, sum(qdims)):
+            for sub in engine.classes_with_dim(sdims, sum(sdims)):
+                for quot in engine.classes_with_dim(qdims, sum(qdims)):
                     got = fixed.get((sub, quot), 0)
                     want = engine.hall_polynomial(sub, quot, target).evaluate(1)
                     cells += 1

@@ -10,6 +10,10 @@ The suite oracles run the `green` and `riedtmann` checks one quadruple
 or one cell at a time, with no direct-sum merge: Green's identity through
 `coalgebra.green_check` on singleton sets, the blockwise condition by
 pairing the cells of every split y1 + y2 of the target.
+
+`class_char_by_stratum` builds 1_[x] through the class's Krull-Schmidt
+stratum, enumerated back into its one member, where `class_char` builds
+the one-key class map directly.
 """
 
 from itertools import product as iproduct
@@ -228,6 +232,11 @@ def classify_by_iso(backend, candidates_by_dim):
                 return cls
         raise AssertionError(f"no candidate class for dims {dims}")
     return classify
+
+
+def class_char_by_stratum(backend, cls):
+    """1_[cls] as the characteristic function of the class's stratum."""
+    return alg.char_fn(backend, [alg.class_stratum(backend, cls)])
 
 
 def green_suite(engine, dim):

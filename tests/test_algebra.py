@@ -4,10 +4,12 @@ import pytest
 
 from hallforge import algebra as alg
 from hallforge import coalgebra as co
-from hallforge import quiver
+from hallforge import quiver, verify
 from hallforge.errors import BackendMismatchError
 from hallforge.hall import HallEngine
 from hallforge.quiver import parse_class
+
+import oracles
 
 
 def char_of(backend, text):
@@ -246,3 +248,21 @@ def test_foreign_labels_rejected(a2, loop):
         alg.IndecFamily.of_labels(loop, [("i", 0, 0)])
     with pytest.raises(BackendMismatchError):
         alg.class_char(loop, (("t", "x", 1),))
+
+
+MIDDLE_SINK_A3 = quiver.Backend("a3-sink", quiver.KIND_DYNKIN, ("1", "2", "3"),
+                                (quiver.Arrow("a", 0, 1), quiver.Arrow("b", 2, 1)))
+
+
+@pytest.mark.parametrize("backend", [quiver.builtin_backend("a2"),
+                                     quiver.builtin_backend("a3"),
+                                     quiver.builtin_backend("loop"),
+                                     MIDDLE_SINK_A3], ids=lambda b: b.name)
+def test_class_char_matches_the_stratum_route(backend):
+    classes = verify.classes_up_to(backend, 4)
+    assert classes[0] == quiver.ZERO_CLASS
+    for cls in classes:
+        want = oracles.class_char_by_stratum(backend, cls).values
+        assert alg.class_char(backend, cls).values == want
+        # labels in another order name the same class
+        assert alg.class_char(backend, tuple(reversed(cls))).values == want

@@ -11,6 +11,7 @@ from hallforge import algebra as alg
 from hallforge import coalgebra as co
 from hallforge import quiver, verify
 from hallforge.hall import HallEngine
+from hallforge.quiver import Arrow, Backend
 from hallforge.p1sets import P1Set
 
 BACKENDS = {name: quiver.builtin_backend(name) for name in ("a2", "a3", "loop")}
@@ -151,3 +152,35 @@ def test_p1_canonical_form(f, g, point):
     assert alg.from_values(P1, refined).values == f.values
     assert alg.from_values(P1, f.values).values == f.values
     assert alg.convolve(P1_ENGINE, f, g) == alg.convolve(P1_ENGINE, g, f)
+
+
+ZIGZAG_A4 = Backend("a4-zigzag", quiver.KIND_DYNKIN, ("1", "2", "3", "4"),
+                    (Arrow("a", 0, 1), Arrow("b", 2, 1), Arrow("c", 2, 3)))
+LABEL_BACKENDS = {**BACKENDS, "a4-zigzag": ZIGZAG_A4}
+
+
+def fresh_dim(backend, label):
+    """A label's dimension vector, computed without the label table."""
+    if label[0] == "j":
+        return (label[1],)
+    return tuple(int(label[1] <= v <= label[2]) for v in range(backend.n_vertices))
+
+
+@PROPS
+@given(st.sampled_from(sorted(LABEL_BACKENDS)), st.data())
+def test_label_table_keeps_keys_dims_and_backend_identity(name, data):
+    b = LABEL_BACKENDS[name]
+    # a twin equal by value, whose table starts empty
+    twin = Backend(b.name, b.kind, b.vertices, b.arrows)
+    labels = data.draw(st.lists(st.sampled_from(quiver.indec_labels(b, 3)),
+                                max_size=6))
+    cls = quiver.make_class(twin, labels)
+    assert cls == tuple(sorted(labels, key=lambda l: quiver.label_key(twin, l)))
+    assert cls == tuple(sorted(labels, key=lambda l: (
+        sum(fresh_dim(b, l)), fresh_dim(b, l), l)))
+    want = tuple(map(sum, zip(*(fresh_dim(b, l) for l in labels)))) \
+        if labels else (0,) * b.n_vertices
+    assert quiver.class_dim(twin, cls) == want
+    assert set(labels) <= twin.label_table.keys()
+    assert twin == b and hash(twin) == hash(b)
+    assert twin == Backend(b.name, b.kind, b.vertices, b.arrows)
