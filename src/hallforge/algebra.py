@@ -5,17 +5,21 @@ a stratum is a formal direct sum of pairwise-disjoint indecomposable
 families with positive multiplicities.
 
 An element is a zero-free map from keys to exact rationals, and the map
-is canonical, so equality is dict equality.  On the quiver backends a key
-is an isomorphism class: there every constructible function is finitely
-supported on classes.  On p1 a key is an atom stratum, because point
-families range over cofinite sets no class map can list.  Arithmetic
-refines strata to common atoms over one point set for every degree, so
-atoms of different degrees sit on bases that are equal or disjoint and
-a product can work base by base; `_minimize_points` then keeps, degree
-by degree, only the points the function singles out, which makes the
-map canonical.  Output derives the stratified form (terms grouped by
-summand count and coefficient, strata in `_stratum_key` order) with
-`_canonical`.
+is canonical, so equality is dict equality on every backend.  On the
+quiver backends a key is an isomorphism class: there every constructible
+function is finitely supported on classes.  On p1 a key is an atom
+stratum, because point families range over cofinite sets no class map
+can list.
+
+Every operation takes one path: refine the operands' keys to a common
+basis (`_common_atoms`), run the loop over keys, and canonicalize the
+result (`_minimize_points`).  On classes both ends are the identity.  On
+p1 refinement puts atoms of every degree over one point set, so any two
+atom bases are equal or disjoint and `HallEngine.product` can multiply
+two atom strata base by base; `_minimize_points` then keeps, degree by
+degree, only the points the function singles out.  Output derives the
+stratified form (terms grouped by summand count and coefficient, strata
+in `_stratum_key` order) with `_canonical`.
 """
 
 import json
@@ -69,13 +73,11 @@ class IndecFamily:
 
     def is_disjoint(self, other):
         if self.kind != other.kind:
-            if {self.kind, other.kind} == {"labels", "points"}:
-                # torsion point families never meet line-bundle label sets;
-                # torsion labels sit in point families
-                if self.kind == "labels":
-                    return all(not other.contains_label(l) for l in self.labels)
-                return all(not self.contains_label(l) for l in other.labels)
-            return True
+            # torsion point families never meet line-bundle label sets;
+            # torsion labels sit in point families
+            if self.kind == "labels":
+                return all(not other.contains_label(l) for l in self.labels)
+            return all(not self.contains_label(l) for l in other.labels)
         if self.kind == "labels":
             return not set(self.labels) & set(other.labels)
         if self.degree != other.degree:
@@ -259,8 +261,7 @@ def normalize(backend, strata):
     for s in strata:
         for a in _distribute(backend, s, atom_of):
             out.add(a)
-    if backend.kind == quiver.KIND_P1:
-        out = _minimize_points(backend, dict.fromkeys(out, 1))
+    out = _minimize_points(backend, dict.fromkeys(out, 1))
     return ConstructibleSet(tuple(sorted(out, key=lambda s: _stratum_key(backend, s))))
 
 
@@ -325,10 +326,8 @@ def from_values(backend, values):
     quiver backends (classes as `quiver.make_class` builds them), an atom
     stratum -> value map on p1.  Zeros are dropped; on p1, points the
     function does not single out merge into the cofinite cores."""
-    values = {k: v for k, v in values.items() if v}
-    if backend.kind == quiver.KIND_P1:
-        values = _minimize_points(backend, values)
-    return CFElement(backend, values)
+    return CFElement(backend, _minimize_points(
+        backend, {k: v for k, v in values.items() if v}))
 
 
 def _strata_of(cset):
@@ -363,15 +362,23 @@ def class_char(backend, cls):
     return CFElement(backend, {quiver.make_class(backend, cls): Fraction(1)})
 
 
-def _common_atoms(backend, maps):
-    """Re-express several p1 atom-stratum maps over one common refinement."""
-    fams = [f for m in maps for s in m for f, _ in s]
-    atom_of = refine_families(backend, fams)
+def _common_atoms(backend, maps, pairs=False):
+    """Re-express several value maps over one common refinement: element
+    maps, or with `pairs` tensor maps keyed by (left, right) key pairs.
+    On p1 every key's strata are refined to atoms over one point set; on
+    the quiver backends classes are already atoms and the maps come back
+    as they are."""
+    if backend.kind != quiver.KIND_P1:
+        return maps
+    legs = (lambda k: k) if pairs else (lambda k: (k,))
+    atom_of = refine_families(
+        backend, [f for m in maps for k in m for s in legs(k) for f, _ in s])
     outs = []
     for m in maps:
         acc = {}
-        for s, v in m.items():
-            for a in _distribute(backend, s, atom_of):
+        for k, v in m.items():
+            for a in iproduct(*(_distribute(backend, s, atom_of) for s in legs(k))):
+                a = a if pairs else a[0]
                 acc[a] = acc.get(a, Fraction(0)) + v
         outs.append({k: v for k, v in acc.items() if v})
     return outs
@@ -407,7 +414,10 @@ def _minimize_points(backend, atom_values):
     Whether x can go from S_d does not depend on which other points have
     gone, from degree d or any other: the fibre condition holds before a
     merge exactly when it holds after it.  So each degree has one least
-    point set, and one pass over (d, x) reaches it."""
+    point set, and one pass over (d, x) reaches it.  Class keys have no
+    points: off p1 the values come back as they are."""
+    if backend.kind != quiver.KIND_P1:
+        return atom_values
     values = atom_values
     points = {}
     for s in values:
@@ -438,13 +448,11 @@ def _minimize_points(backend, atom_values):
 
 def add(backend, f, g, scale_g=Fraction(1)):
     _check_same(backend, f, g)
-    if backend.kind == quiver.KIND_P1:
-        mf, mg = _common_atoms(backend, [f.values, g.values])
-    else:
-        mf, mg = dict(f.values), g.values
+    mf, mg = _common_atoms(backend, [f.values, g.values])
+    acc = dict(mf)
     for k, v in mg.items():
-        mf[k] = mf.get(k, Fraction(0)) + scale_g * v
-    return from_values(backend, mf)
+        acc[k] = acc.get(k, Fraction(0)) + scale_g * v
+    return from_values(backend, acc)
 
 
 def scale(backend, f, c):
@@ -457,8 +465,6 @@ def subtract(backend, f, g):
 
 
 def equal(backend, f, g):
-    if backend.kind == quiver.KIND_P1:
-        return subtract(backend, f, g).is_zero()
     _check_same(backend, f, g)
     return f.values == g.values
 
@@ -489,15 +495,14 @@ def _check_same(backend, *elements):
 # convolution
 
 def convolve(engine, f, g):
-    """Convolution product f * g; on classes, through `engine.product`."""
+    """Convolution product f * g, key pair by key pair through
+    `engine.product` over the operands' common refinement."""
     backend = engine.backend
     _check_same(backend, f, g)
-    if backend.kind == quiver.KIND_P1:
-        from . import p1
-        return p1.convolve_family(engine, f, g)
+    mf, mg = _common_atoms(backend, [f.values, g.values])
     acc = {}
-    for x, vx in f.values.items():
-        for z, vz in g.values.items():
+    for x, vx in mf.items():
+        for z, vz in mg.items():
             w = vx * vz
             for y, c in engine.product(x, z):
                 acc[y] = acc.get(y, Fraction(0)) + w * c

@@ -1,10 +1,12 @@
 """Splitting comultiplication, counit, and the compatibility checks.
 
 A tensor element is a zero-free map from (left key, right key) pairs to
-exact rationals, keys as in `algebra`: on the quiver backends the map is
-canonical and equality is dict equality; on p1 equality first refines
-both maps to common atoms.  Delta(1_[Y]) puts coefficient 1 on every
-pair ([A], [B]) with A + B = Y.  Output derives the stratified form.
+exact rationals, keys as in `algebra`.  On the quiver backends the map is
+canonical.  On p1 it is not: no point minimization runs on pairs, so the
+tensor product and comparison first refine both maps' legs to common
+atoms (`algebra._common_atoms` with `pairs`), which is the identity on
+classes.  Delta(1_[Y]) puts coefficient 1 on every pair ([A], [B]) with
+A + B = Y.  Output derives the stratified form.
 
 Green's identity at q = 1 equates the structure constant of a split
 target with the sum over compatible splittings of the operands;
@@ -52,21 +54,6 @@ def tensor_from_values(backend, values):
     return TensorElement(backend, {k: v for k, v in values.items() if v})
 
 
-def _pair_common(backend, maps):
-    """Re-express several p1 pair maps over one common atom refinement."""
-    fams = [f for m in maps for (sl, sr) in m for s in (sl, sr) for f, _ in s]
-    atom_of = alg.refine_families(backend, fams)
-    outs = []
-    for m in maps:
-        acc = {}
-        for (sl, sr), v in m.items():
-            for a in alg._distribute(backend, sl, atom_of):
-                for b in alg._distribute(backend, sr, atom_of):
-                    acc[(a, b)] = acc.get((a, b), Fraction(0)) + v
-        outs.append({k: v for k, v in acc.items() if v})
-    return outs
-
-
 def tensor_equal(backend, s, t):
     return tensor_first_difference(backend, s, t) is None
 
@@ -74,10 +61,7 @@ def tensor_equal(backend, s, t):
 def tensor_first_difference(backend, s, t):
     """None if s == t, else the first differing (left, right) stratum pair
     in canonical order, with both coefficients."""
-    if backend.kind == quiver.KIND_P1:
-        ms, mt = _pair_common(backend, [s.values, t.values])
-    else:
-        ms, mt = s.values, t.values
+    ms, mt = alg._common_atoms(backend, [s.values, t.values], pairs=True)
     if ms == mt:
         return None
     zero = Fraction(0)
@@ -134,23 +118,14 @@ def tensor_swap(backend, t):
 
 def tensor_convolve(engine, s, t):
     """Componentwise product (f1 x g1)*(f2 x g2) = (f1*f2) x (g1*g2), leg
-    by leg through `engine.product`."""
+    by leg through `engine.product` over the operands' common refinement."""
     backend = engine.backend
-    if backend.kind == quiver.KIND_P1:  # legs are strata: memoize 1_a * 1_b
-        memo = {}
-
-        def product(a, b):
-            if (a, b) not in memo:
-                memo[(a, b)] = alg.convolve(engine, alg.char_fn(backend, [a]),
-                                            alg.char_fn(backend, [b])).values.items()
-            return memo[(a, b)]
-    else:
-        product = engine.product
+    ms, mt = alg._common_atoms(backend, [s.values, t.values], pairs=True)
     out = {}
-    for (al, ar), u in s.values.items():
-        for (bl, br), w in t.values.items():
-            right = product(ar, br)
-            for kl, vl in product(al, bl):
+    for (al, ar), u in ms.items():
+        for (bl, br), w in mt.items():
+            right = engine.product(ar, br)
+            for kl, vl in engine.product(al, bl):
                 c = u * w * vl
                 for kr, vr in right:
                     k = (kl, kr)

@@ -24,11 +24,13 @@ Only Hall polynomials go to the versioned JSON cache: a constant is cheaper
 to read off `cells` than to look up there.
 
 Each `HallEngine` also keeps five memos, created in `__init__` and freed
-with it, all keyed by classes (or p1 bases) of its own backend:
+with it, all keyed by classes (or p1 bases and atom strata) of its own
+backend:
 
   _cells     target -> {(sub, quot): chi}, every nonzero cell of a target;
-  _products  (x, z) -> ((y, chi), ...), the nonzero terms of 1_[x] * 1_[z]
-             that `product` returns and convolution reads;
+  _products  (x, z) -> ((y, chi), ...), the nonzero terms of 1_x * 1_z
+             that `product` returns and convolution reads: x, z, y are
+             classes, or on p1 atom strata (`p1._stratum_product`);
   _classes   (dims, gmax) -> the classes `classes_with_dim` lists;
   _surveys   (target, q) -> (largest sub dim surveyed, {(sub, quot): count}),
              the F_q histograms `counting.count_points` fills for
@@ -244,11 +246,16 @@ class HallEngine:
 
     def product(self, x, z):
         """The nonzero ((y, chi), ...) of 1_[x] * 1_[z], in the order of
-        `candidate_targets(x, z)`."""
+        `candidate_targets(x, z)`.  On p1, x and z are atom strata of one
+        refinement and so are the y (`p1._stratum_product`)."""
         hit = self._products.get((x, z))
         if hit is None:
-            hit = tuple((y, c) for y in self.candidate_targets(x, z)
-                        if (c := self.cells(y).get((x, z), 0)))
+            if self.backend.kind == quiver.KIND_P1:
+                from . import p1
+                hit = tuple(p1._stratum_product(self, x, z).items())
+            else:
+                hit = tuple((y, c) for y in self.candidate_targets(x, z)
+                            if (c := self.cells(y).get((x, z), 0)))
             self._products[(x, z)] = hit
         return hit
 

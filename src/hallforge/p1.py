@@ -4,9 +4,12 @@ An indecomposable torsion sheaf is a pair (support point, degree); the
 subcategory supported at one point is equivalent to nilpotent loop-quiver
 representations, so every structure constant factors over support points
 into loop-backend constants.  Families are degree-d sheaves over a finite
-or cofinite base of points.  Products of family characteristic functions
-decompose base-by-base: cross-base parts split, same-base parts pick up
-the one-point loop constants.
+or cofinite base of points.  An element is keyed by atom strata, and the
+element loops are `algebra`'s, the same as on the quiver backends: this
+module supplies the one product they need, 1_a * 1_b for two atom
+strata of one refinement (`_stratum_product`, answered and memoized by
+`HallEngine.product`).  It decomposes base by base: cross-base parts
+split, same-base parts pick up the one-point loop constants.
 
 Why a value is constant along a base: the torsion category is the direct
 sum of its point-supported subcategories, and each one is the same loop
@@ -27,8 +30,7 @@ from . import quiver
 from .errors import CapabilityError, InternalInvariantError
 from .p1sets import P1Set, chi_na, set_ops  # re-exported calculus
 
-__all__ = ["P1Set", "chi_na", "set_ops", "convolve_family", "family_from_json",
-           "classes_supported"]
+__all__ = ["P1Set", "chi_na", "set_ops", "family_from_json", "classes_supported"]
 
 
 def family_from_json(data):
@@ -41,14 +43,6 @@ def family_from_json(data):
     else:
         raise ValueError(f"bad base kind {base['kind']!r}")
     return alg.IndecFamily.of_points(int(data["degree"]), b)
-
-
-def _require_torsion(f):
-    for s in f.values:
-        for fam, _m in s:
-            if fam.kind != "points":
-                raise CapabilityError(
-                    "products involving line bundles are out of scope")
 
 
 # ---------------------------------------------------------------------------
@@ -94,35 +88,22 @@ def classes_supported(backend, points, total_degree, max_summands):
 
 
 # ---------------------------------------------------------------------------
-# family convolution
+# stratum products
 
-def convolve_family(engine, f, g):
-    """Product of torsion-family elements, keyed by atom strata.
+def _stratum_product(engine, sa, sb):
+    """1_{sa} * 1_{sb} for two atom strata of one refinement (their bases
+    equal or disjoint), as {output stratum: nonzero value}; products with
+    a line-bundle family raise CapabilityError.  `HallEngine.product`
+    memoizes it, and convolution reads it there.
 
-    Operand strata are refined to a shared disjoint atom basis, one point
-    set for every degree, so any two atom bases are equal or disjoint;
-    they are grouped by base set, multiplied base-by-base, and the
+    The families are grouped by base set, multiplied base by base, and the
     per-base outputs recombined.  A value depends on a member only through
     its collision shape (see the module docstring), and each output
     stratum's value is checked to be the same on all of its collision
-    shapes, which is what a stratified form requires.
-    """
+    shapes, which is what a stratified form requires."""
     backend = engine.backend
-    _require_torsion(f)
-    _require_torsion(g)
-    mf, mg = alg._common_atoms(backend, [f.values, g.values])
-    acc = {}
-    for sa, va in mf.items():
-        for sb, vb in mg.items():
-            for stratum, value in _stratum_product(engine, sa, sb).items():
-                if value:
-                    acc[stratum] = acc.get(stratum, Fraction(0)) + va * vb * value
-    return alg.from_values(backend, acc)
-
-
-def _stratum_product(engine, sa, sb):
-    """1_{sa} * 1_{sb} for two atom strata, as {output stratum: value}."""
-    backend = engine.backend
+    if any(fam.kind != "points" for fam, _ in sa + sb):
+        raise CapabilityError("products involving line bundles are out of scope")
     bases = []
 
     def base_index(b):

@@ -65,7 +65,7 @@ def test_boolean_algebra_involutions(pa, pb, ca, cb):
 def test_family_product_full_line(p1_engine):
     b = p1_engine.backend
     f = one_family(b, fam_all(1))
-    prod = p1.convolve_family(p1_engine, f, f)
+    prod = alg.convolve(p1_engine, f, f)
     expected = alg.add(
         b, alg.scale(b, alg.char_fn(b, [alg.make_stratum(b, [(fam_all(1), 2)])]), 2),
         one_family(b, fam_all(2)))
@@ -75,7 +75,7 @@ def test_family_product_full_line(p1_engine):
 def test_family_product_pointwise_values(p1_engine):
     b = p1_engine.backend
     f = one_family(b, fam_all(1))
-    prod = p1.convolve_family(p1_engine, f, f)
+    prod = alg.convolve(p1_engine, f, f)
     assert alg.evaluate(prod, make_class(b, [("t", "x", 1), ("t", "y", 1)])) == 2
     assert alg.evaluate(prod, make_class(b, [("t", "x", 1), ("t", "x", 1)])) == 2
     assert alg.evaluate(prod, make_class(b, [("t", "x", 2)])) == 1
@@ -84,8 +84,8 @@ def test_family_product_pointwise_values(p1_engine):
 
 def test_family_product_disjoint_finite_bases(p1_engine):
     b = p1_engine.backend
-    prod = p1.convolve_family(p1_engine, one_family(b, fam_at(1, ["x"])),
-                              one_family(b, fam_at(1, ["y"])))
+    prod = alg.convolve(p1_engine, one_family(b, fam_at(1, ["x"])),
+                        one_family(b, fam_at(1, ["y"])))
     expected = alg.char_fn(b, [alg.make_stratum(
         b, [(fam_at(1, ["x"]), 1), (fam_at(1, ["y"]), 1)])])
     assert alg.equal(b, prod, expected)
@@ -95,8 +95,8 @@ def test_family_product_mixed_degrees(p1_engine):
     # degree 1 times degree 2 over the full line: split term plus the
     # same-point degree-3 correction
     b = p1_engine.backend
-    prod = p1.convolve_family(p1_engine, one_family(b, fam_all(1)),
-                              one_family(b, fam_all(2)))
+    prod = alg.convolve(p1_engine, one_family(b, fam_all(1)),
+                        one_family(b, fam_all(2)))
     expected = alg.add(
         b,
         alg.char_fn(b, [alg.make_stratum(b, [(fam_all(1), 1), (fam_all(2), 1)])]),
@@ -110,7 +110,7 @@ def test_fibration_consistency_with_loop(p1_engine):
     loop = p1_engine._local
     lb = loop.backend
     f2 = one_family(b, fam_all(2))
-    prod = p1.convolve_family(p1_engine, f2, f2)
+    prod = alg.convolve(p1_engine, f2, f2)
     j2 = make_class(lb, [("j", 2)])
     for x in ("u", "v", "w", "zz"):
         for lam in ([4], [3, 1], [2, 2]):
@@ -124,7 +124,7 @@ def test_family_products_are_stratified_ks(p1_engine):
     b = p1_engine.backend
     f = one_family(b, fam_all(1))
     g = one_family(b, fam_at(1, ["x"]))
-    prod = p1.convolve_family(p1_engine, f, g)
+    prod = alg.convolve(p1_engine, f, g)
     for cset, coeff in prod.terms:
         renorm = alg.normalize(b, cset.strata)
         assert renorm.strata == cset.strata
@@ -177,7 +177,7 @@ def test_line_bundles_allowed_in_sets_but_not_products(p1_engine):
     assert sum(v for _, v in d.terms) == 4
     assert alg.equal(b, co.counit_contract(b, d, "left"), f)
     with pytest.raises(CapabilityError):
-        p1.convolve_family(p1_engine, f, f)
+        alg.convolve(p1_engine, f, f)
 
 
 def test_family_product_splits_by_support_point(p1_engine):
@@ -210,7 +210,7 @@ def test_family_product_splits_by_support_point(p1_engine):
     checked = 0
     for (base_a, degs_a), (base_b, degs_b) in cases:
         subs, quots = members(base_a, degs_a), members(base_b, degs_b)
-        prod = p1.convolve_family(
+        prod = alg.convolve(
             p1_engine, alg.char_fn(b, [stratum(base_a, degs_a)]),
             alg.char_fn(b, [stratum(base_b, degs_b)]))
         for y in p1.classes_supported(b, pts, sum(degs_a) + sum(degs_b),

@@ -123,15 +123,15 @@ P1_PROPS = settings(derandomize=True, max_examples=50, deadline=None)
 
 
 @st.composite
-def p1_elements(draw):
-    """A sum of one or two multiples of 1_S, each S a stratum of one or two
-    point families of degree 1 or 2 over a subset of {x, y, z} or its
-    complement (a family that meets an earlier one of its degree is left
-    out)."""
+def p1_elements(draw, families=2):
+    """A sum of one or two multiples of 1_S, each S a stratum of one to
+    `families` point families of degree 1 or 2 over a subset of {x, y, z}
+    or its complement (a family that meets an earlier one of its degree is
+    left out)."""
     f = alg.zero_element(P1)
     for _ in range(draw(st.integers(1, 2))):
         parts = []
-        for _ in range(draw(st.integers(1, 2))):
+        for _ in range(draw(st.integers(1, families))):
             pts = draw(st.frozensets(st.sampled_from("xyz")))
             base = P1Set(draw(st.booleans()) or not pts, pts)
             fam = alg.IndecFamily.of_points(draw(st.integers(1, 2)), base)
@@ -152,6 +152,26 @@ def test_p1_canonical_form(f, g, point):
     assert alg.from_values(P1, refined).values == f.values
     assert alg.from_values(P1, f.values).values == f.values
     assert alg.convolve(P1_ENGINE, f, g) == alg.convolve(P1_ENGINE, g, f)
+    # canonical values make equality dict equality: it agrees with a zero
+    # difference, on the drawn pair and on f against a detour through g
+    detour = alg.add(P1, alg.subtract(P1, f, g), g)
+    for h in (g, detour):
+        assert alg.equal(P1, f, h) == (f.values == h.values) \
+            == alg.subtract(P1, f, h).is_zero()
+    assert alg.equal(P1, f, detour)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(p1_elements(), p1_elements(), st.lists(p1_elements(families=1),
+                                               min_size=3, max_size=3))
+def test_p1_bialgebra_and_associativity(f, g, small):
+    # the class-list suites refuse p1, so this is the check of its tensor
+    # product; associativity takes one-family strata, whose triple
+    # products stay within the dimension bound at every point
+    assert co.bialgebra_check(P1_ENGINE, f, g)["equal"]
+    a, b, c = small
+    assert alg.convolve(P1_ENGINE, alg.convolve(P1_ENGINE, a, b), c) == \
+        alg.convolve(P1_ENGINE, a, alg.convolve(P1_ENGINE, b, c))
 
 
 ZIGZAG_A4 = Backend("a4-zigzag", quiver.KIND_DYNKIN, ("1", "2", "3", "4"),
