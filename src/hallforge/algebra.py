@@ -90,7 +90,8 @@ def _check_label_kind(backend, label):
     ok = (backend.kind == quiver.KIND_DYNKIN and kind == "i"
           and 0 <= label[1] <= label[2] < backend.n_vertices) \
         or (backend.kind == quiver.KIND_LOOP and kind == "j" and label[1] >= 1) \
-        or (backend.kind == quiver.KIND_P1 and kind in ("t", "o"))
+        or (backend.kind == quiver.KIND_P1 and (
+            kind == "o" or (kind == "t" and label[1] and label[2] >= 1)))
     if not ok:
         raise BackendMismatchError(
             f"label {label!r} does not belong to backend {backend.name!r}")
@@ -143,18 +144,6 @@ def _stratum_contains(stratum, cls):
     return all(c == m for c, (_, m) in zip(counts, stratum))
 
 
-def _multisets(items, n):
-    if n == 0:
-        yield ()
-        return
-    if not items:
-        return
-    head = items[0]
-    for k in range(n, -1, -1):
-        for rest in _multisets(items[1:], n - k):
-            yield (head,) * k + rest
-
-
 def _stratum_members(backend, stratum):
     choices = []
     for f, m in stratum:
@@ -163,8 +152,9 @@ def _stratum_members(backend, stratum):
                 raise CapabilityError("cannot enumerate a cofinite family")
             labels = [("t", x, f.degree) for x in sorted(f.base.points)]
         else:
-            labels = list(f.labels)
-        choices.append(list(_multisets(labels, m)))
+            labels = f.labels
+        choices.append([[l for l, k in zip(labels, split) for _ in range(k)]
+                        for split in _compositions(m, len(labels))])
     for combo in iproduct(*choices):
         yield quiver.make_class(backend, [l for part in combo for l in part])
 

@@ -34,6 +34,14 @@ class Bounds:
     max_dim: int = 6
     max_q: int = 13
 
+    def check_dim(self, n):
+        """Raise ResourceLimitError when a target of total dimension n
+        exceeds max_dim."""
+        if n > self.max_dim:
+            raise ResourceLimitError(
+                f"target dimension {n} exceeds bound {self.max_dim}",
+                limit=self.max_dim, requested=n)
+
 
 DEFAULT_BOUNDS = Bounds()
 
@@ -48,11 +56,7 @@ class SubrepHistogram:
 
 
 def _check_bounds(backend, target, q, bounds):
-    n = quiver.class_total_dim(backend, target)
-    if n > bounds.max_dim:
-        raise ResourceLimitError(
-            f"target dimension {n} exceeds bound {bounds.max_dim}",
-            limit=bounds.max_dim, requested=n)
+    bounds.check_dim(quiver.class_total_dim(backend, target))
     if q > bounds.max_q:
         raise ResourceLimitError(
             f"field size {q} exceeds bound {bounds.max_q}",

@@ -49,8 +49,7 @@ from pathlib import Path
 
 from . import counting, quiver
 from .errors import (BackendMismatchError, CacheCollisionError, CacheFormatError,
-                     CapabilityError, NonPolynomialCountError,
-                     ResourceLimitError)
+                     CapabilityError, NonPolynomialCountError)
 from .gf import prime_powers
 
 CACHE_VERSION = 1
@@ -283,11 +282,7 @@ class HallEngine:
                        loop.cells(_local_class(loop.backend, target, x)).items()}
                       for x in sorted({l[1] for l in target})]
         else:
-            n = quiver.class_total_dim(b, target)
-            if n > self.bounds.max_dim:
-                raise ResourceLimitError(
-                    f"target dimension {n} exceeds bound {self.bounds.max_dim}",
-                    limit=self.bounds.max_dim, requested=n)
+            self.bounds.check_dim(quiver.class_total_dim(b, target))
             splits = {l: _summand_splits(b, l) for l in set(target)}
             blocks = [splits[l] for l in target]
         self._cells[target] = out = merge_cells(b, blocks)

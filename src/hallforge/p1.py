@@ -42,29 +42,13 @@ def family_from_json(data):
         b = P1Set.finite(pts)
     else:
         raise ValueError(f"bad base kind {base['kind']!r}")
+    if int(data["degree"]) < 1:
+        raise ValueError(f"family {data.get('name')!r} has degree below 1")
     return alg.IndecFamily.of_points(int(data["degree"]), b)
 
 
 # ---------------------------------------------------------------------------
 # class enumeration helpers
-
-def _local_partitions(total, max_parts):
-    out = []
-
-    def rec(remaining, max_part, budget, acc):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        if budget == 0:
-            return
-        for p in range(min(remaining, max_part), 0, -1):
-            acc.append(p)
-            rec(remaining - p, p, budget - 1, acc)
-            acc.pop()
-
-    rec(total, total, max_parts, [])
-    return out
-
 
 def classes_supported(backend, points, total_degree, max_summands):
     """Torsion classes with support inside `points`, the given total
@@ -78,10 +62,9 @@ def classes_supported(backend, points, total_degree, max_summands):
                 out.append(quiver.make_class(backend, acc))
             return
         for local in range(remaining, -1, -1):
-            for part in _local_partitions(local, budget) if local else [()]:
-                if len(part) <= budget:
-                    rec(i + 1, remaining - local, budget - len(part),
-                        acc + [("t", points[i], p) for p in part])
+            for part in quiver.partitions(local, budget):
+                rec(i + 1, remaining - local, budget - len(part),
+                    acc + [("t", points[i], p) for p in part])
 
     rec(0, total_degree, max_summands, [])
     return out
@@ -199,7 +182,7 @@ def _output_shapes(total, gmax, npoints):
         if budget == 0 or (npoints is not None and len(acc) >= npoints):
             return
         for local in range(remaining, 0, -1):
-            for part in _local_partitions(local, budget):
+            for part in quiver.partitions(local, budget):
                 if max_partition is None or part <= max_partition:
                     acc.append(part)
                     rec(remaining - local, budget - len(part), part, acc)

@@ -259,8 +259,9 @@ def parse_label(backend, text):
     if backend.kind == KIND_P1:
         if t.startswith("T(") and t.endswith(")"):
             point, _, deg = t[2:-1].rpartition(",")
-            return ("t", point.strip(), int(deg))
-        if t.startswith("O(") and t.endswith(")"):
+            if point.strip() and int(deg) >= 1:
+                return ("t", point.strip(), int(deg))
+        elif t.startswith("O(") and t.endswith(")"):
             return ("o", int(t[2:-1]))
         raise ValueError(f"bad p1 label {text!r}")
     vidx = backend.label_table.vertex_index
@@ -353,22 +354,23 @@ def classes_with_dim(backend, dimvec, max_summands):
         return tuple(make_class(backend, c) for c in out)
     if backend.kind == KIND_LOOP:
         (n,) = dimvec
-        out = []
-
-        def parts(remaining, max_part, budget, acc):
-            if remaining == 0:
-                out.append(tuple(("j", p) for p in acc))
-                return
-            if budget == 0:
-                return
-            for p in range(min(remaining, max_part), 0, -1):
-                acc.append(p)
-                parts(remaining - p, p, budget - 1, acc)
-                acc.pop()
-
-        parts(n, n, max_summands, [])
-        return tuple(make_class(backend, c) for c in out)
+        return tuple(make_class(backend, [("j", p) for p in part])
+                     for part in partitions(n, max_summands))
     raise CapabilityError("class enumeration by dimension is not defined for p1")
+
+
+def partitions(n, max_parts):
+    """The partitions of n into at most max_parts parts, each a tuple with
+    its parts in descending order, in descending lexicographic order;
+    partitions(0, k) == [()]."""
+    def rec(remaining, largest, budget):
+        if remaining == 0:
+            yield ()
+        elif budget > 0:
+            for p in range(min(remaining, largest), 0, -1):
+                for rest in rec(remaining - p, p, budget - 1):
+                    yield (p,) + rest
+    return list(rec(n, n, max_parts))
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_verify_exit_codes():
 
 def test_p1_refuses_suites_built_on_a_class_list():
     # p1 classes range over point families; its suite is euler-axioms
-    for suite in ("assoc", "bialgebra"):
+    for suite in ("assoc", "bialgebra", "routes"):
         r = run("--backend", "p1", "--dim", "2", "--json", "verify", suite)
         assert r.exit_code == 1 and r.stdout == ""
         assert json.loads(r.stderr.splitlines()[-1])["error"] == "CapabilityError"
@@ -103,6 +103,21 @@ def test_power_of_a_family_over_two_points(tmp_path):
     assert r.exit_code == 0
     assert r.stdout == ("(1)*1_{O2{x} u O2{y}} + "
                         "(2)*1_{O1{x}+O1{y} u 2.O1{x} u 2.O1{y}}\n")
+
+
+def test_p1_blocks_and_families_below_degree_one_are_refused(tmp_path):
+    # a torsion block needs a named point and degree >= 1; so does a family
+    for bad in ("[T(x,-1)]", "[T(x,0)]", "[T(,1)]"):
+        r = run("--backend", "p1", "mul", bad, "[T(x,1)]")
+        assert r.exit_code == 2 and r.stdout == ""
+        assert f"bad p1 label '{bad[1:-1]}'" in r.stderr
+    for degree, base, args in ((-1, "cofinite", ("mul", "N", "O1")),
+                               (0, "finite", ("power", "N", "2"))):
+        backend = p1_backend_file(tmp_path, [("N", degree, base, ["x"]),
+                                             ("O1", 1, "cofinite", [])])
+        r = run("--backend", backend, *args)
+        assert r.exit_code == 2 and r.stdout == ""
+        assert "family 'N' has degree below 1" in r.stderr
 
 
 def test_resource_error_is_machine_readable():

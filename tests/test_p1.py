@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from hallforge import algebra as alg
 from hallforge import coalgebra as co
 from hallforge import p1, quiver
-from hallforge.errors import CapabilityError
+from hallforge.errors import BackendMismatchError, CapabilityError
 from hallforge.hall import HallEngine
 from hallforge.p1sets import P1Set, chi_na, set_ops
 from hallforge.quiver import make_class
@@ -245,6 +245,12 @@ def test_classes_supported(p1b):
     names = {quiver.class_name(p1b, c) for c in out}
     assert names == {"[T(x,2)]", "[T(y,2)]", "[T(x,1)+T(x,1)]",
                      "[T(y,1)+T(y,1)]", "[T(x,1)+T(y,1)]"}
+
+
+def test_torsion_labels_need_a_point_and_positive_degree(p1b):
+    for label in (("t", "x", 0), ("t", "x", -1), ("t", "", 1)):
+        with pytest.raises(BackendMismatchError):
+            alg.class_char(p1b, (label,))
 
 
 def test_family_product_caches_only_nonzero_local_constants(p1b):

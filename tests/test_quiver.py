@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -147,6 +148,20 @@ def test_field_independence_on_permuted_realizations(a2, a3, loop):
 
             results = {decompose(backend, permuted(q)) for q in (2, 3, 5)}
             assert results == {cls}
+
+
+def test_partitions_against_brute_force():
+    for n in range(9):
+        for max_parts in range(n + 2):
+            brute = sorted((c[::-1] for k in range(max_parts + 1)
+                            for c in combinations_with_replacement(range(1, n + 1), k)
+                            if sum(c) == n), reverse=True)
+            got = quiver.partitions(n, max_parts)
+            assert got == brute
+            assert len(set(got)) == len(got)
+            assert all(sum(p) == n and len(p) <= max_parts
+                       and list(p) == sorted(p, reverse=True) for p in got)
+    assert quiver.partitions(0, 3) == [()]
 
 
 def test_gamma_additivity(a2):
