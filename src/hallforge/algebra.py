@@ -4,9 +4,12 @@ A constructible set is a disjoint union of strata in Krull-Schmidt form;
 a stratum is a formal direct sum of pairwise-disjoint indecomposable
 families with positive multiplicities.
 
-An element is a zero-free map from keys to exact rationals, and the map
-is canonical, so equality is dict equality on every backend.  On the
-quiver backends a key is an isomorphism class: there every constructible
+An element is a zero-free map from keys to exact values, and the map
+is canonical, so equality is dict equality on every backend.  A value is
+an int until a division or a `Fraction` operand brings in a `Fraction`
+(products of int maps stay int: their constants are Euler
+characteristics); the two print, hash and compare alike.  On the quiver
+backends a key is an isomorphism class: there every constructible
 function is finitely supported on classes.  On p1 a key is an atom
 stratum, because point families range over cofinite sets no class map
 can list.
@@ -279,10 +282,10 @@ def direct_sum(backend, a, b):
 
 @dataclass(frozen=True)
 class CFElement:
-    """Exact rational combination of characteristic functions: a zero-free
-    map from keys to values (see the module docstring), read-only."""
+    """Exact combination of characteristic functions: a zero-free map
+    from keys to values (see the module docstring), read-only."""
     backend: quiver.Backend
-    values: dict  # class (quiver backends) or atom stratum (p1) -> Fraction
+    values: dict  # class (quiver) or atom stratum (p1) -> int or Fraction
 
     def is_zero(self):
         return not self.values
@@ -292,7 +295,7 @@ class CFElement:
 
     @property
     def terms(self):
-        """The stratified form ((ConstructibleSet, Fraction), ...)."""
+        """The stratified form ((ConstructibleSet, value), ...)."""
         return _canonical(self.backend, self.values)
 
 
@@ -332,7 +335,7 @@ def char_fn(backend, cset):
         keys = normalize(backend, strata).strata
     else:
         keys = ConstructibleSet(strata).members(backend)
-    return CFElement(backend, dict.fromkeys(keys, Fraction(1)))
+    return CFElement(backend, dict.fromkeys(keys, 1))
 
 
 def unit_element(backend):
@@ -349,7 +352,7 @@ def class_char(backend, cls):
         return char_fn(backend, [class_stratum(backend, cls)])
     for l in cls:
         _check_label_kind(backend, l)
-    return CFElement(backend, {quiver.make_class(backend, cls): Fraction(1)})
+    return CFElement(backend, {quiver.make_class(backend, cls): 1})
 
 
 def _common_atoms(backend, maps, pairs=False):
@@ -369,7 +372,7 @@ def _common_atoms(backend, maps, pairs=False):
         for k, v in m.items():
             for a in iproduct(*(_distribute(backend, s, atom_of) for s in legs(k))):
                 a = a if pairs else a[0]
-                acc[a] = acc.get(a, Fraction(0)) + v
+                acc[a] = acc.get(a, 0) + v
         outs.append({k: v for k, v in acc.items() if v})
     return outs
 
@@ -436,22 +439,22 @@ def _minimize_points(backend, atom_values):
     return values
 
 
-def add(backend, f, g, scale_g=Fraction(1)):
+def add(backend, f, g, scale_g=1):
     _check_same(backend, f, g)
     mf, mg = _common_atoms(backend, [f.values, g.values])
     acc = dict(mf)
     for k, v in mg.items():
-        acc[k] = acc.get(k, Fraction(0)) + scale_g * v
+        acc[k] = acc.get(k, 0) + scale_g * v
     return from_values(backend, acc)
 
 
 def scale(backend, f, c):
-    c = Fraction(c)
+    c = c if isinstance(c, int) else Fraction(c)  # int values stay int
     return from_values(backend, {k: c * v for k, v in f.values.items()})
 
 
 def subtract(backend, f, g):
-    return add(backend, f, g, Fraction(-1))
+    return add(backend, f, g, -1)
 
 
 def equal(backend, f, g):
@@ -462,9 +465,8 @@ def equal(backend, f, g):
 def evaluate(f, cls):
     """Value of the constructible function at an isomorphism class."""
     if f.backend.kind != quiver.KIND_P1:
-        return f.values.get(quiver.make_class(f.backend, cls), Fraction(0))
-    return sum((v for s, v in f.values.items() if _stratum_contains(s, cls)),
-               Fraction(0))
+        return f.values.get(quiver.make_class(f.backend, cls), 0)
+    return sum(v for s, v in f.values.items() if _stratum_contains(s, cls))
 
 
 def is_indec_supported(f):
@@ -495,7 +497,7 @@ def convolve(engine, f, g):
         for z, vz in mg.items():
             w = vx * vz
             for y, c in engine.product(x, z):
-                acc[y] = acc.get(y, Fraction(0)) + w * c
+                acc[y] = acc.get(y, 0) + w * c
     return from_values(backend, acc)
 
 
@@ -522,8 +524,7 @@ def _assert_power_shape(engine, result, fam, k):
     import math
     backend = engine.backend
     expected = char_fn(backend, [make_stratum(backend, [(fam, k)])])
-    rest = add(backend, result, scale(backend, expected, math.factorial(k)),
-               Fraction(-1))
+    rest = subtract(backend, result, scale(backend, expected, math.factorial(k)))
     if rest.summand_count() >= k:
         raise InternalInvariantError(
             f"power of an indecomposable family is not {k}!·1_(k·O) + lower terms")

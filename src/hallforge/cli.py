@@ -34,7 +34,8 @@ class Session:
         self.families = {}
         for fd in self.raw.get("families", []):
             from . import p1
-            self.families[fd["name"]] = p1.family_from_json(fd)
+            name, family = p1.family_from_json(fd)
+            self.families[name] = family
 
     def parse_operand(self, text):
         t = text.strip()

@@ -1,12 +1,12 @@
 """Splitting comultiplication, counit, and the compatibility checks.
 
 A tensor element is a zero-free map from (left key, right key) pairs to
-exact rationals, keys as in `algebra`.  On the quiver backends the map is
-canonical.  On p1 it is not: no point minimization runs on pairs, so the
-tensor product and comparison first refine both maps' legs to common
-atoms (`algebra._common_atoms` with `pairs`), which is the identity on
-classes.  Delta(1_[Y]) puts coefficient 1 on every pair ([A], [B]) with
-A + B = Y.  Output derives the stratified form.
+exact values, keys and values as in `algebra`.  On the quiver
+backends the map is canonical.  On p1 it is not: no point minimization
+runs on pairs, so the tensor product and comparison first refine both
+maps' legs to common atoms (`algebra._common_atoms` with `pairs`), which
+is the identity on classes.  Delta(1_[Y]) puts coefficient 1 on every
+pair ([A], [B]) with A + B = Y.  Output derives the stratified form.
 
 Green's identity at q = 1 equates the structure constant of a split
 target with the sum over compatible splittings of the operands;
@@ -15,7 +15,6 @@ target with the sum over compatible splittings of the operands;
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iproduct
 
 from . import algebra as alg
@@ -24,17 +23,17 @@ from . import quiver
 
 @dataclass(frozen=True)
 class TensorElement:
-    """Rational combination of product-set characteristic functions on
+    """Exact combination of product-set characteristic functions on
     pairs of classes: a zero-free map from key pairs to values, read-only."""
     backend: quiver.Backend
-    values: dict  # (left key, right key) -> Fraction
+    values: dict  # (left key, right key) -> int, or Fraction as in algebra
 
     def is_zero(self):
         return not self.values
 
     @property
     def terms(self):
-        """The stratified form (((left set, right set), Fraction), ...), one
+        """The stratified form (((left set, right set), value), ...), one
         single-stratum set per leg, ordered by (left summand count, right
         summand count, coefficient), then by the legs' stratum keys."""
         b = self.backend
@@ -64,13 +63,12 @@ def tensor_first_difference(backend, s, t):
     ms, mt = alg._common_atoms(backend, [s.values, t.values], pairs=True)
     if ms == mt:
         return None
-    zero = Fraction(0)
-    k = min((p for p in ms.keys() | mt.keys() if ms.get(p, zero) != mt.get(p, zero)),
+    k = min((p for p in ms.keys() | mt.keys() if ms.get(p, 0) != mt.get(p, 0)),
             key=lambda p: (alg.key_order(backend, p[0]), alg.key_order(backend, p[1])))
     left, right = (alg.ConstructibleSet((alg.key_stratum(backend, x),)) for x in k)
     return {"left_stratum": alg.set_to_json(backend, left),
             "right_stratum": alg.set_to_json(backend, right),
-            "lhs": str(ms.get(k, zero)), "rhs": str(mt.get(k, zero))}
+            "lhs": str(ms.get(k, 0)), "rhs": str(mt.get(k, 0))}
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +82,7 @@ def comultiply(backend, f):
     pair_values = {}
     for k, v in f.values.items():
         for pair in splits(backend, k):
-            pair_values[pair] = pair_values.get(pair, Fraction(0)) + v
+            pair_values[pair] = pair_values.get(pair, 0) + v
     return tensor_from_values(backend, pair_values)
 
 
@@ -108,7 +106,7 @@ def counit_contract(backend, t, side):
     for (kl, kr), v in t.values.items():
         probe, keep = (kl, kr) if side == "left" else (kr, kl)
         if not probe:  # the zero class, or on p1 the empty stratum
-            values[keep] = values.get(keep, Fraction(0)) + v
+            values[keep] = values.get(keep, 0) + v
     return alg.from_values(backend, values)
 
 
@@ -129,7 +127,7 @@ def tensor_convolve(engine, s, t):
                 c = u * w * vl
                 for kr, vr in right:
                     k = (kl, kr)
-                    out[k] = out.get(k, Fraction(0)) + c * vr
+                    out[k] = out.get(k, 0) + c * vr
     return tensor_from_values(backend, out)
 
 
@@ -167,16 +165,12 @@ def green_check(engine, o1, o2, alpha_p, beta_p):
     """
     backend = engine.backend
     target = quiver.make_class(backend, list(alpha_p) + list(beta_p))
-    lhs = Fraction(0)
-    for (s, t), c in engine.cells(target).items():
-        if o1.contains(s) and o2.contains(t):
-            lhs += c
-    rhs = Fraction(0)
+    lhs = sum(c for (s, t), c in engine.cells(target).items()
+              if o1.contains(s) and o2.contains(t))
     cells_b = engine.cells(beta_p).items()
-    for (rho, eps), c1 in engine.cells(alpha_p).items():
-        for (sigma, tau), c2 in cells_b:
-            if o1.contains(rho + sigma) and o2.contains(eps + tau):
-                rhs += c1 * c2
+    rhs = sum(c1 * c2 for (rho, eps), c1 in engine.cells(alpha_p).items()
+              for (sigma, tau), c2 in cells_b
+              if o1.contains(rho + sigma) and o2.contains(eps + tau))
     return {
         "lhs": str(lhs),
         "rhs": str(rhs),

@@ -89,7 +89,7 @@ class HallPolynomial:
 
 def fit_polynomial(points):
     """Exact polynomial through (x, y) samples via Newton divided
-    differences; returns ascending Fraction coefficients."""
+    differences over `Fraction`s; returns ascending Fraction coefficients."""
     xs = [Fraction(x) for x, _ in points]
     divided = [Fraction(y) for _, y in points]
     n = len(points)

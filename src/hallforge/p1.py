@@ -22,7 +22,6 @@ point names it uses are arbitrary, since the value depends on the shape
 alone.
 """
 
-from fractions import Fraction
 from itertools import product as iproduct
 
 from . import algebra as alg
@@ -34,7 +33,17 @@ __all__ = ["P1Set", "chi_na", "set_ops", "family_from_json", "classes_supported"
 
 
 def family_from_json(data):
-    base = data["base"]
+    """(name, family) of one `families` entry of a backend file; a missing
+    key or a non-integer degree is a ValueError naming family and key."""
+    name = data.get("name")
+    for key in ("name", "base", "degree"):
+        if key not in data:
+            raise ValueError(f"family {name!r} lacks {key!r}")
+    base, degree = data["base"], data["degree"]
+    if not isinstance(base, dict) or "kind" not in base:
+        raise ValueError(f"family {name!r} lacks 'base.kind'")
+    if type(degree) is not int:
+        raise ValueError(f"family {name!r} has non-integer degree {degree!r}")
     pts = frozenset(base.get("points", []))
     if base["kind"] == "cofinite":
         b = P1Set.cofinite_of(pts)
@@ -42,9 +51,9 @@ def family_from_json(data):
         b = P1Set.finite(pts)
     else:
         raise ValueError(f"bad base kind {base['kind']!r}")
-    if int(data["degree"]) < 1:
-        raise ValueError(f"family {data.get('name')!r} has degree below 1")
-    return alg.IndecFamily.of_points(int(data["degree"]), b)
+    if degree < 1:
+        raise ValueError(f"family {name!r} has degree below 1")
+    return name, alg.IndecFamily.of_points(degree, b)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +120,7 @@ def _stratum_product(engine, sa, sb):
     choices = [list(p.items()) for p in per_base]
     for combo in iproduct(*choices):
         parts = []
-        value = Fraction(1)
+        value = 1
         for bi, (degmults, v) in enumerate(combo):
             value *= v
             for deg, mult in degmults:
@@ -119,7 +128,7 @@ def _stratum_product(engine, sa, sb):
         if not value:
             continue
         stratum = alg.make_stratum(backend, parts)
-        out[stratum] = out.get(stratum, Fraction(0)) + value
+        out[stratum] = out.get(stratum, 0) + value
     return out
 
 
@@ -142,7 +151,7 @@ def _base_product(engine, base, degs_a, degs_b):
     gmax = len(degs_a) + len(degs_b)
     out = {}
     if total == 0:
-        out[()] = Fraction(1)
+        out[()] = 1
     else:
         npoints = None if base.cofinite else len(base.points)
         # Krull-Schmidt stratification: members of one output stratum that
@@ -212,9 +221,6 @@ def _shape_value(engine, degs_a, degs_b, shape):
     y = quiver.make_class(engine.backend, [("t", f"p{i}", d)
                                            for i, part in enumerate(shape)
                                            for d in part])
-    total = Fraction(0)
-    for (sub, quot), c in engine.cells(y).items():
-        if sorted((l[2] for l in sub), reverse=True) == degs_a \
-                and sorted((l[2] for l in quot), reverse=True) == degs_b:
-            total += c
-    return total
+    return sum(c for (sub, quot), c in engine.cells(y).items()
+               if sorted((l[2] for l in sub), reverse=True) == degs_a
+               and sorted((l[2] for l in quot), reverse=True) == degs_b)

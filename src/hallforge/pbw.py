@@ -68,7 +68,7 @@ def monomial_image(engine, mono):
 def value_on_set(backend, f, cset):
     """Value of f on a constructible set if constant there, else None."""
     _require_quiver(backend)
-    values = {f.values.get(cls, Fraction(0)) for cls in cset.members(backend)}
+    values = {f.values.get(cls, 0) for cls in cset.members(backend)}
     return values.pop() if len(values) == 1 else None
 
 
@@ -140,16 +140,15 @@ def certify_truncation(engine, families, gamma_max):
         images[e] = img
         leadings[e] = (coeff, lead_set)
         got = value_on_set(backend, img, lead_set)
-        if got != Fraction(coeff):
+        if got != coeff:
             report.diagonal_ok = False
             report.counterexample = {
                 "monomial": list(e),
                 "expected_leading": str(coeff),
                 "got": str(got),
             }
-        rest = alg.add(backend, img,
-                       alg.scale(backend, alg.char_fn(backend, lead_set.strata),
-                                 coeff), Fraction(-1))
+        rest = alg.subtract(backend, img, alg.scale(
+            backend, alg.char_fn(backend, lead_set.strata), coeff))
         if rest.summand_count() >= mono.gamma() and not rest.is_zero() \
                 and mono.gamma() > 0:
             report.triangular = False
@@ -167,9 +166,7 @@ def certify_truncation(engine, families, gamma_max):
         ok = True
         for er in degree_es:
             for ec in degree_es:
-                v = value_on_set(backend, images[ec], leadings[er][1])
-                if v is None:
-                    v = Fraction(0)
+                v = value_on_set(backend, images[ec], leadings[er][1]) or 0
                 if er == ec:
                     diag.append(str(v))
                     if v != leadings[ec][0]:
@@ -192,8 +189,8 @@ def certify_truncation(engine, families, gamma_max):
     tgt_maps = [alg.char_fn(backend, leadings[e][1]).values for e in emons]
     classes = sorted({c for m in img_maps + tgt_maps for c in m},
                      key=lambda c: alg.key_order(backend, c))
-    cols = [[m.get(c, Fraction(0)) for c in classes] for m in img_maps]
-    rhss = [[m.get(c, Fraction(0)) for c in classes] for m in tgt_maps]
+    cols = [[m.get(c, 0) for c in classes] for m in img_maps]
+    rhss = [[m.get(c, 0) for c in classes] for m in tgt_maps]
     for e, (sol, residual) in zip(emons, _solve_in_span(cols, rhss)):
         entry = {
             "stratum": alg.set_to_json(backend, leadings[e][1]),
@@ -213,8 +210,9 @@ def certify_truncation(engine, families, gamma_max):
 
 def _solve_in_span(cols, rhss):
     """Exact solves of (columns)·x = rhs, one per right-hand side, from one
-    elimination (its pivots depend on the columns alone).  Returns a
-    (coefficients, residual row indices the span cannot reach) per rhs."""
+    elimination (its pivots depend on the columns alone and divide as
+    `Fraction`s, so int entries give no float).  Returns a (coefficients,
+    residual row indices the span cannot reach) per rhs."""
     ncols = len(cols)
     nrows = len(rhss[0])
     aug = [[cols[c][r] for c in range(ncols)] + [rhs[r] for rhs in rhss]
@@ -228,7 +226,7 @@ def _solve_in_span(cols, rhss):
             continue
         aug[row], aug[piv] = aug[piv], aug[row]
         origin[row], origin[piv] = origin[piv], origin[row]
-        pv = aug[row][col]
+        pv = Fraction(aug[row][col])
         aug[row] = [x / pv for x in aug[row]]
         for r in range(nrows):
             if r != row and aug[r][col]:
@@ -239,7 +237,7 @@ def _solve_in_span(cols, rhss):
     out = []
     for j in range(ncols, ncols + len(rhss)):
         residual = sorted(origin[r] for r in range(row, nrows) if aug[r][j])
-        sol = [Fraction(0)] * ncols
+        sol = [0] * ncols
         for r, col in enumerate(pivots):
             sol[col] = aug[r][j]
         out.append((None if residual else sol, residual))

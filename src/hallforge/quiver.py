@@ -509,6 +509,7 @@ def decompose(backend, rep):
 
 
 def _solve_multiplicities(backend, labels, profile, q):
+    """The class with the given Hom `profile`, solved over `Fraction`s."""
     from fractions import Fraction
     labels = tuple(labels)
     homs = backend.label_table.homs
@@ -518,7 +519,6 @@ def _solve_multiplicities(backend, labels, profile, q):
                                 for ri in reps)
     table = homs[labels, q]
     n = len(labels)
-    # solve table^T . m = profile exactly
     aug = [[Fraction(table[i][j]) for j in range(n)] + [Fraction(profile[i])]
            for i in range(n)]
     for col in range(n):

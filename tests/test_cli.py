@@ -120,6 +120,25 @@ def test_p1_blocks_and_families_below_degree_one_are_refused(tmp_path):
         assert "family 'N' has degree below 1" in r.stderr
 
 
+BASE = {"kind": "cofinite", "points": []}
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"degree": 1, "base": BASE}, "family None lacks 'name'"),
+    ({"name": "N", "degree": 1}, "family 'N' lacks 'base'"),
+    ({"name": "N", "base": BASE}, "family 'N' lacks 'degree'"),
+    ({"name": "N", "degree": 1, "base": {"points": []}}, "family 'N' lacks 'base.kind'"),
+    ({"name": "N", "degree": 1.5, "base": BASE}, "family 'N' has non-integer degree 1.5"),
+], ids=["name", "base", "degree", "base.kind", "non-integer-degree"])
+def test_p1_family_entry_with_a_missing_key_is_refused(tmp_path, entry, message):
+    path = tmp_path / "p1x.json"
+    path.write_text(json.dumps({"name": "p1x", "kind": "p1-torsion",
+                                "vertices": [], "arrows": [], "families": [entry]}))
+    r = run("--backend", str(path), "indecomposables")
+    assert r.exit_code == 2 and r.stdout == ""
+    assert message in r.stderr and "Traceback" not in r.stderr
+
+
 def test_resource_error_is_machine_readable():
     r = run("--backend", "loop", "--dim", "2", "mul", "[J2]", "[J2]")
     assert r.exit_code == 3

@@ -75,6 +75,18 @@ def test_triangularity_property(loop_engine):
         assert rest.summand_count() < mono.gamma()
 
 
+def test_solve_in_span_divides_int_entries_exactly():
+    # columns (2, 0, 0) and (1, 3, 0): int entries whose solves need a
+    # division; the third rhs leaves the span at row 2
+    cols = [[2, 0, 0], [1, 3, 0]]
+    rhss = [[1, 0, 0], [1, 1, 0], [0, 0, 5]]
+    (half, r1), (thirds, r2), (sol, r3) = pbw._solve_in_span(cols, rhss)
+    assert half == [Fraction(1, 2), 0] and thirds == [Fraction(1, 3)] * 2
+    assert r1 == r2 == [] and sol is None and r3 == [2]
+    assert [str(c) for c in half + thirds] == ["1/2", "0", "1/3", "1/3"]
+    assert not any(isinstance(c, float) for c in half + thirds)
+
+
 def test_truncation_a2_m2_diagonal_pattern(a2_engine):
     a2 = a2_engine.backend
     fams = [fam(a2, ("i", 1, 1)), fam(a2, ("i", 0, 0)), fam(a2, ("i", 0, 1))]

@@ -1,5 +1,6 @@
 """Element arithmetic on the quiver backends against pointwise dict
-arithmetic on random zero-free class maps, and the canonical form of
+arithmetic on random zero-free class maps, the value types it keeps
+(ints stay ints, nothing turns into a float), and the canonical form of
 random p1 elements."""
 
 from fractions import Fraction
@@ -16,16 +17,18 @@ from hallforge.p1sets import P1Set
 
 BACKENDS = {name: quiver.builtin_backend(name) for name in ("a2", "a3", "loop")}
 POOLS = {name: verify.classes_up_to(b, 3) for name, b in BACKENDS.items()}
-VALUES = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+ENGINES = {name: HallEngine(b) for name, b in BACKENDS.items()}
+INTS = st.integers(-3, 3).filter(bool)
+VALUES = st.builds(Fraction, INTS, st.integers(1, 3))
 PROPS = settings(derandomize=True, max_examples=60, deadline=None)
 
 
 @st.composite
-def class_maps(draw, n=2):
+def class_maps(draw, n=2, values=VALUES):
     """A backend name and n random zero-free class -> value maps on it."""
     name = draw(st.sampled_from(sorted(BACKENDS)))
     pool = st.sampled_from(POOLS[name])
-    return name, [draw(st.dictionaries(pool, VALUES, max_size=4)) for _ in range(n)]
+    return name, [draw(st.dictionaries(pool, values, max_size=4)) for _ in range(n)]
 
 
 def built_by_sums(backend, values, order):
@@ -42,10 +45,24 @@ def pointwise(d1, d2, c=Fraction(1)):
     return {k: v for k, v in out.items() if v}
 
 
+def operation_values(name, d1, d2, c):
+    """Every value of convolve, add, subtract, scale by c, comultiply,
+    tensor_convolve and both counit contractions on two class maps."""
+    b, engine = BACKENDS[name], ENGINES[name]
+    f, g = alg.from_values(b, d1), alg.from_values(b, d2)
+    df, dg = co.comultiply(b, f), co.comultiply(b, g)
+    results = [alg.convolve(engine, f, g), alg.add(b, f, g), alg.subtract(b, f, g),
+               alg.scale(b, f, c), df, co.tensor_convolve(engine, df, dg),
+               co.counit_contract(b, df, "left"), co.counit_contract(b, df, "right")]
+    return [v for r in results for v in r.values.values()]
+
+
 @PROPS
 @given(class_maps(), VALUES)
 def test_arithmetic_is_pointwise(maps, c):
     name, (d1, d2) = maps
+    # Fraction maps: rationals throughout, never a float
+    assert all(type(v) in (int, Fraction) for v in operation_values(name, d1, d2, c))
     b = BACKENDS[name]
     f, g = alg.from_values(b, d1), alg.from_values(b, d2)
     assert alg.add(b, f, g, c).values == pointwise(d1, d2, c)
@@ -58,6 +75,13 @@ def test_arithmetic_is_pointwise(maps, c):
         assert alg.evaluate(f, cls) == d1.get(cls, 0)
         # a class given in another label order reads the same value
         assert alg.evaluate(f, tuple(reversed(cls))) == d1.get(cls, 0)
+
+
+@PROPS
+@given(class_maps(values=INTS), INTS)
+def test_int_maps_keep_int_values(maps, c):
+    name, (d1, d2) = maps
+    assert all(type(v) is int for v in operation_values(name, d1, d2, c))
 
 
 @PROPS
@@ -159,6 +183,18 @@ def test_p1_canonical_form(f, g, point):
         assert alg.equal(P1, f, h) == (f.values == h.values) \
             == alg.subtract(P1, f, h).is_zero()
     assert alg.equal(P1, f, detour)
+
+
+def test_p1_family_products_have_int_values():
+    # O_d * O_e over the cofinite base and over {x, y}, d + e <= 4
+    bases = (P1Set.cofinite_of([]), P1Set.finite(["x", "y"]))
+    for d, e in ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1)):
+        for bd, be in product(bases, bases):
+            fd, fe = (alg.char_fn(P1, [alg.make_stratum(
+                P1, [(alg.IndecFamily.of_points(k, base), 1)])])
+                for k, base in ((d, bd), (e, be)))
+            prod = alg.convolve(P1_ENGINE, fd, fe)
+            assert prod.values and all(type(v) is int for v in prod.values.values())
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
