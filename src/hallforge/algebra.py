@@ -26,7 +26,6 @@ in `_stratum_key` order) with `_canonical`.
 """
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -35,18 +34,23 @@ from .errors import BackendMismatchError, CapabilityError, InternalInvariantErro
 from .p1sets import P1Set
 
 
-@dataclass(frozen=True)
-class IndecFamily:
+class IndecFamily(quiver.ReadOnly):
     """A constructible family of indecomposables.
 
     kind "labels": an explicit finite set of labels (quiver backends, and
     line bundles on P^1).  kind "points": the degree-d torsion sheaves
-    over a finite or cofinite base of points.
+    over a finite or cofinite base of points (a P1Set).
     """
-    kind: str
-    labels: tuple = ()
-    degree: int = 0
-    base: P1Set = None
+    __slots__ = ("kind", "labels", "degree", "base")
+
+    def __init__(self, kind, labels=(), degree=0, base=None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "base", base)
+
+    def __hash__(self):  # by hand, not the base's attrgetter: hashed per stratum lookup
+        return hash((self.kind, self.labels, self.degree, self.base))
 
     @staticmethod
     def of_labels(backend, labels):
@@ -116,10 +120,12 @@ def make_stratum(backend, parts):
     return tuple(sorted(merged.items(), key=lambda fm: fm[0].descriptor(backend)))
 
 
-@dataclass(frozen=True)
-class ConstructibleSet:
+class ConstructibleSet(quiver.ReadOnly):
     """Finite disjoint union of Krull-Schmidt strata."""
-    strata: tuple
+    __slots__ = ("strata",)
+
+    def __init__(self, strata):
+        object.__setattr__(self, "strata", strata)
 
     def summand_count(self):
         return max((stratum_gamma(s) for s in self.strata), default=0)
@@ -280,12 +286,15 @@ def direct_sum(backend, a, b):
 # ---------------------------------------------------------------------------
 # elements
 
-@dataclass(frozen=True)
-class CFElement:
+class CFElement(quiver.ReadOnly):
     """Exact combination of characteristic functions: a zero-free map
     from keys to values (see the module docstring), read-only."""
-    backend: quiver.Backend
-    values: dict  # class (quiver) or atom stratum (p1) -> int or Fraction
+    __slots__ = ("backend", "values")  # values: quiver class or p1 atom stratum -> int or Fraction
+    __hash__ = None  # values is a dict
+
+    def __init__(self, backend, values):
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "values", values)
 
     def is_zero(self):
         return not self.values

@@ -32,10 +32,9 @@ class Session:
         self.engine = hall.HallEngine(self.backend, self.bounds, cache)
         self.as_json = as_json
         self.families = {}
-        for fd in self.raw.get("families", []):
+        if "families" in self.raw:
             from . import p1
-            name, family = p1.family_from_json(fd)
-            self.families[name] = family
+            self.families = p1.families_from_json(self.raw["families"])
 
     def parse_operand(self, text):
         t = text.strip()

@@ -14,19 +14,21 @@ target with the sum over compatible splittings of the operands;
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import algebra as alg
 from . import quiver
 
 
-@dataclass(frozen=True)
-class TensorElement:
+class TensorElement(quiver.ReadOnly):
     """Exact combination of product-set characteristic functions on
     pairs of classes: a zero-free map from key pairs to values, read-only."""
-    backend: quiver.Backend
-    values: dict  # (left key, right key) -> int, or Fraction as in algebra
+    __slots__ = ("backend", "values")  # values: (left key, right key) -> int or Fraction
+    __hash__ = None  # values is a dict
+
+    def __init__(self, backend, values):
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "values", values)
 
     def is_zero(self):
         return not self.values

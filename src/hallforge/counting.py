@@ -20,19 +20,20 @@ between two backend definitions.
 """
 
 from collections import defaultdict
-from dataclasses import dataclass, field as dfield
 
 from . import linalg, quiver
 from .errors import CapabilityError, ResourceLimitError
 from .gf import field
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(quiver.ReadOnly):
     """Resource limits (configuration, not constants): max_dim bounds the
     target of every constant, max_q the fields the F_q route samples."""
-    max_dim: int = 6
-    max_q: int = 13
+    __slots__ = ("max_dim", "max_q")
+
+    def __init__(self, max_dim=6, max_q=13):
+        object.__setattr__(self, "max_dim", max_dim)
+        object.__setattr__(self, "max_q", max_q)
 
     def check_dim(self, n):
         """Raise ResourceLimitError when a target of total dimension n
@@ -46,13 +47,13 @@ class Bounds:
 DEFAULT_BOUNDS = Bounds()
 
 
-@dataclass
 class SubrepHistogram:
     """All subrepresentations of one realized class, keyed by
     (sub iso class, quotient iso class)."""
-    target: tuple
-    q: int
-    counts: dict = dfield(default_factory=dict)
+    def __init__(self, target, q, counts):
+        self.target = target
+        self.q = q
+        self.counts = counts
 
 
 def _check_bounds(backend, target, q, bounds):

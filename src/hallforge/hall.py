@@ -43,7 +43,6 @@ A bound failure raises before anything is stored.
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -55,10 +54,12 @@ from .gf import prime_powers
 CACHE_VERSION = 1
 
 
-@dataclass(frozen=True)
-class HallPolynomial:
+class HallPolynomial(quiver.ReadOnly):
     """Integer-coefficient polynomial in q, coefficients ascending."""
-    coeffs: tuple
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        object.__setattr__(self, "coeffs", coeffs)
 
     def evaluate(self, x):
         acc = 0

@@ -29,22 +29,36 @@ from . import quiver
 from .errors import CapabilityError, InternalInvariantError
 from .p1sets import P1Set, chi_na, set_ops  # re-exported calculus
 
-__all__ = ["P1Set", "chi_na", "set_ops", "family_from_json", "classes_supported"]
+__all__ = ["P1Set", "chi_na", "set_ops", "families_from_json", "classes_supported"]
 
 
-def family_from_json(data):
+def families_from_json(entries):
+    """{name: family} of the `families` list of a backend file."""
+    if not isinstance(entries, list):
+        raise ValueError(f"'families' is not a list of family objects: {entries!r}")
+    return dict(_family_from_json(data) for data in entries)
+
+
+def _family_from_json(data):
     """(name, family) of one `families` entry of a backend file; a missing
-    key or a non-integer degree is a ValueError naming family and key."""
+    key, a name that is not a string, a non-integer degree or a base whose
+    points are not a list of names is a ValueError naming family and key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"family entry {data!r} is not an object")
     name = data.get("name")
     for key in ("name", "base", "degree"):
         if key not in data:
             raise ValueError(f"family {name!r} lacks {key!r}")
     base, degree = data["base"], data["degree"]
+    if not isinstance(name, str):
+        raise ValueError(f"family name {name!r} is not a string")
     if not isinstance(base, dict) or "kind" not in base:
         raise ValueError(f"family {name!r} lacks 'base.kind'")
     if type(degree) is not int:
         raise ValueError(f"family {name!r} has non-integer degree {degree!r}")
-    pts = frozenset(base.get("points", []))
+    pts = base.get("points", [])
+    if not isinstance(pts, list) or not all(isinstance(x, str) for x in pts):
+        raise ValueError(f"family {name!r} has 'base.points' {pts!r}, not a list of names")
     if base["kind"] == "cofinite":
         b = P1Set.cofinite_of(pts)
     elif base["kind"] == "finite":

@@ -5,13 +5,18 @@ Points are symbolic names; only identities and cardinalities matter.
 chi(P^1) = 2, so a cofinite set excluding k points has chi = 2 - k.
 """
 
-from dataclasses import dataclass
+from .quiver import ReadOnly
 
 
-@dataclass(frozen=True)
-class P1Set:
-    cofinite: bool
-    points: frozenset
+class P1Set(ReadOnly):
+    __slots__ = ("cofinite", "points")
+
+    def __init__(self, cofinite, points):
+        object.__setattr__(self, "cofinite", cofinite)
+        object.__setattr__(self, "points", points)  # a frozenset
+
+    def __hash__(self):  # by hand, as in IndecFamily, whose hash calls it
+        return hash((self.cofinite, self.points))
 
     @staticmethod
     def finite(points):

@@ -16,7 +16,6 @@ map: values and coordinates are read off classes.
 """
 
 import math
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 
 from . import algebra as alg
@@ -24,10 +23,12 @@ from . import quiver
 from .errors import CapabilityError
 
 
-@dataclass(frozen=True)
-class PBWMonomial:
+class PBWMonomial(quiver.ReadOnly):
     """Ordered factors (family, exponent >= 1), families pairwise disjoint."""
-    factors: tuple
+    __slots__ = ("factors",)
+
+    def __init__(self, factors):
+        object.__setattr__(self, "factors", factors)
 
     def gamma(self):
         return sum(e for _, e in self.factors)
@@ -77,17 +78,18 @@ def _require_quiver(backend):
         raise CapabilityError("PBW certificates run on quiver backends")
 
 
-@dataclass
 class TruncationReport:
-    families: list
-    gamma_max: int
-    triangular: bool
-    diagonal_ok: bool
-    graded_bijective: bool
-    correction_closed: bool
-    blocks: list = dfield(default_factory=list)
-    back_substitution: list = dfield(default_factory=list)
-    counterexample: dict = None
+    def __init__(self, families, gamma_max, triangular, diagonal_ok,
+                 graded_bijective, correction_closed):
+        self.families = families
+        self.gamma_max = gamma_max
+        self.triangular = triangular
+        self.diagonal_ok = diagonal_ok
+        self.graded_bijective = graded_bijective
+        self.correction_closed = correction_closed
+        self.blocks = []
+        self.back_substitution = []
+        self.counterexample = None
 
     @property
     def passed(self):

@@ -15,9 +15,8 @@ normal form.  Labels are plain tuples so they hash and sort cheaply:
 """
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 
 from . import linalg
@@ -29,21 +28,49 @@ KIND_LOOP = "loop-nilpotent"
 KIND_P1 = "p1-torsion"
 
 
-@dataclass(frozen=True)
-class Arrow:
-    id: str
-    src: int
-    tgt: int
+class ReadOnly:
+    """Read-only value class: `__init__` sets each `__slots__` field once, with
+    object.__setattr__; it compares and hashes as its fields, within its type."""
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*(f for f in cls.__slots__ if f != "__dict__"))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f != "__dict__")
+        return f"{type(self).__name__}({', '.join(fields)})"
 
 
-@dataclass(frozen=True)
-class Backend:
-    name: str
-    kind: str
-    vertices: tuple
-    arrows: tuple
+class Arrow(ReadOnly):
+    __slots__ = ("id", "src", "tgt")
 
-    def __post_init__(self):
+    def __init__(self, id, src, tgt):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "tgt", tgt)
+
+
+class Backend(ReadOnly):
+    __slots__ = ("name", "kind", "vertices", "arrows", "__dict__")  # __dict__: label_table
+
+    def __init__(self, name, kind, vertices, arrows):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arrows", arrows)
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex names")
         if len({a.id for a in self.arrows}) != len(self.arrows):
@@ -120,7 +147,7 @@ def backend_from_json(data, *, source="<backend>"):
 
 def _builtin(name):
     try:
-        text = resources.files("hallforge.data").joinpath(f"{name}.json").read_text()
+        text = (Path(__file__).with_name("data") / f"{name}.json").read_text()
     except FileNotFoundError:
         return None
     return json.loads(text)
@@ -376,16 +403,18 @@ def partitions(n, max_parts):
 # ---------------------------------------------------------------------------
 # matrix models
 
-@dataclass(frozen=True)
-class MatrixRep:
+class MatrixRep(ReadOnly):
     """A representation over F_q: per-vertex dimensions, per-arrow matrices.
 
     Matrices are tuples of row-bytes, shape (dim tgt) x (dim src), acting on
     coordinate columns: w_i = sum_j M[i][j] v_j.
     """
-    q: int
-    dims: tuple
-    mats: tuple
+    __slots__ = ("q", "dims", "mats")
+
+    def __init__(self, q, dims, mats):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "mats", mats)
 
 
 def _zero_matrix(rows, cols):

@@ -10,7 +10,6 @@ direct-sum merge of `cells` (`hall.merge_cells`) on every split target;
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from functools import cache
 from itertools import product as iproduct
@@ -23,15 +22,14 @@ from .hall import merge_cells
 from .p1sets import P1Set, chi_na
 
 
-@dataclass
 class SuiteResult:
-    suite: str
-    passed: bool
-    checks: list = dfield(default_factory=list)
-    counts: dict = dfield(default_factory=dict)
-    elapsed: float = 0.0
-    report: object = None
-    backend = None
+    def __init__(self, suite, passed):
+        self.suite = suite
+        self.passed = passed
+        self.checks = []
+        self.counts = {}
+        self.elapsed = 0.0
+        self.report = self.backend = None
 
     def add(self, name, ok, detail=None):
         self.checks.append({"name": name, "passed": bool(ok),

@@ -139,6 +139,26 @@ def test_p1_family_entry_with_a_missing_key_is_refused(tmp_path, entry, message)
     assert message in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("families,message", [
+    (["N"], "family entry 'N' is not an object"),
+    ({"name": "N"}, "'families' is not a list of family objects: {'name': 'N'}"),
+    ([{"name": "N", "degree": 1, "base": {"kind": "finite", "points": "xy"}}],
+     "family 'N' has 'base.points' 'xy', not a list of names"),
+    ([{"name": "N", "degree": 1, "base": {"kind": "finite", "points": [1, "x"]}}],
+     "family 'N' has 'base.points' [1, 'x'], not a list of names"),
+    ([{"name": ["N"], "degree": 1, "base": {"kind": "finite"}}],
+     "family name ['N'] is not a string"),
+], ids=["entry-not-object", "families-not-list", "points-string", "point-not-name",
+        "name-not-string"])
+def test_p1_malformed_families_are_refused(tmp_path, families, message):
+    path = tmp_path / "p1x.json"
+    path.write_text(json.dumps({"name": "p1x", "kind": "p1-torsion",
+                                "vertices": [], "arrows": [], "families": families}))
+    r = run("--backend", str(path), "indecomposables")
+    assert r.exit_code == 2 and r.stdout == ""
+    assert message in r.stderr and "Traceback" not in r.stderr
+
+
 def test_resource_error_is_machine_readable():
     r = run("--backend", "loop", "--dim", "2", "mul", "[J2]", "[J2]")
     assert r.exit_code == 3
