@@ -33,6 +33,9 @@ class Session:
         self.as_json = as_json
         self.families = {}
         if "families" in self.raw:
+            if self.backend.kind != quiver.KIND_P1:
+                raise ValueError("'families' are declared on p1-torsion backends "
+                                 f"only, not on {self.backend.kind}")
             from . import p1
             self.families = p1.families_from_json(self.raw["families"])
 

@@ -12,14 +12,16 @@ and quotient classes of a fixed point are read off the connected components
 of the subset and of its complement.  `HallEngine.cells` lists them for a
 whole target at once, and every constant (`euler_constant`, `product`) is
 read off it.  A target's cells are the direct-sum merge (`merge_cells`)
-of its blocks' cells: its summands, or on p1 its parts at each support
-point, loop-quiver classes whose cells come from the loop delegate.
+of its summands' cells, on every backend: a p1 block T(x,h) is the
+Jordan block J_h at the point x, and splits as the chain does.
 
 Hall polynomials remain the F_q route: point counts of the subobject variety
 are sampled at an ascending schedule of prime powers; a candidate polynomial
 is fitted through all but the last sample and accepted once it has integer
 coefficients and reproduces the held-out sample exactly.  Its value at q = 1
 is the same constant, which the `routes` verify suite checks cell by cell.
+On p1 a count is the product of the loop-backend counts at each support
+point, and the polynomial is the product of the per-point loop fits.
 Only Hall polynomials go to the versioned JSON cache: a constant is cheaper
 to read off `cells` than to look up there.
 
@@ -34,7 +36,8 @@ backend:
   _classes   (dims, gmax) -> the classes `classes_with_dim` lists;
   _surveys   (target, q) -> (largest sub dim surveyed, {(sub, quot): count}),
              the F_q histograms `counting.count_points` fills for
-             `hall_polynomial`;
+             `hall_polynomial`; on p1 the targets are the loop classes
+             at each support point;
   _p1_base_memo  the p1 backend's one-base family products
              (`p1._base_product`).
 
@@ -231,10 +234,9 @@ class HallEngine:
         self._classes = {}          # (dims, gmax) -> classes
         self._surveys = {}          # (target, q) -> (max sub dim, cells)
         self._p1_base_memo = {}     # see p1._base_product
-        if backend.kind == quiver.KIND_P1:
-            self._local = _loop_delegate(self, bounds)
-        else:
-            self._local = None
+        # on p1, the backend of the per-point loop fits (`_interpolate`)
+        self._loop = (quiver.builtin_backend("loop")
+                      if backend.kind == quiver.KIND_P1 else None)
 
     # -- Euler constants: torus fixed points --------------------------------
 
@@ -262,39 +264,27 @@ class HallEngine:
     def cells(self, target):
         """Every nonzero constant of `target`, as {(sub, quot): chi}.
 
-        The target is the direct sum of its blocks, and its cells are
-        `merge_cells` of theirs.  On a quiver backend a block is one
-        summand, whose splits are the successor-closed subsets of its
-        coefficient quiver.  On p1 a block is the part of the target at
-        one support point: its splits are the loop delegate's cells of that
-        part, relabelled to the point, and the dimension bound applies to
-        each point in the delegate."""
+        The target is the direct sum of its summands, and its cells are
+        `merge_cells` of theirs: a summand's splits are the successor-closed
+        subsets of its coefficient quiver (`_summand_splits`).  A p1 block
+        T(x,h) splits as the Jordan block J_h does, into T(x,k) / T(x,h-k).
+        The dimension bound applies to the target's total dimension, on p1
+        its total degree."""
         hit = self._cells.get(target)
         if hit is not None:
             return hit
         b = self.backend
         if b.kind == quiver.KIND_P1:
             _require_torsion(target)
-            loop = self._local
-
-            def at(x, cls):
-                return tuple(("t", x, l[1]) for l in cls)
-            blocks = [{(at(x, s), at(x, q)): c for (s, q), c in
-                       loop.cells(_local_class(loop.backend, target, x)).items()}
-                      for x in sorted({l[1] for l in target})]
-        else:
-            self.bounds.check_dim(quiver.class_total_dim(b, target))
-            splits = {l: _summand_splits(b, l) for l in set(target)}
-            blocks = [splits[l] for l in target]
-        self._cells[target] = out = merge_cells(b, blocks)
+        self.bounds.check_dim(quiver.class_total_dim(b, target))
+        splits = {l: _summand_splits(b, l) for l in set(target)}
+        self._cells[target] = out = merge_cells(b, [splits[l] for l in target])
         return out
 
     # -- Hall polynomials: F_q counting ---------------------------------------
 
     def hall_polynomial(self, sub, quot, target):
         """Counting polynomial of the (sub, quot) cell of `target`."""
-        if self.backend.kind == quiver.KIND_P1:
-            return self._p1_polynomial(sub, quot, target)
         key = self.cache.key(sub, quot, target)
         hit = self.cache.get(key)
         if hit is not None:
@@ -304,11 +294,32 @@ class HallEngine:
         return poly
 
     def _interpolate(self, sub, quot, target):
+        """The fitted counting polynomial of one cell.  On p1 a count is the
+        product of the loop-backend counts at each support point, and so is
+        the polynomial: the loop fits are multiplied, and a zero fit makes
+        the product zero."""
+        b = self.backend
+        if b.kind != quiver.KIND_P1:
+            return self._fit(b, sub, quot, target)
+        _require_torsion(sub, quot, target)
+        self.bounds.check_dim(quiver.class_total_dim(b, target))
+        loop = self._loop
+        coeffs = (1,)
+        for x in sorted({l[1] for cls in (sub, quot, target) for l in cls}):
+            local = [quiver.make_class(loop, [("j", l[2]) for l in cls if l[1] == x])
+                     for cls in (sub, quot, target)]
+            p = self._fit(loop, *local)
+            if not any(p.coeffs):
+                return p
+            coeffs = _poly_mul(coeffs, p.coeffs)
+        return HallPolynomial(coeffs)
+
+    def _fit(self, backend, sub, quot, target):
         schedule = prime_powers(self.bounds.max_q)
         samples = []
         for i, q in enumerate(schedule):
             samples.append((q, counting.count_points(
-                self.backend, sub, quot, target, q, self.bounds, self._surveys)))
+                backend, sub, quot, target, q, self.bounds, self._surveys)))
             if i == 0:
                 continue
             coeffs = fit_polynomial(samples[:-1])
@@ -318,37 +329,10 @@ class HallEngine:
             if cand.evaluate(samples[-1][0]) == samples[-1][1]:
                 return cand
         raise NonPolynomialCountError(
-            f"counts for {quiver.class_name(self.backend, target)} cell "
-            f"({quiver.class_name(self.backend, sub)}, "
-            f"{quiver.class_name(self.backend, quot)}) did not stabilize "
+            f"counts for {quiver.class_name(backend, target)} cell "
+            f"({quiver.class_name(backend, sub)}, "
+            f"{quiver.class_name(backend, quot)}) did not stabilize "
             f"within q <= {self.bounds.max_q}")
-
-    # -- p1 backend: Hall polynomials factor over support points ------------
-
-    def _p1_local_cells(self, sub, quot, target):
-        """The loop-backend (sub, quot, target) at each support point."""
-        points = sorted({l[1] for l in target} | {l[1] for l in sub}
-                        | {l[1] for l in quot})
-        lb = self._local.backend
-        return [tuple(_local_class(lb, cls, x) for cls in (sub, quot, target))
-                for x in points]
-
-    def _p1_polynomial(self, sub, quot, target):
-        _require_torsion(sub, quot, target)
-        key = self.cache.key(sub, quot, target)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        coeffs = (1,)
-        for cell in self._p1_local_cells(sub, quot, target):
-            p = self._local.hall_polynomial(*cell)
-            coeffs = _poly_mul(coeffs, p.coeffs)
-            if coeffs == (0,) or not coeffs:
-                coeffs = (0,)
-                break
-        poly = HallPolynomial(tuple(coeffs))
-        self.cache.put(key, poly)
-        return poly
 
     # -- support enumeration -------------------------------------------------
 
@@ -390,8 +374,6 @@ def merge_cells(backend, blocks):
 
 
 def _poly_mul(a, b):
-    if not a or not b:
-        return (0,)
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -403,10 +385,10 @@ def _poly_mul(a, b):
 def _summand_splits(backend, label):
     """Counter of (sub labels, quot labels) over the successor-closed
     subsets of one indecomposable's coefficient quiver."""
-    if label[0] == "j":
-        h = label[1]
-        return Counter(((("j", k),) if k else (), (("j", h - k),) if k < h else ())
-                       for k in range(h + 1))
+    if label[0] in ("j", "t"):     # J_h, or T(x,h) on p1: a chain of h
+        h, block = label[-1], label[:-1]
+        return Counter(((block + (k,),) if k else (),
+                        (block + (h - k,),) if k < h else ()) for k in range(h + 1))
     _, a, b = label
     # edge (v, v+1) of the path: does its arrow point towards v+1?
     forward = {min(ar.src, ar.tgt): ar.src < ar.tgt for ar in backend.arrows}
@@ -444,31 +426,3 @@ def _require_torsion(*classes):
             if l[0] != "t":
                 raise CapabilityError(
                     "products are defined for torsion classes only")
-
-
-def _local_class(loop_backend, cls, point):
-    return quiver.make_class(loop_backend,
-                             [("j", l[2]) for l in cls if l[1] == point])
-
-
-def _loop_delegate(engine, bounds):
-    loop = quiver.builtin_backend("loop")
-    return HallEngine(loop, bounds, cache=_ScopedCache(engine.cache, loop))
-
-
-class _ScopedCache:
-    """View of a host cache that namespaces keys for the p1 backend's
-    internal loop-quiver computations."""
-
-    def __init__(self, host, loop_backend):
-        self.host = host
-        self.backend = loop_backend
-
-    def key(self, sub, quot, target):
-        return "local:" + HallCache.key(self, sub, quot, target)
-
-    def get(self, key):
-        return self.host.get(key)
-
-    def put(self, key, poly):
-        self.host.put(key, poly)

@@ -133,16 +133,22 @@ def _check_type_a(vertices, arrows):
 
 
 def backend_from_json(data, *, source="<backend>"):
+    """The `Backend` of a JSON definition: a string name, a kind, a list of
+    vertex names and a list of arrow objects; anything else is a
+    ValueError naming `source`."""
     try:
-        name = data["name"]
-        kind = data["kind"]
-        vnames = tuple(data["vertices"])
+        name, kind, vnames, arrs = (data[k] for k in ("name", "kind", "vertices", "arrows"))
+        if not isinstance(name, str):
+            raise TypeError(f"name {name!r} is not a string")
+        if not isinstance(vnames, list) or not all(isinstance(v, str) for v in vnames):
+            raise TypeError(f"vertices {vnames!r} are not a list of names")
+        if not isinstance(arrs, list) or not all(isinstance(a, dict) for a in arrs):
+            raise TypeError(f"arrows {arrs!r} are not a list of arrow objects")
         idx = {v: i for i, v in enumerate(vnames)}
-        arrows = tuple(Arrow(a["id"], idx[a["src"]], idx[a["tgt"]])
-                       for a in data["arrows"])
+        arrows = tuple(Arrow(a["id"], idx[a["src"]], idx[a["tgt"]]) for a in arrs)
     except (KeyError, TypeError) as e:
         raise ValueError(f"{source}: malformed backend definition ({e})") from e
-    return Backend(name, kind, vnames, arrows)
+    return Backend(name, kind, tuple(vnames), arrows)
 
 
 def _builtin(name):
@@ -522,8 +528,10 @@ def decompose(backend, rep):
     """Krull-Schmidt decomposition of a matrix representation.
 
     Solves the multiplicity system  dim Hom(I, rep) = sum_J mult_J * dim
-    Hom(I, J)  over all indecomposables I fitting inside dim(rep); the
-    system is unitriangular in the canonical label order.
+    Hom(I, J)  over all indecomposables I fitting inside dim(rep).  The
+    system is not triangular in the canonical label order: on a2, in the
+    order S2, S1, P12, Hom(S2, P12) = 1 lies above the diagonal and
+    Hom(P12, S1) = 1 below it, which is why `_solve_multiplicities` pivots.
     """
     if backend.kind == KIND_LOOP and rep.dims[0]:
         if not _is_nilpotent(rep.mats[0], rep.dims[0], rep.q):

@@ -18,7 +18,7 @@ from . import algebra as alg
 from . import coalgebra as co
 from . import pbw, quiver
 from .errors import CapabilityError
-from .hall import merge_cells
+from .hall import HallEngine, merge_cells
 from .p1sets import P1Set, chi_na
 
 
@@ -378,7 +378,7 @@ def suite_euler_axioms(engine=None, npairs=100, seed=0xE01):
                         [alg.make_stratum(engine.backend, [(O2, 1)])]))
         res.add("1_O1 * 1_O1 = 2.1_(O1+O1) + 1_O2",
                 alg.equal(engine.backend, prod, expected))
-        loop_engine = engine._local
+        loop_engine = HallEngine(quiver.builtin_backend("loop"))
         lb = loop_engine.backend
         j1 = quiver.make_class(lb, [("j", 1)])
         lv2 = loop_engine.euler_constant(j1, j1, quiver.make_class(

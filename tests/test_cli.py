@@ -159,6 +159,49 @@ def test_p1_malformed_families_are_refused(tmp_path, families, message):
     assert message in r.stderr and "Traceback" not in r.stderr
 
 
+FAMILY_N = [{"name": "N", "degree": 1, "base": {"kind": "finite", "points": ["x"]}}]
+A2 = {"name": "a2", "kind": "dynkin-quiver", "vertices": ["1", "2"],
+      "arrows": [{"id": "a", "src": "1", "tgt": "2"}]}
+LOOP = {"name": "loop", "kind": "loop-nilpotent", "vertices": ["*"],
+        "arrows": [{"id": "x", "src": "*", "tgt": "*"}]}
+
+
+@pytest.mark.parametrize("data,args", [
+    (A2, ("mul", "N", "N")), (A2, ("power", "N", "2")), (A2, ("comul", "N")),
+    (LOOP, ("mul", "N", "N"))], ids=["a2-mul", "a2-power", "a2-comul", "loop-mul"])
+def test_families_are_refused_off_p1(tmp_path, data, args):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps(dict(data, families=FAMILY_N)))
+    r = run("--backend", str(path), *args)
+    assert r.exit_code == 2 and r.stdout == ""
+    assert (f"'families' are declared on p1-torsion backends only, "
+            f"not on {data['kind']}") in r.stderr
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"vertices": "12"}, "vertices '12' are not a list of names"),
+    ({"vertices": ["1", 2], "arrows": [{"id": "a", "src": "1", "tgt": 2}]},
+     "vertices ['1', 2] are not a list of names"),
+    ({"name": ["a2"]}, "name ['a2'] is not a string"),
+    ({"arrows": ["a"]}, "arrows ['a'] are not a list of arrow objects"),
+], ids=["vertices-string", "vertex-not-name", "name-not-string", "arrow-not-object"])
+def test_malformed_backend_definitions_are_refused(tmp_path, change, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(A2, **change)))
+    r = run("--backend", str(path), "indecomposables")
+    assert r.exit_code == 2 and r.stdout == ""
+    assert message in r.stderr and "Traceback" not in r.stderr
+
+
+def test_p1_target_beyond_the_degree_bound_exits_3():
+    for args in (("power", "O1", "7"), ("mul", "[T(x,3)]", "[T(x,4)]")):
+        r = run("--backend", "p1", *args)
+        assert r.exit_code == 3 and r.stdout == ""
+        assert r.stderr == ('{"error": "resource-limit", "message": "target '
+                            'dimension 7 exceeds bound 6", "limit": 6, '
+                            '"requested": 7}\n')
+
+
 def test_resource_error_is_machine_readable():
     r = run("--backend", "loop", "--dim", "2", "mul", "[J2]", "[J2]")
     assert r.exit_code == 3
@@ -463,6 +506,30 @@ GOLDEN = [
      '"degree":2},1]]]}},{"coeff":"2",'
      '"set":{"strata":[[[{"base":{"kind":"cofinite","points":[]},'
      '"degree":1},2]]]}}]}\n'),
+    (('--backend', 'p1', '--json', 'power', 'O1', '4'),
+     '{"backend":"p1","terms":[{"coeff":"1","set":{"strata":[[[{"base":'
+     '{"kind":"cofinite","points":[]},"degree":4},1]]]}},{"coeff":"4",'
+     '"set":{"strata":[[[{"base":{"kind":"cofinite","points":[]},'
+     '"degree":1},1],[{"base":{"kind":"cofinite","points":[]},"degree":3},'
+     '1]]]}},{"coeff":"6","set":{"strata":[[[{"base":{"kind":"cofinite",'
+     '"points":[]},"degree":2},2]]]}},{"coeff":"12","set":{"strata":[[[{'
+     '"base":{"kind":"cofinite","points":[]},"degree":1},2],[{"base":{'
+     '"kind":"cofinite","points":[]},"degree":2},1]]]}},{"coeff":"24",'
+     '"set":{"strata":[[[{"base":{"kind":"cofinite","points":[]},'
+     '"degree":1},4]]]}}]}\n'),
+    (('--backend', 'p1', '--json', 'mul', '[T(x,1)+T(y,2)]', '[T(x,2)]'),
+     '{"backend":"p1","terms":[{"coeff":"1","set":{"strata":[[[{"base":'
+     '{"kind":"finite","points":["y"]},"degree":2},1],[{"base":{"kind":'
+     '"finite","points":["x"]},"degree":3},1]]]}},{"coeff":"1","set":'
+     '{"strata":[[[{"base":{"kind":"finite","points":["x"]},"degree":1},'
+     '1],[{"base":{"kind":"finite","points":["x"]},"degree":2},1],[{"base":'
+     '{"kind":"finite","points":["y"]},"degree":2},1]]]}}]}\n'),
+    (('--backend', 'p1', '--json', 'comul', 'O2'),
+     '{"backend":"p1","terms":[{"coeff":"1","left":{"strata":[[]]},'
+     '"right":{"strata":[[[{"base":{"kind":"cofinite","points":[]},'
+     '"degree":2},1]]]}},{"coeff":"1","left":{"strata":[[[{"base":{"kind":'
+     '"cofinite","points":[]},"degree":2},1]]]},"right":{"strata":[[]]}}]}\n'),
+    (('--backend', 'p1', 'bracket', 'O1', 'O2'), '0\n'),
 ]
 
 

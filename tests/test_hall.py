@@ -197,18 +197,44 @@ def test_euler_constant_bound_and_chi_entry(loop):
     assert engine.cache.entries == {}
 
 
-def test_scoped_cache_keeps_constants_apart_from_polynomials(p1b):
-    # a fresh engine: the constant is read off `cells` and stores nothing;
-    # the loop delegate's polynomial goes to the host cache under "local:"
+def test_p1_polynomial_is_cached_under_its_p1_key_only(p1b):
+    # the constant is read off `cells` and stores nothing; the polynomial
+    # is stored under its p1 key, its loop factors nowhere.  A per-point
+    # entry an older version wrote goes unread (its value is wrong on
+    # purpose, so a read would show)
     p1_engine = HallEngine(p1b)
-    local = p1_engine._local
-    lb = local.backend
-    j1 = parse_class(lb, "[J1]")
-    target = parse_class(lb, "[J1+J1]")
-    assert local.cache.host is p1_engine.cache
-    assert local.euler_constant(j1, j1, target) == 2
-    assert local.hall_polynomial(j1, j1, target).coeffs == (1, 1)
-    assert p1_engine.cache.entries == {"local:[J1]|[J1]|[J1+J1]": [1, 1]}
+    old = {"local:[J1]|[J1]|[J1+J1]": [9]}
+    p1_engine.cache.entries = dict(old)
+    t1 = make_class(p1b, [("t", "x", 1)])
+    target = make_class(p1b, [("t", "x", 1), ("t", "x", 1)])
+    assert p1_engine.euler_constant(t1, t1, target) == 2
+    assert p1_engine.cache.entries == old
+    assert p1_engine.hall_polynomial(t1, t1, target).coeffs == (1, 1)
+    assert p1_engine.cache.entries == {
+        **old, "[T(x,1)]|[T(x,1)]|[T(x,1)+T(x,1)]": [1, 1]}
+
+
+def test_p1_target_is_bounded_by_its_total_degree(p1b):
+    # degree 4 at x and 3 at y: each point is within the bound, the total is not
+    engine = HallEngine(p1b)
+    t1 = make_class(p1b, [("t", "x", 1)])
+    target = parse_class(p1b, "[T(x,4)+T(y,3)]")
+    for call in (engine.cells, lambda y: engine.euler_constant(t1, t1, y),
+                 lambda y: engine.hall_polynomial(t1, t1, y)):
+        with pytest.raises(ResourceLimitError) as e:
+            call(target)
+        assert (e.value.limit, e.value.requested) == (6, 7)
+    assert engine.cache.entries == {} and engine._cells == {}
+
+
+def test_zero_p1_polynomial_is_canonical(p1b):
+    # the loop factor at y is zero: the product is the zero polynomial (0,)
+    engine = HallEngine(p1b)
+    sub, quot, target = (parse_class(p1b, t) for t in (
+        "[T(x,1)+T(y,1)+T(y,1)]", "[T(x,1)]", "[T(x,1)+T(x,1)+T(y,2)]"))
+    p = engine.hall_polynomial(sub, quot, target)
+    assert p.coeffs == (0,) and p.degree == 0
+    assert list(engine.cache.entries.values()) == [[0]]
 
 
 @pytest.mark.parametrize("name,dim", [("a2", 4), ("a3", 4), ("a3-sink", 4),

@@ -104,10 +104,10 @@ def test_family_product_mixed_degrees(p1_engine):
     assert alg.equal(b, prod, expected)
 
 
-def test_fibration_consistency_with_loop(p1_engine):
+def test_fibration_consistency_with_loop(p1_engine, loop_engine):
     # evaluating the family product at any point reproduces the loop result
     b = p1_engine.backend
-    loop = p1_engine._local
+    loop = loop_engine
     lb = loop.backend
     f2 = one_family(b, fam_all(2))
     prod = alg.convolve(p1_engine, f2, f2)
@@ -138,9 +138,9 @@ def test_family_products_are_stratified_ks(p1_engine):
         alg.make_stratum(b, [(fam_all(1), 1)]),)
 
 
-def test_green_and_bialgebra_match_pointwise_on_finite_bases(p1_engine):
+def test_green_and_bialgebra_match_pointwise_on_finite_bases(p1_engine, loop_engine):
     b = p1_engine.backend
-    loop = p1_engine._local
+    loop = loop_engine
     lb = loop.backend
     fx = fam_at(1, ["x", "y"])
     o1 = alg.ConstructibleSet((alg.make_stratum(b, [(fx, 1)]),))
@@ -223,8 +223,8 @@ def test_family_product_splits_by_support_point(p1_engine):
 
 
 def test_cells_match_the_fq_route_on_two_points(p1_engine):
-    # cells splits a target by support point; the F_q route multiplies the
-    # loop Hall polynomials of each point
+    # cells merges the splits of each block; the F_q route multiplies the
+    # loop Hall polynomials of each support point
     b = p1_engine.backend
     pts = ["x", "y"]
     checked = 0
@@ -255,8 +255,7 @@ def test_torsion_labels_need_a_point_and_positive_degree(p1b):
 
 def test_family_product_caches_only_nonzero_local_constants(p1b):
     engine = HallEngine(p1b)
-    loop = engine._local
     f = one_family(p1b, fam_all(1))
     assert alg.convolve(engine, f, f).terms
-    # the local constants are read off the loop cells: nothing is cached
-    assert engine.cache.entries == {} and loop.cache.host is engine.cache
+    # the local constants are read off the cells: nothing is cached
+    assert engine.cache.entries == {}
