@@ -16,7 +16,8 @@ The tests verify this against two-sided enumeration at small dims.
 This module keeps no state.  Histograms are memoized by the caller: each
 `HallEngine` owns a `_surveys` dict, keyed by (target, q), that it passes
 to `count_points`, so the memo is freed with the engine and never shared
-between two backend definitions.
+between two backend definitions.  Only the F_q route loads this module
+(`HallEngine._fit` imports it), and `Bounds` is `quiver.Bounds`.
 """
 
 from collections import defaultdict
@@ -25,26 +26,7 @@ from . import linalg, quiver
 from .errors import CapabilityError, ResourceLimitError
 from .gf import field
 
-
-class Bounds(quiver.ReadOnly):
-    """Resource limits (configuration, not constants): max_dim bounds the
-    target of every constant, max_q the fields the F_q route samples."""
-    __slots__ = ("max_dim", "max_q")
-
-    def __init__(self, max_dim=6, max_q=13):
-        object.__setattr__(self, "max_dim", max_dim)
-        object.__setattr__(self, "max_q", max_q)
-
-    def check_dim(self, n):
-        """Raise ResourceLimitError when a target of total dimension n
-        exceeds max_dim."""
-        if n > self.max_dim:
-            raise ResourceLimitError(
-                f"target dimension {n} exceeds bound {self.max_dim}",
-                limit=self.max_dim, requested=n)
-
-
-DEFAULT_BOUNDS = Bounds()
+Bounds, DEFAULT_BOUNDS = quiver.Bounds, quiver.DEFAULT_BOUNDS  # the same objects
 
 
 class SubrepHistogram:

@@ -23,7 +23,8 @@ is the same constant, which the `routes` verify suite checks cell by cell.
 On p1 a count is the product of the loop-backend counts at each support
 point, and the polynomial is the product of the per-point loop fits.
 Only Hall polynomials go to the versioned JSON cache: a constant is cheaper
-to read off `cells` than to look up there.
+to read off `cells` than to look up there.  `_fit` alone imports `counting`
+and `linalg`: a process that only reads `cells` never loads the F_q route.
 
 Each `HallEngine` also keeps five memos, created in `__init__` and freed
 with it, all keyed by classes (or p1 bases and atom strata) of its own
@@ -49,7 +50,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
-from . import counting, quiver
+from . import quiver
 from .errors import (BackendMismatchError, CacheCollisionError, CacheFormatError,
                      CapabilityError, NonPolynomialCountError)
 from .gf import prime_powers
@@ -225,7 +226,7 @@ class HallCache:
 class HallEngine:
     """Structure constants for one backend, with caching and bounds."""
 
-    def __init__(self, backend, bounds=counting.DEFAULT_BOUNDS, cache=None):
+    def __init__(self, backend, bounds=quiver.DEFAULT_BOUNDS, cache=None):
         self.backend = backend
         self.bounds = bounds
         self.cache = cache if cache is not None else HallCache(backend)
@@ -315,6 +316,7 @@ class HallEngine:
         return HallPolynomial(coeffs)
 
     def _fit(self, backend, sub, quot, target):
+        from . import counting
         schedule = prime_powers(self.bounds.max_q)
         samples = []
         for i, q in enumerate(schedule):
@@ -348,6 +350,7 @@ class HallEngine:
     def classes_with_dim(self, dims, gmax):
         """`quiver.classes_with_dim(backend, dims, gmax)`, memoized."""
         if (dims, gmax) not in self._classes:
+            self.bounds.check_dim(sum(dims))  # before listing every class of dims
             self._classes[dims, gmax] = quiver.classes_with_dim(
                 self.backend, dims, gmax)
         return self._classes[dims, gmax]

@@ -161,7 +161,7 @@ def _base_product(engine, base, degs_a, degs_b):
     hit = memo.get(key)
     if hit is not None:
         return hit
-    total = sum(degs_a) + sum(degs_b)
+    engine.bounds.check_dim(total := sum(degs_a) + sum(degs_b))  # before any shape
     gmax = len(degs_a) + len(degs_b)
     out = {}
     if total == 0:

@@ -19,8 +19,8 @@ from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
-from . import linalg
-from .errors import BackendMismatchError, CapabilityError, InternalInvariantError
+from .errors import (BackendMismatchError, CapabilityError, InternalInvariantError,
+                     ResourceLimitError)
 from .gf import field
 
 KIND_DYNKIN = "dynkin-quiver"
@@ -52,6 +52,27 @@ class ReadOnly:
     def __repr__(self):
         fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f != "__dict__")
         return f"{type(self).__name__}({', '.join(fields)})"
+
+
+class Bounds(ReadOnly):
+    """Resource limits (configuration, not constants): max_dim bounds the
+    target of every constant, max_q the fields the F_q route samples."""
+    __slots__ = ("max_dim", "max_q")
+
+    def __init__(self, max_dim=6, max_q=13):
+        object.__setattr__(self, "max_dim", max_dim)
+        object.__setattr__(self, "max_q", max_q)
+
+    def check_dim(self, n):
+        """Raise ResourceLimitError when a target of total dimension n
+        exceeds max_dim."""
+        if n > self.max_dim:
+            raise ResourceLimitError(
+                f"target dimension {n} exceeds bound {self.max_dim}",
+                limit=self.max_dim, requested=n)
+
+
+DEFAULT_BOUNDS = Bounds()
 
 
 class Arrow(ReadOnly):
@@ -146,9 +167,9 @@ def backend_from_json(data, *, source="<backend>"):
             raise TypeError(f"arrows {arrs!r} are not a list of arrow objects")
         idx = {v: i for i, v in enumerate(vnames)}
         arrows = tuple(Arrow(a["id"], idx[a["src"]], idx[a["tgt"]]) for a in arrs)
+        return Backend(name, kind, tuple(vnames), arrows)  # TypeError: an unhashable id
     except (KeyError, TypeError) as e:
         raise ValueError(f"{source}: malformed backend definition ({e})") from e
-    return Backend(name, kind, tuple(vnames), arrows)
 
 
 def _builtin(name):
@@ -169,6 +190,8 @@ def load_backend(path_or_name):
     if p.suffix == ".json" or p.exists():
         try:
             data = json.loads(p.read_text())
+        except OSError as e:
+            raise ValueError(f"{path_or_name}: {e.strerror}") from e
         except json.JSONDecodeError as e:
             raise ValueError(f"{path_or_name}:{e.lineno}:{e.colno}: {e.msg}") from e
         return backend_from_json(data, source=str(path_or_name)), data
@@ -481,6 +504,7 @@ def realize_class(backend, cls, q):
 def hom_dim(backend, m, n):
     """dim_Fq Hom(M, N): nullity of the intertwining system
     phi_tgt . M_rho = N_rho . phi_src over all arrows."""
+    from . import linalg  # the F_q route only
     if m.q != n.q:
         raise BackendMismatchError("matrix reps over different fields")
     K = field(m.q)
@@ -583,6 +607,7 @@ def _solve_multiplicities(backend, labels, profile, q):
 
 
 def _is_nilpotent(mat, d, q):
+    from . import linalg
     K = field(q)
     vecs = [bytes(1 if j == i else 0 for j in range(d)) for i in range(d)]
     for _ in range(d):

@@ -16,7 +16,7 @@ from itertools import product as iproduct
 
 from . import algebra as alg
 from . import coalgebra as co
-from . import pbw, quiver
+from . import quiver
 from .errors import CapabilityError
 from .hall import HallEngine, merge_cells
 from .p1sets import P1Set, chi_na
@@ -214,6 +214,7 @@ def suite_riedtmann(engine, dim):
 
 def suite_pbw(engine, gamma):
     """Filtered-isomorphism certificate on the default family window."""
+    from . import pbw
     backend = engine.backend
     res = SuiteResult("pbw", True)
     report = pbw.certify_truncation(engine, default_pbw_families(backend), gamma)

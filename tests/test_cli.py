@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import hallforge
-from hallforge import hall, quiver
+from hallforge import hall, quiver, verify
 from hallforge.cli import main
 
 
@@ -200,6 +201,70 @@ def test_p1_target_beyond_the_degree_bound_exits_3():
         assert r.stderr == ('{"error": "resource-limit", "message": "target '
                             'dimension 7 exceeds bound 6", "limit": 6, '
                             '"requested": 7}\n')
+
+
+def test_comul_is_bounded_by_dim():
+    # Delta(1_[Y]) has a term per split of Y, 2^summands of them
+    for backend, operand, n in (("loop", "[J1+J2+J3]", 6), ("a3", "[S1+P12+P23]", 5),
+                                ("p1", "[T(x,1)+T(y,2)+T(z,3)]", 6),
+                                ("p1", "[O(1)+O(2)+O(3)+O(4)+O(-5)]", 5)):
+        r = run("--backend", backend, "--dim", "4", "--json", "comul", operand)
+        assert r.exit_code == 3 and r.stdout == ""
+        assert r.stderr == ('{"error": "resource-limit", "message": "target '
+                            f'dimension {n} exceeds bound 4", "limit": 4, '
+                            f'"requested": {n}}}\n')
+    r = run("--backend", "loop", "--json", "comul", "[J1+J1]")
+    assert r.exit_code == 0
+    assert r.stdout == (
+        '{"backend":"loop","terms":[{"coeff":"1","left":{"strata":[[]]},'
+        '"right":{"strata":[[[{"labels":["J1"]},2]]]}},{"coeff":"1","left":'
+        '{"strata":[[[{"labels":["J1"]},1]]]},"right":{"strata":[[[{"labels":'
+        '["J1"]},1]]]}},{"coeff":"1","left":{"strata":[[[{"labels":["J1"]},2]]]},'
+        '"right":{"strata":[[]]}}]}\n')
+    r = run("--backend", "loop", "--dim", "2", "comul", "[J1+J1]")
+    assert r.exit_code == 0
+    assert r.stdout == ("(1) * 1_{[0]} (x) 1_{2.{J1}}\n(1) * 1_{{J1}} (x) 1_{{J1}}\n"
+                        "(1) * 1_{2.{J1}} (x) 1_{[0]}\n")
+
+
+def test_products_above_dim_exit_3_before_listing_targets():
+    # a huge operand exits at once instead of listing every class of its
+    # dimension (loop) or every collision shape of its degree (p1)
+    for backend, args in (("loop", ("mul", "[J99999999999]", "[J1]")),
+                          ("loop", ("power", "[J99999999999]", "2")),
+                          ("p1", ("mul", "[T(x,99999999999)]", "O1"))):
+        r = run("--backend", backend, *args)
+        assert r.exit_code == 3 and r.stdout == ""
+        assert json.loads(r.stderr)["requested"] >= 99999999999
+
+
+VERIFY_USAGE = ("Usage: hallforge verify [OPTIONS] {assoc|lie-\n"
+                "                        closure|riedtmann|pbw|green|bialgebra|euler-\n"
+                "                        axioms|routes}\n")
+
+
+def test_verify_help_and_unknown_suite_are_pinned():
+    def invoke(*args):
+        return CliRunner().invoke(main, ["--backend", "a2", "verify", *args],
+                                  prog_name="hallforge", terminal_width=80)
+    r = invoke("--help")
+    assert r.exit_code == 0
+    assert r.stdout == (VERIFY_USAGE + "\n  Run a named invariant suite; exit 0 only "
+                        "if every check passes.\n\nOptions:\n  --help  Show this "
+                        "message and exit.\n")
+    r = invoke("nope")
+    assert r.exit_code == 2 and r.stdout == ""
+    assert r.stderr == (VERIFY_USAGE + "Try 'hallforge verify --help' for help.\n\n"
+                        "Error: Invalid value for '{assoc|lie-closure|riedtmann|pbw|"
+                        "green|bialgebra|euler-axioms|routes}': 'nope' is not one of "
+                        "'assoc', 'lie-closure', 'riedtmann', 'pbw', 'green', "
+                        "'bialgebra', 'euler-axioms', 'routes'.\n")
+
+
+def test_suite_choices_are_the_verify_suites():
+    # the CLI names the suites before it loads verify
+    suite = next(p for p in main.commands["verify"].params if p.name == "suite")
+    assert tuple(suite.type.choices) == tuple(verify.SUITES)
 
 
 def test_resource_error_is_machine_readable():
@@ -538,3 +603,172 @@ def test_golden_stdout(args, want):
     r = run(*args)
     assert r.exit_code == 0
     assert r.stdout == want
+
+
+# Malformed input, generated: each case exits 2 (usage) or 1 (a library
+# error) with a message on stderr.  The runner re-raises any exception
+# that is not SystemExit, so a traceback fails the test, and so would a
+# deferred import that raised NameError or ImportError.
+PROPS = settings(derandomize=True, max_examples=80, deadline=None)
+JSON = st.recursive(st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+                    | st.text(max_size=4),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                    max_leaves=6)
+BUILTIN = {n: quiver.builtin_backend(n).to_json() for n in ("a2", "loop", "p1")}
+
+
+def refused(*args):
+    r = CliRunner().invoke(main, list(args), catch_exceptions=False)
+    assert r.exit_code in (1, 2), (args, r.exit_code, r.stdout)
+    assert r.stdout == "" and r.stderr and "Traceback" not in r.stderr
+    return r
+
+
+def not_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _complete_arrows(v):
+    return isinstance(v, list) and all(
+        isinstance(a, dict) and {"id", "src", "tgt"} <= a.keys() for a in v)
+
+
+WRONG_FIELD = {
+    "name": JSON.filter(lambda v: not isinstance(v, str)),
+    "kind": JSON.filter(lambda v: v not in (quiver.KIND_DYNKIN, quiver.KIND_LOOP,
+                                            quiver.KIND_P1)),
+    "vertices": JSON.filter(lambda v: not isinstance(v, list)
+                            or not all(isinstance(x, str) for x in v)),
+    "arrows": JSON.filter(lambda v: not _complete_arrows(v)),
+}
+
+
+@st.composite
+def malformed_backends(draw):
+    """The text of a backend file that is not a backend definition."""
+    how = draw(st.sampled_from(["text", "not-object", "missing", "field", "arrow-id"]))
+    if how == "text":
+        return draw(st.text(max_size=20).filter(not_json))
+    if how == "not-object":
+        return json.dumps(draw(JSON.filter(lambda v: not isinstance(v, dict))))
+    data = dict(BUILTIN[draw(st.sampled_from(["a2", "loop"]))])
+    if how == "missing":
+        del data[draw(st.sampled_from(sorted(WRONG_FIELD)))]
+    elif how == "field":
+        key = draw(st.sampled_from(sorted(WRONG_FIELD)))
+        data[key] = draw(WRONG_FIELD[key])
+    else:  # an arrow id that cannot be hashed
+        arrow = dict(data["arrows"][0], id=draw(st.lists(JSON, max_size=2)
+                                                 | st.dictionaries(st.text(max_size=2), JSON)))
+        data["arrows"] = [arrow]
+    return json.dumps(data)
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("malformed")
+
+
+@PROPS
+@given(text=malformed_backends())
+def test_malformed_backend_files_exit_2(scratch, text):
+    path = scratch / "backend.json"
+    path.write_text(text)
+    r = refused("--backend", str(path), "mul", "[0]", "[0]")
+    assert r.exit_code == 2
+
+
+def test_unreadable_backend_files_exit_2(tmp_path):
+    for path, reason in ((tmp_path / "missing.json", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        r = refused("--backend", str(path), "indecomposables")
+        assert r.exit_code == 2 and f"{path}: {reason}" in r.stderr
+
+
+OPERAND_CHARS = "[]+0123JSPOT(),xy -"
+
+
+@st.composite
+def malformed_operands(draw):
+    """An operand that is neither a bracketed class nor a family name: no
+    closing bracket, an empty summand, or no brackets at all."""
+    body = st.text(OPERAND_CHARS, max_size=8)
+    how = draw(st.sampled_from(["unclosed", "empty-summand", "unbracketed"]))
+    if how == "unclosed":
+        return "[" + draw(body.filter(lambda t: not t.strip().endswith("]")))
+    if how == "empty-summand":
+        return "[" + draw(body) + "+ +" + draw(body) + "]"
+    return draw(st.text(OPERAND_CHARS, max_size=8).filter(
+        lambda t: not t.strip().startswith("[") and t.strip() not in ("O1", "O2", "O3")))
+
+
+@PROPS
+@given(backend=st.sampled_from(["a2", "a3", "loop", "p1"]), operand=malformed_operands(),
+       command=st.sampled_from(["mul", "bracket", "comul", "power"]))
+def test_malformed_operands_exit_2(backend, operand, command):
+    args = {"mul": [operand, "[0]"], "bracket": ["[0]", operand], "comul": [operand],
+            "power": [operand, "2"]}[command]
+    assert refused("--backend", backend, command, *args).exit_code == 2
+
+
+@PROPS
+@given(backend=st.sampled_from(["a2", "a3", "loop", "p1"]),
+       operand=st.text(OPERAND_CHARS, max_size=10),
+       command=st.sampled_from(["mul", "comul", "power"]), exponent=st.integers(-1, 3))
+def test_any_operand_text_exits_cleanly(backend, operand, command, exponent):
+    # valid classes among these run (exit 0) or pass --dim (exit 3)
+    args = {"mul": [operand, operand], "comul": [operand],
+            "power": [operand, str(exponent)]}[command]
+    r = CliRunner().invoke(main, ["--backend", backend, command, *args],
+                           catch_exceptions=False)
+    assert r.exit_code in (0, 1, 2, 3)
+    assert "Traceback" not in r.stderr and bool(r.stderr) == (r.exit_code != 0)
+
+
+@st.composite
+def malformed_caches(draw):
+    """The text of a cache file whose version is right but whose content
+    is not a cache: not JSON, not an object, another backend, or a
+    corrupted entry."""
+    how = draw(st.sampled_from(["text", "not-object", "backend", "entries", "entry"]))
+    if how == "text":
+        return draw(st.text(max_size=20).filter(not_json))
+    if how == "not-object":
+        return json.dumps(draw(JSON.filter(lambda v: not isinstance(v, dict))))
+    data = {"version": hall.CACHE_VERSION, "backend": BUILTIN["loop"],
+            "entries": [{"key": "[J1]|[J1]|[J2]", "coeffs": [1]}]}
+    if how == "backend":
+        data["backend"] = draw(JSON.filter(lambda v: v != BUILTIN["loop"]))
+    elif how == "entries":
+        data["entries"] = draw(JSON.filter(lambda v: not isinstance(v, list)))
+    else:
+        entry = data["entries"][0]
+        field = draw(st.sampled_from(["key", "coeffs", "coeff", "whole"]))
+        if field == "key":
+            entry["key"] = draw(JSON.filter(lambda v: not isinstance(v, str)))
+        elif field == "coeffs":
+            entry["coeffs"] = draw(JSON.filter(lambda v: not isinstance(v, list)))
+        elif field == "coeff":
+            entry["coeffs"] = [draw(JSON.filter(lambda v: type(v) is not int))]
+        else:
+            data["entries"][0] = draw(JSON.filter(lambda v: not isinstance(v, dict)))
+    return json.dumps(data)
+
+
+@PROPS
+@given(text=malformed_caches(), command=st.sampled_from(["session", "import"]))
+def test_malformed_cache_files_exit_1(scratch, text, command):
+    bad = scratch / "cache.json"
+    bad.write_text(text)
+    if command == "session":
+        args = ["--cache", str(bad), "mul", "[J1]", "[J1]"]
+    else:
+        args = ["--cache", str(scratch / "session.json"), "cache", "import", str(bad)]
+    assert refused("--backend", "loop", *args).exit_code == 1
+    assert bad.read_text() == text
+    assert not (scratch / "session.json").exists()

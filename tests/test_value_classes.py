@@ -1,5 +1,6 @@
 """The value classes are plain read-only `__slots__` classes, so importing
-the library needs neither `dataclasses` nor `inspect`."""
+the library needs neither `dataclasses` nor `inspect`; and each CLI command
+loads only the library modules it runs."""
 
 import subprocess
 import sys
@@ -117,3 +118,37 @@ def test_library_import_loads_no_dataclasses_inspect_or_resources():
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == []
+
+
+# hallforge modules that a CLI command loads only when it runs them: the
+# F_q route (counting, linalg), the verify suites (verify, pbw), and the
+# comultiplication (coalgebra)
+DEFERRED = {"counting", "linalg", "verify", "pbw", "coalgebra"}
+
+
+@pytest.mark.parametrize("args,loads", [
+    (("--backend", "a3", "mul", "[S1]", "[S2]"), set()),
+    (("--backend", "a3", "bracket", "[S1]", "[S2]"), set()),
+    (("--backend", "a3", "power", "[S1]", "2"), set()),
+    (("--backend", "loop", "comul", "[J1+J1]"), {"coalgebra"}),
+    (("--backend", "a3", "cache", "stats"), set()),
+    (("--backend", "a3", "--dim", "4", "verify", "bialgebra"), {"coalgebra", "verify"}),
+], ids=["mul", "bracket", "power", "comul", "cache-stats", "verify-bialgebra"])
+def test_cli_command_loads_only_the_modules_it_runs(args, loads):
+    # a process per command: sys.modules keeps whatever an earlier one loaded
+    src = Path(hallforge.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from hallforge import cli\n"
+            "try:\n    cli.main(sys.argv[2:], prog_name='hallforge')\n"
+            "except SystemExit as e:\n    assert not e.code, e.code\n"
+            "print(*(m for m in sys.modules if m.startswith('hallforge.')))")
+    r = subprocess.run([sys.executable, "-c", code, str(src), *args],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    loaded = {m.split(".", 1)[1] for m in r.stdout.splitlines()[-1].split()}
+    assert loaded & DEFERRED == loads
+
+
+def test_counting_bounds_are_the_quiver_bounds():
+    assert counting.Bounds is quiver.Bounds
+    assert counting.DEFAULT_BOUNDS is quiver.DEFAULT_BOUNDS
+    assert hall.HallEngine(A2).bounds is quiver.DEFAULT_BOUNDS
