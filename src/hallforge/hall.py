@@ -12,7 +12,7 @@ and quotient classes of a fixed point are read off the connected components
 of the subset and of its complement.  `HallEngine.cells` lists them for a
 whole target at once, and every constant (`euler_constant`, `product`) is
 read off it.  A target's cells are the direct-sum merge (`merge_cells`)
-of its summands' cells, on every backend: a p1 block T(x,h) is the
+of its summands' splits, on every backend: a p1 block T(x,h) is the
 Jordan block J_h at the point x, and splits as the chain does.
 
 Hall polynomials remain the F_q route: point counts of the subobject variety
@@ -26,11 +26,13 @@ Only Hall polynomials go to the versioned JSON cache: a constant is cheaper
 to read off `cells` than to look up there.  `_fit` alone imports `counting`
 and `linalg`: a process that only reads `cells` never loads the F_q route.
 
-Each `HallEngine` also keeps five memos, created in `__init__` and freed
-with it, all keyed by classes (or p1 bases and atom strata) of its own
-backend:
+Each `HallEngine` also keeps six memos, created in `__init__` and freed
+with it, all keyed by labels or classes (or p1 bases and atom strata) of
+its own backend:
 
   _cells     target -> {(sub, quot): chi}, every nonzero cell of a target;
+  _splits    label -> the `_summand_splits` of one indecomposable, made
+             once per engine and merged into every target that has it;
   _products  (x, z) -> ((y, chi), ...), the nonzero terms of 1_x * 1_z
              that `product` returns and convolution reads: x, z, y are
              classes, or on p1 atom strata (`p1._stratum_product`);
@@ -164,6 +166,8 @@ class HallCache:
         p = Path(path) if path else self.path
         if p is None:
             return
+        if p.is_dir():  # refused before the lock and temporary files exist
+            raise CacheFormatError(f"{p}: is a directory, not a cache file")
         payload = json.dumps(self.to_json(), sort_keys=True,
                              separators=(",", ":")) + "\n"
         lock = p.with_suffix(p.suffix + ".lock")
@@ -231,6 +235,7 @@ class HallEngine:
         self.bounds = bounds
         self.cache = cache if cache is not None else HallCache(backend)
         self._cells = {}            # target -> {(sub, quot): chi}
+        self._splits = {}           # label -> _summand_splits(backend, label)
         self._products = {}         # (x, z) -> ((y, chi), ...), chi nonzero
         self._classes = {}          # (dims, gmax) -> classes
         self._surveys = {}          # (target, q) -> (max sub dim, cells)
@@ -265,10 +270,11 @@ class HallEngine:
     def cells(self, target):
         """Every nonzero constant of `target`, as {(sub, quot): chi}.
 
-        The target is the direct sum of its summands, and its cells are
-        `merge_cells` of theirs: a summand's splits are the successor-closed
-        subsets of its coefficient quiver (`_summand_splits`).  A p1 block
-        T(x,h) splits as the Jordan block J_h does, into T(x,k) / T(x,h-k).
+        `merge_cells` folds in the splits of the target's own summands, one
+        at a time from {((), ()): 1}, never the memo of a smaller target.
+        A summand's splits are the successor-closed subsets of its
+        coefficient quiver (`_summand_splits`, once per label: `_splits`);
+        a p1 block T(x,h) splits as J_h does, into T(x,k) / T(x,h-k).
         The dimension bound applies to the target's total dimension, on p1
         its total degree."""
         hit = self._cells.get(target)
@@ -278,8 +284,12 @@ class HallEngine:
         if b.kind == quiver.KIND_P1:
             _require_torsion(target)
         self.bounds.check_dim(quiver.class_total_dim(b, target))
-        splits = {l: _summand_splits(b, l) for l in set(target)}
-        self._cells[target] = out = merge_cells(b, [splits[l] for l in target])
+        out = {((), ()): 1}
+        for l in target:
+            if l not in self._splits:
+                self._splits[l] = _summand_splits(b, l)
+            out = merge_cells(b, out, self._splits[l])
+        self._cells[target] = out
         return out
 
     # -- Hall polynomials: F_q counting ---------------------------------------
@@ -356,24 +366,20 @@ class HallEngine:
         return self._classes[dims, gmax]
 
 
-def merge_cells(backend, blocks):
-    """The cells {(sub, quot): chi} of a direct sum from its blocks' cells,
-    each a {(sub labels, quot labels): chi} map such as `cells` returns.
-    A fixed point of the sum is a tuple of fixed points of its blocks, so
-    subs and quotients add up and constants multiply.  Blocks merge one at
-    a time, keyed by sorted labels: the work is the product of merged
-    option counts, not 2^dim.  At q = 1 Green's theorem on a split target
-    reads cells(a + b) = merge_cells([cells(a), cells(b)]).
-    """
-    merged = {((), ()): 1}
-    for block in blocks:
-        nxt = defaultdict(int)
-        for (s, q), c in merged.items():
-            for (ls, lq), lc in block.items():
-                nxt[(tuple(sorted(s + ls)), tuple(sorted(q + lq)))] += c * lc
-        merged = nxt
-    return {(quiver.make_class(backend, s), quiver.make_class(backend, q)): c
-            for (s, q), c in merged.items()}
+def merge_cells(backend, a, b):
+    """The cells {(sub, quot): chi} of a direct sum A + B from those of A
+    and B, each a {(sub labels, quot labels): chi} map such as `cells` or
+    `_summand_splits` returns.  A fixed point of the sum is a pair of fixed
+    points, so subs and quotients add up, sorted as `quiver.make_class`
+    sorts, and constants multiply.  At q = 1 Green's theorem on a split
+    target reads cells(a + b) = merge_cells(cells(a), cells(b))."""
+    key = backend.label_table.__getitem__
+    out = defaultdict(int)
+    for (s, q), c in a.items():
+        for (ls, lq), lc in b.items():
+            out[(tuple(sorted(s + ls, key=key)),
+                 tuple(sorted(q + lq, key=key)))] += c * lc
+    return dict(out)
 
 
 def _poly_mul(a, b):

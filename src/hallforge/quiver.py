@@ -386,28 +386,34 @@ def indec_labels(backend, total_bound):
 
 def classes_with_dim(backend, dimvec, max_summands):
     """Iso classes with the given dimension vector and at most max_summands
-    indecomposable summands; `HallEngine.classes_with_dim` memoizes them."""
+    indecomposable summands; `HallEngine.classes_with_dim` memoizes them.
+    On type A each interval starts at the lowest vertex with dimension left
+    and the ends there ascend, so each class is reached once; an end is
+    taken only if the rest can still be finished within the budget, so no
+    branch dies.  The classes come in ascending lexicographic order of
+    their multiplicity vectors over `positive_roots`; on the loop, in
+    `partitions` order."""
     dimvec = tuple(dimvec)
     if backend.kind == KIND_DYNKIN:
-        roots = [(r, label_dim(backend, r))
-                 for r in positive_roots(backend, dimvec)]
-        out = []
+        n, out = len(dimvec), []
 
-        def rec(idx, remaining, budget, acc):
-            if not any(remaining):
-                out.append(tuple(acc))
-                return
-            if idx == len(roots) or budget == 0:
-                return
-            rec(idx + 1, remaining, budget, acc)
-            r, d = roots[idx]
-            if all(x >= y for x, y in zip(remaining, d)):
-                acc.append(r)
-                rec(idx, tuple(x - y for x, y in zip(remaining, d)), budget - 1, acc)
-                acc.pop()
+        def rec(rem, v, lo, budget, acc):
+            if not rem[v]:
+                v = lo = next((w for w in range(v + 1, n) if rem[w]), n)
+                if v == n:
+                    out.append(make_class(backend, acc))
+                    return
+            for e in range(lo, n):
+                if rem[e] < rem[v]:  # the rest at v would not fit
+                    break
+                nxt = rem[:v] + tuple(x - 1 for x in rem[v:e + 1]) + rem[e + 1:]
+                # the fewest intervals that finish nxt: one per rise
+                if sum(max(0, y - x) for x, y in zip((0,) + nxt, nxt)) < budget:
+                    rec(nxt, v, e, budget - 1, acc + (("i", v, e),))
 
-        rec(0, dimvec, max_summands, [])
-        return tuple(make_class(backend, c) for c in out)
+        rec(dimvec, 0, 0, max_summands, ())
+        key = backend.label_table.__getitem__
+        return tuple(sorted(out, key=lambda c: tuple(map(key, c)), reverse=True))
     if backend.kind == KIND_LOOP:
         (n,) = dimvec
         return tuple(make_class(backend, [("j", p) for p in part])

@@ -178,7 +178,7 @@ def suite_riedtmann(engine, dim):
     def blockwise(y):
         """The (x, z) in the merged cells of every split y1 + y2 of y."""
         return set.intersection(*(
-            set(merge_cells(backend, [engine.cells(y1), engine.cells(y2)]))
+            set(merge_cells(backend, engine.cells(y1), engine.cells(y2)))
             for y1, y2 in co._class_splits(backend, y) if y1 and y2))
 
     for x in classes:
@@ -260,7 +260,7 @@ def suite_green(engine, dim):
             continue
         quads += sum(by_dim[d] * by_dim[n - d] for d in range(n + 1))
         lhs = engine.cells(quiver.make_class(backend, alpha + beta))
-        rhs = merge_cells(backend, [engine.cells(alpha), engine.cells(beta)])
+        rhs = merge_cells(backend, engine.cells(alpha), engine.cells(beta))
         failed.extend((index[a], index[b], ial, ibe)
                       for a, b in lhs.keys() | rhs.keys()
                       if lhs.get((a, b), 0) != rhs.get((a, b), 0))

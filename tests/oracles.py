@@ -325,3 +325,30 @@ def _splits_blockwise(engine, x, z, y):
                    for x1, z1 in engine.cells(y1) for x2, z2 in cells2):
             return False
     return True
+
+
+def type_a_classes(backend, dimvec, max_summands):
+    """The type-A classes of dimension vector `dimvec` with at most
+    `max_summands` summands, by a skip/include walk over the positive
+    roots in canonical order: each root is first skipped, then taken once
+    more.  The classes come in ascending lexicographic order of their
+    multiplicity vectors over `quiver.positive_roots`."""
+    roots = [(r, quiver.label_dim(backend, r))
+             for r in quiver.positive_roots(backend, dimvec)]
+    out = []
+
+    def rec(idx, remaining, budget, acc):
+        if not any(remaining):
+            out.append(tuple(acc))
+            return
+        if idx == len(roots) or budget == 0:
+            return
+        rec(idx + 1, remaining, budget, acc)
+        r, d = roots[idx]
+        if all(x >= y for x, y in zip(remaining, d)):
+            acc.append(r)
+            rec(idx, tuple(x - y for x, y in zip(remaining, d)), budget - 1, acc)
+            acc.pop()
+
+    rec(0, tuple(dimvec), max_summands, [])
+    return tuple(quiver.make_class(backend, c) for c in out)

@@ -307,6 +307,18 @@ def test_cache_round_trip(tmp_path):
     assert json.loads(r.stdout) == stats1
 
 
+def test_cache_export_refuses_a_directory(tmp_path):
+    # exit 1 with a JSON error, and no DIR.lock or DIR.tmp beside it
+    dest = tmp_path / "dest"
+    dest.mkdir()
+    r = run("--backend", "loop", "cache", "export", str(dest))
+    assert r.exit_code == 1 and r.stdout == ""
+    err = json.loads(r.stderr)
+    assert err["error"] == "CacheFormatError" and "directory" in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dest"]
+    assert not any(dest.iterdir())
+
+
 def test_cache_version_refusal(tmp_path):
     cache = tmp_path / "cache.json"
     run("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",

@@ -1,5 +1,7 @@
 import json
 import math
+from collections import Counter
+from itertools import product as iproduct
 
 import pytest
 
@@ -304,3 +306,56 @@ def test_surveys_are_engine_memos(a3):
                         for t in ("[S1]", "[P23]", "[P13]"))
         assert engine.hall_polynomial(s1, p23, p13).evaluate(1) == want
         assert engine._surveys
+
+
+P1_TARGETS = ("[T(x,1)]", "[T(x,2)+T(x,1)+T(y,3)]", "[T(x,1)+T(y,1)+T(y,1)]",
+              "[T(x,3)+T(x,3)]", "[T(x,2)+T(y,2)+T(z,2)]", "[T(y,6)]")
+
+
+def _targets(backend, dim):
+    if backend.kind == quiver.KIND_P1:
+        return [parse_class(backend, t) for t in P1_TARGETS]
+    return verify.classes_up_to(backend, dim)
+
+
+@pytest.mark.parametrize("name", ["a3", "loop", "p1"])
+def test_each_indecomposable_is_split_once_per_engine(monkeypatch, name):
+    backend = quiver.builtin_backend(name)
+    calls = Counter()
+    real = hall._summand_splits
+
+    def counted(backend, label):
+        calls[label] += 1
+        return real(backend, label)
+
+    monkeypatch.setattr(hall, "_summand_splits", counted)
+    targets = _targets(backend, 5)
+    engine = HallEngine(backend)
+    for y in targets:
+        engine.cells(y)
+    assert set(calls) == {l for y in targets for l in y}
+    assert set(calls.values()) == {1}
+    # the memo belongs to the engine: a new one splits afresh
+    HallEngine(backend).cells(targets[-1])
+    assert all(calls[l] == 2 for l in targets[-1])
+
+
+def _cells_from_scratch(backend, target):
+    """cells(target) as one product over every summand's splits at once."""
+    out = Counter()
+    for picks in iproduct(*(hall._summand_splits(backend, l).items()
+                            for l in target)):
+        sub = make_class(backend, [l for ((s, _), _) in picks for l in s])
+        quot = make_class(backend, [l for ((_, q), _) in picks for l in q])
+        out[sub, quot] += math.prod(c for _, c in picks)
+    return dict(out)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "loop", "p1"])
+def test_cells_are_the_merged_splits_of_the_summands(name):
+    backend = quiver.builtin_backend(name)
+    engine = HallEngine(backend)
+    targets = _targets(backend, 6)
+    assert len(targets) > 5
+    for y in targets:
+        assert engine.cells(y) == _cells_from_scratch(backend, y), y

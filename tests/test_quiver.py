@@ -1,6 +1,6 @@
 import json
 import random
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -85,6 +85,24 @@ def test_hom_dim_loop_blocks(loop):
         for b in range(1, 4):
             ra, rb = realize(loop, ("j", a), 3), realize(loop, ("j", b), 3)
             assert hom_dim(loop, ra, rb) == min(a, b)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a3-sink"])
+def test_classes_with_dim_matches_the_skip_include_oracle(name):
+    # the same tuple, order included, for every dimension vector with
+    # entries <= 5 and every summand bound from 0 to the total dimension
+    if name == "a3-sink":
+        backend = Backend("a3-sink", quiver.KIND_DYNKIN, ("1", "2", "3"),
+                          (Arrow("a", 0, 1), Arrow("b", 2, 1)))
+    else:
+        backend = quiver.builtin_backend(name)
+    cases = 0
+    for dims in product(range(6), repeat=backend.n_vertices):
+        for gmax in range(sum(dims) + 1):
+            want = oracles.type_a_classes(backend, dims, gmax)
+            assert quiver.classes_with_dim(backend, dims, gmax) == want, (dims, gmax)
+            cases += 1
+    assert cases == (216 if name == "a2" else 1836)
 
 
 def test_decompose_zero_and_round_trip_exhaustive(a2, loop):
