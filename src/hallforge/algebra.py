@@ -130,9 +130,6 @@ class ConstructibleSet(quiver.ReadOnly):
     def summand_count(self):
         return max((stratum_gamma(s) for s in self.strata), default=0)
 
-    def is_empty(self):
-        return not self.strata
-
     def contains(self, cls):
         return any(_stratum_contains(s, cls) for s in self.strata)
 

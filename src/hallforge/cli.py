@@ -93,6 +93,7 @@ def _run(ctx, fn):
     try:
         session = _session(ctx)
         code = fn(session)
+        session.finish()
     except ResourceLimitError as e:
         click.echo(json.dumps({"error": "resource-limit", "message": str(e),
                                "limit": e.limit, "requested": e.requested}),
@@ -104,7 +105,6 @@ def _run(ctx, fn):
         raise SystemExit(1)
     except ValueError as e:
         raise click.UsageError(str(e))
-    session.finish()
     raise SystemExit(code or 0)
 
 

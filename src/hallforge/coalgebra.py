@@ -30,9 +30,6 @@ class TensorElement(quiver.ReadOnly):
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "values", values)
 
-    def is_zero(self):
-        return not self.values
-
     @property
     def terms(self):
         """The stratified form (((left set, right set), value), ...), one

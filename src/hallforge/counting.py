@@ -125,12 +125,17 @@ def _loop_survey(backend, target, q, cap):
                  for gj in pow_gathers]
     # Im(A^j) = span{e_i : gather_j[i] >= 0}; its complement coordinates
     comp_coords = [[i for i in range(d) if gj[i] < 0] for gj in pow_gathers]
-    im_rank = [d - len(c) for c in comp_coords]
 
     cells = defaultdict(int)
     part_memo = {}
 
-    def class_of_kdims(kdims):
+    def partition(total, kernel_dim):
+        """The class whose dim ker(x^j) is kernel_dim(j), j = 1, 2, ...,
+        read until it reaches `total` (x^j = 0 past max_h)."""
+        kdims = []
+        while not kdims or kdims[-1] != total:
+            j = len(kdims) + 1
+            kdims.append(total if j > max_h else kernel_dim(j))
         key = tuple(kdims)
         hit = part_memo.get(key)
         if hit is None:
@@ -147,44 +152,27 @@ def _loop_survey(backend, target, q, cap):
         return tuple(next(j for j, x in enumerate(r) if x) for r in rows)
 
     def classify(rows, k):
-        kdims = []
-        j = 0
-        while True:
-            j += 1
-            if j > max_h:
-                kdims.append(k)
-            else:
-                moves = pow_moves[j - 1]
-                vecs = []
-                for r in rows:
-                    w = bytearray(d)
-                    nz = False
-                    for i, s in moves:
-                        x = r[s]
-                        if x:
-                            w[i] = x
-                            nz = True
-                    if nz:
-                        vecs.append(w)
-                kdims.append(k - linalg.rank(vecs, K))
-            if kdims[-1] == k:
-                break
-        sub_cls = class_of_kdims(kdims)
-        dk = d - k
-        kdims = []
-        j = 0
-        while True:
-            j += 1
-            if j > max_h:
-                kdims.append(dk)
-            else:
-                comp = comp_coords[j - 1]
-                proj = [bytes([r[c] for c in comp]) for r in rows]
-                inter = k - linalg.rank(proj, K)
-                kdims.append(dk - (im_rank[j - 1] - inter))
-            if kdims[-1] == dk:
-                break
-        return sub_cls, class_of_kdims(kdims)
+        def sub_kernel(j):  # k - rank of A^j U
+            vecs = []
+            for r in rows:
+                w = bytearray(d)
+                nz = False
+                for i, s in pow_moves[j - 1]:
+                    x = r[s]
+                    if x:
+                        w[i] = x
+                        nz = True
+                if nz:
+                    vecs.append(w)
+            return k - linalg.rank(vecs, K)
+
+        def quot_kernel(j):  # on V/U: d - dim(Im A^j + U), which is the
+            # coordinates off Im A^j less the rank of U's projection onto them
+            comp = comp_coords[j - 1]
+            return len(comp) - linalg.rank([bytes([r[c] for c in comp])
+                                            for r in rows], K)
+
+        return partition(k, sub_kernel), partition(d - k, quot_kernel)
 
     cells[classify((), 0)] += 1
     layer = [b""]

@@ -27,7 +27,7 @@ class BackendMismatchError(HallforgeError):
 
 
 class CacheFormatError(HallforgeError):
-    """A cache file is not JSON or does not have the cache's shape."""
+    """A cache file is not JSON, lacks the cache's shape, or cannot be written."""
 
 
 class CacheCollisionError(HallforgeError):

@@ -171,15 +171,18 @@ class HallCache:
         payload = json.dumps(self.to_json(), sort_keys=True,
                              separators=(",", ":")) + "\n"
         lock = p.with_suffix(p.suffix + ".lock")
-        with open(lock, "w") as lk:
-            try:
-                import fcntl
-                fcntl.flock(lk, fcntl.LOCK_EX)
-            except ImportError:
-                pass
-            tmp = p.with_suffix(p.suffix + ".tmp")
-            tmp.write_text(payload)
-            tmp.replace(p)
+        try:
+            with open(lock, "w") as lk:
+                try:
+                    import fcntl
+                    fcntl.flock(lk, fcntl.LOCK_EX)
+                except ImportError:
+                    pass
+                tmp = p.with_suffix(p.suffix + ".tmp")
+                tmp.write_text(payload)
+                tmp.replace(p)
+        except OSError as e:  # a missing directory, a directory at DEST.tmp, ...
+            raise CacheFormatError(f"{p}: cannot write the cache file: {e}") from e
         self.dirty = False
 
     def load(self, path, *, merge=False):
@@ -240,9 +243,6 @@ class HallEngine:
         self._classes = {}          # (dims, gmax) -> classes
         self._surveys = {}          # (target, q) -> (max sub dim, cells)
         self._p1_base_memo = {}     # see p1._base_product
-        # on p1, the backend of the per-point loop fits (`_interpolate`)
-        self._loop = (quiver.builtin_backend("loop")
-                      if backend.kind == quiver.KIND_P1 else None)
 
     # -- Euler constants: torus fixed points --------------------------------
 
@@ -314,7 +314,7 @@ class HallEngine:
             return self._fit(b, sub, quot, target)
         _require_torsion(sub, quot, target)
         self.bounds.check_dim(quiver.class_total_dim(b, target))
-        loop = self._loop
+        loop = quiver.builtin_backend("loop")
         coeffs = (1,)
         for x in sorted({l[1] for cls in (sub, quot, target) for l in cls}):
             local = [quiver.make_class(loop, [("j", l[2]) for l in cls if l[1] == x])

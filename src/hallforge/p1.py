@@ -22,14 +22,13 @@ point names it uses are arbitrary, since the value depends on the shape
 alone.
 """
 
+import math
 from itertools import product as iproduct
 
 from . import algebra as alg
 from . import quiver
 from .errors import CapabilityError, InternalInvariantError
-from .p1sets import P1Set, chi_na, set_ops  # re-exported calculus
-
-__all__ = ["P1Set", "chi_na", "set_ops", "families_from_json", "classes_supported"]
+from .p1sets import P1Set
 
 
 def families_from_json(entries):
@@ -110,39 +109,19 @@ def _stratum_product(engine, sa, sb):
     backend = engine.backend
     if any(fam.kind != "points" for fam, _ in sa + sb):
         raise CapabilityError("products involving line bundles are out of scope")
-    bases = []
-
-    def base_index(b):
-        if b not in bases:
-            bases.append(b)
-        return bases.index(b)
-
-    local_a = {}
-    local_b = {}
-    for fam, m in sa:
-        local_a.setdefault(base_index(fam.base), []).extend([fam.degree] * m)
-    for fam, m in sb:
-        local_b.setdefault(base_index(fam.base), []).extend([fam.degree] * m)
-
-    per_base = []
-    for bi, base in enumerate(bases):
-        a = sorted(local_a.get(bi, []), reverse=True)
-        b = sorted(local_b.get(bi, []), reverse=True)
-        per_base.append(_base_product(engine, base, a, b))
-
+    degs = {}  # base -> (block degrees of sa, of sb), bases in first-seen order
+    for side, stratum in enumerate((sa, sb)):
+        for fam, m in stratum:
+            degs.setdefault(fam.base, ([], []))[side].extend([fam.degree] * m)
+    per_base = [_base_product(engine, base, sorted(a, reverse=True),
+                              sorted(b, reverse=True)).items()
+                for base, (a, b) in degs.items()]
     out = {}
-    choices = [list(p.items()) for p in per_base]
-    for combo in iproduct(*choices):
-        parts = []
-        value = 1
-        for bi, (degmults, v) in enumerate(combo):
-            value *= v
-            for deg, mult in degmults:
-                parts.append((alg.IndecFamily.of_points(deg, bases[bi]), mult))
-        if not value:
-            continue
-        stratum = alg.make_stratum(backend, parts)
-        out[stratum] = out.get(stratum, 0) + value
+    for combo in iproduct(*per_base):
+        stratum = alg.make_stratum(backend, [
+            (alg.IndecFamily.of_points(deg, base), mult)
+            for base, (degmults, _) in zip(degs, combo) for deg, mult in degmults])
+        out[stratum] = out.get(stratum, 0) + math.prod(v for _, v in combo)
     return out
 
 

@@ -64,9 +64,6 @@ class P1Set(ReadOnly):
     def descriptor(self):
         return (1 if self.cofinite else 0, tuple(sorted(self.points)))
 
-    def __le__(self, other):
-        return self.minus(other).is_empty
-
 
 def set_ops(a, b, op):
     """Boolean operation on P1 sets: 'intersect' | 'union' | 'minus'."""

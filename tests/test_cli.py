@@ -35,6 +35,21 @@ def test_indecomposables_listing(tmp_path):
         ["J1", "J2", "J3"]
     r = run("--backend", "p1", "indecomposables")
     assert r.exit_code == 0 and "O1: degree 1" in r.stdout
+    r = run("--backend", "p1", "--json", "indecomposables")
+    assert r.exit_code == 0
+    assert r.stdout == (
+        '{"families":{"O1":{"base":{"kind":"cofinite","points":[]},"degree":1},'
+        '"O2":{"base":{"kind":"cofinite","points":[]},"degree":2},'
+        '"O3":{"base":{"kind":"cofinite","points":[]},"degree":3}}}\n')
+    r = run("--backend", "a2", "--json", "indecomposables")
+    assert r.exit_code == 0 and r.stdout == '{"labels":["S2","S1","P12"]}\n'
+    bare = tmp_path / "p1bare.json"
+    bare.write_text(json.dumps({"name": "p1bare", "kind": "p1-torsion",
+                                "vertices": [], "arrows": []}))
+    r = run("--backend", str(bare), "indecomposables")
+    assert r.exit_code == 1 and r.stdout == ""
+    assert json.loads(r.stderr) == {"error": "capability", "message":
+                                    "declare families in the backend file to list them"}
 
 
 def test_mul_golden(tmp_path):
@@ -317,6 +332,24 @@ def test_cache_export_refuses_a_directory(tmp_path):
     assert err["error"] == "CacheFormatError" and "directory" in err["message"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dest"]
     assert not any(dest.iterdir())
+
+
+def test_unwritable_cache_files_exit_1(tmp_path):
+    # a missing directory, or a directory where DEST.tmp goes: exit 1 with
+    # a JSON error, never a traceback; a session cache is written after
+    # the command's output, which stays as printed
+    (tmp_path / "dest.json.tmp").mkdir()
+    nodir = str(tmp_path / "nodir" / "x.json")
+    for dest in (nodir, str(tmp_path / "dest.json")):
+        r = CliRunner().invoke(main, ["--backend", "loop", "cache", "export", dest],
+                               catch_exceptions=False)
+        assert r.exit_code == 1 and r.stdout == ""
+        err = json.loads(r.stderr)
+        assert err["error"] == "CacheFormatError" and "cannot write" in err["message"]
+    r = CliRunner().invoke(main, ["--backend", "loop", "--dim", "2", "--cache", nodir,
+                                  "--json", "verify", "routes"], catch_exceptions=False)
+    assert r.exit_code == 1 and json.loads(r.stdout)["passed"] is True
+    assert json.loads(r.stderr.splitlines()[-1])["error"] == "CacheFormatError"
 
 
 def test_cache_version_refusal(tmp_path):

@@ -235,3 +235,48 @@ def test_green_and_riedtmann_suites_match_their_oracles(name, dim):
                       ("dropped", "riedtmann"): False,
                       ("spurious", "green"): False,
                       ("spurious", "riedtmann"): False}
+
+
+def corrupted_a2(target, sub, quot):
+    """A scratch a2 engine whose memoized cell (sub, quot) of target is
+    raised by 1."""
+    a2 = quiver.builtin_backend("a2")
+    engine = HallEngine(a2)
+    t, key = parse_class(a2, target), (parse_class(a2, sub), parse_class(a2, quot))
+    cells = dict(engine.cells(t))
+    cells[key] = cells.get(key, 0) + 1
+    engine._cells[t] = cells
+    return engine
+
+
+def test_suites_report_a_corrupted_cell():
+    # 1_[S1] * 1_[S2] then carries 2 on [S1+S2], which breaks associativity,
+    # the indecomposable support of [S1, S2] and Delta's homomorphism law
+    engine = corrupted_a2("[S1+S2]", "[S1]", "[S2]")
+    failed = {}
+    for name in ("assoc", "lie-closure", "bialgebra"):
+        res = verify.run_suite(name, engine, dim=3)
+        assert res.passed is False
+        failed[name] = [c["name"] for c in res.checks if not c["passed"]]
+    assert failed == {
+        "assoc": ["assoc [S2]*[S1]*[S2]", "assoc [S1]*[S2]*[S2]",
+                  "assoc [S1]*[S2]*[S1]", "assoc [S1]*[S1]*[S2]",
+                  "exhaustive singleton triples, total dim <= 3",
+                  "50 random element triples"],
+        "lie-closure": ["[S2,S1] support", "[S1,S2] support",
+                        "indecomposable support of brackets, dim <= 3"],
+        "bialgebra": ["Delta([S1]*[S2])", "Delta([S1]*[S2+S2])",
+                      "Delta([S1]*[S2+S1])", "Delta([S2+S1]*[S2])",
+                      "Delta([S1+S1]*[S2])",
+                      "homomorphism property on basis pairs, dim <= 3, gamma <= 2"]}
+
+
+def test_pbw_reports_a_corrupted_diagonal():
+    # 1_[S1] * 1_[S1] = 3.1_[S1+S1] where the certificate expects 2!
+    res = verify.run_suite("pbw", corrupted_a2("[S1+S1]", "[S1]", "[S1]"), gamma=2)
+    assert res.passed is False
+    assert res.to_json()["report"]["counterexample"] == {
+        "monomial": [0, 2, 0], "expected_leading": "2", "got": "3"}
+    assert [c["name"] for c in res.checks if not c["passed"]] == [
+        "gamma-triangularity", "diagonal entries are products of factorials",
+        "graded bijectivity per filtration degree"]

@@ -50,6 +50,17 @@ def test_root_count_matches_triangular_number():
         assert len(positive_roots(b, (1,) * n)) == n * (n + 1) // 2
 
 
+def test_interval_names_on_longer_vertex_names(a2):
+    # one-character vertex names are run together (P12); longer ones take
+    # a dash, and parse_label reads both forms back, either end first
+    v3 = Backend("v3", quiver.KIND_DYNKIN, ("v1", "v2", "v3"),
+                 (Arrow("a", 0, 1), Arrow("b", 1, 2)))
+    assert label_name(v3, ("i", 0, 1)) == "Pv1-v2"
+    for label in positive_roots(v3, (1, 1, 1)):
+        assert quiver.parse_label(v3, label_name(v3, label)) == label
+    assert quiver.parse_label(a2, "P21") == ("i", 0, 1)
+
+
 def test_realize_examples(a2, loop):
     r = realize(a2, ("i", 0, 1), 2)
     assert r.dims == (1, 1) and r.mats[0] == (bytes([1]),)
