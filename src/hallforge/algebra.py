@@ -57,8 +57,6 @@ class IndecFamily(quiver.ReadOnly):
         labels = tuple(sorted(set(labels), key=lambda l: quiver.label_key(backend, l)))
         if not labels:
             raise ValueError("empty family")
-        for l in labels:
-            _check_label_kind(backend, l)
         return IndecFamily("labels", labels=labels)
 
     @staticmethod
@@ -90,18 +88,6 @@ class IndecFamily(quiver.ReadOnly):
         if self.degree != other.degree:
             return True
         return self.base.is_disjoint(other.base)
-
-
-def _check_label_kind(backend, label):
-    kind = label[0]
-    ok = (backend.kind == quiver.KIND_DYNKIN and kind == "i"
-          and 0 <= label[1] <= label[2] < backend.n_vertices) \
-        or (backend.kind == quiver.KIND_LOOP and kind == "j" and label[1] >= 1) \
-        or (backend.kind == quiver.KIND_P1 and (
-            kind == "o" or (kind == "t" and label[1] and label[2] >= 1)))
-    if not ok:
-        raise BackendMismatchError(
-            f"label {label!r} does not belong to backend {backend.name!r}")
 
 
 def stratum_gamma(stratum):
@@ -171,12 +157,12 @@ def singleton_set(backend, cls):
 
 
 def class_stratum(backend, cls):
-    """The Krull-Schmidt stratum of one class, labels checked.  Strata
-    serve sets, output (`key_stratum`) and p1, not the quiver operands:
-    there `class_char` builds the one-key class map {[x]: 1}."""
+    """The Krull-Schmidt stratum of one class, its labels checked by
+    `quiver.make_class`.  Strata serve sets, output (`key_stratum`) and
+    p1, not the quiver operands: there `class_char` builds the one-key
+    class map {[x]: 1}."""
     counts = {}
-    for l in cls:
-        _check_label_kind(backend, l)
+    for l in quiver.make_class(backend, cls):
         counts[l] = counts.get(l, 0) + 1
     parts = []
     for l, m in counts.items():
@@ -356,8 +342,6 @@ def class_char(backend, cls):
     """1_[cls]; on the quiver backends the one-key class map {cls: 1}."""
     if backend.kind == quiver.KIND_P1:
         return char_fn(backend, [class_stratum(backend, cls)])
-    for l in cls:
-        _check_label_kind(backend, l)
     return CFElement(backend, {quiver.make_class(backend, cls): 1})
 
 

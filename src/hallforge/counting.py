@@ -17,13 +17,15 @@ This module keeps no state.  Histograms are memoized by the caller: each
 `HallEngine` owns a `_surveys` dict, keyed by (target, q), that it passes
 to `count_points`, so the memo is freed with the engine and never shared
 between two backend definitions.  Only the F_q route loads this module
-(`HallEngine._fit` imports it), and `Bounds` is `quiver.Bounds`.
+(`HallEngine._fit` imports it), and `Bounds` is `quiver.Bounds`.  A p1
+target has no matrix model (`quiver.realize_class` refuses it): p1 counts
+are loop counts, one per support point (`HallEngine._interpolate`).
 """
 
 from collections import defaultdict
 
 from . import linalg, quiver
-from .errors import CapabilityError, ResourceLimitError
+from .errors import ResourceLimitError
 from .gf import field
 
 Bounds, DEFAULT_BOUNDS = quiver.Bounds, quiver.DEFAULT_BOUNDS  # the same objects
@@ -48,9 +50,6 @@ def _check_bounds(backend, target, q, bounds):
 
 def enumerate_subreps(backend, target, q, bounds=DEFAULT_BOUNDS):
     """Full histogram of subrepresentations of realize_class(target, q)."""
-    if backend.kind == quiver.KIND_P1:
-        raise CapabilityError("p1-torsion classes are counted through the "
-                              "loop kernel per support point")
     _check_bounds(backend, target, q, bounds)
     cells = _survey(backend, target, q, None, {})
     return SubrepHistogram(target=target, q=q, counts=dict(cells))
@@ -62,8 +61,6 @@ def count_points(backend, sub, quot, target, q, bounds=DEFAULT_BOUNDS,
     sub and quotient isomorphism classes.  `surveys` memoizes histograms
     by (target, q); `HallEngine` passes its own, a call without one
     surveys afresh."""
-    if backend.kind == quiver.KIND_P1:
-        raise CapabilityError("use the p1 family calculus")
     _check_bounds(backend, target, q, bounds)
     if quiver.dim_add(quiver.class_dim(backend, sub),
                       quiver.class_dim(backend, quot)) \

@@ -109,15 +109,6 @@ class TruncationReport:
         }
 
 
-def _exponent_vectors(nfam, total):
-    if nfam == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in _exponent_vectors(nfam - 1, total - first):
-            yield (first,) + rest
-
-
 def certify_truncation(engine, families, gamma_max):
     """Certify the filtered isomorphism on the window spanned by the given
     pairwise-disjoint families up to the given summand-count bound."""
@@ -126,10 +117,9 @@ def certify_truncation(engine, families, gamma_max):
     families = sorted(families, key=lambda f: f.descriptor(backend))
     monos = {}
     for g in range(gamma_max + 1):
-        for e in _exponent_vectors(len(families), g):
-            if sum(e) == g:
-                monos[e] = make_monomial(
-                    backend, [(f, k) for f, k in zip(families, e) if k])
+        for e in alg._compositions(g, len(families)):
+            monos[e] = make_monomial(
+                backend, [(f, k) for f, k in zip(families, e) if k])
 
     images = {}
     leadings = {}
@@ -151,8 +141,7 @@ def certify_truncation(engine, families, gamma_max):
             }
         rest = alg.subtract(backend, img, alg.scale(
             backend, alg.char_fn(backend, lead_set.strata), coeff))
-        if rest.summand_count() >= mono.gamma() and not rest.is_zero() \
-                and mono.gamma() > 0:
+        if rest.summand_count() >= mono.gamma() > 0:
             report.triangular = False
             if report.counterexample is None:
                 report.counterexample = {

@@ -211,25 +211,33 @@ def builtin_backend(name):
 class LabelTable(dict):
     """label -> (label_key, dimension vector), each entry made on its first
     lookup; also the vertex-name index `parse_label` reads and the Hom
-    tables `decompose` solves with, keyed by (labels, q)."""
+    tables `decompose` solves with, keyed by (labels, q).  Every class,
+    sort key, dimension and name reads the table, so it alone decides
+    which labels its backend has: a miss on any other label raises
+    BackendMismatchError."""
 
     def __init__(self, backend):
         super().__init__()
+        # not the backend itself, which holds the table
+        self.kind, self.name = backend.kind, backend.name
         self.n_vertices = backend.n_vertices
         self.vertex_index = {v: i for i, v in enumerate(backend.vertices)}
         self.homs = {}
 
     def __missing__(self, label):
         k = label[0]
-        if k == "i":
+        if self.kind == KIND_DYNKIN and k == "i" \
+                and 0 <= label[1] <= label[2] < self.n_vertices:
             dim = tuple(int(label[1] <= v <= label[2])
                         for v in range(self.n_vertices))
-        elif k == "j":
+        elif self.kind == KIND_LOOP and k == "j" and label[1] >= 1:
             dim = (label[1],)
-        elif k in ("t", "o"):
+        elif self.kind == KIND_P1 and (
+                k == "o" or (k == "t" and label[1] and label[2] >= 1)):
             dim = (int(k == "o"), label[-1])      # (rank, degree)
         else:
-            raise ValueError(f"bad label {label!r}")
+            raise BackendMismatchError(
+                f"label {label!r} does not belong to backend {self.name!r}")
         # line bundles first, then by total dimension and dimension vector
         self[label] = entry = ((0 if k == "o" else sum(dim), dim, label), dim)
         return entry
@@ -286,6 +294,7 @@ def dim_add(a, b):
 # naming ---------------------------------------------------------------------
 
 def label_name(backend, label):
+    backend.label_table[label]  # refuses a label the backend lacks
     k = label[0]
     if k == "i":
         _, a, b = label
@@ -299,9 +308,7 @@ def label_name(backend, label):
         return f"J{label[1]}"
     if k == "t":
         return f"T({label[1]},{label[2]})"
-    if k == "o":
-        return f"O({label[1]})"
-    raise ValueError(f"bad label {label!r}")
+    return f"O({label[1]})"
 
 
 def parse_label(backend, text):
@@ -313,12 +320,15 @@ def parse_label(backend, text):
             raise ValueError(f"bad loop label {text!r}")
         return ("j", int(t))
     if backend.kind == KIND_P1:
-        if t.startswith("T(") and t.endswith(")"):
-            point, _, deg = t[2:-1].rpartition(",")
-            if point.strip() and int(deg) >= 1:
-                return ("t", point.strip(), int(deg))
-        elif t.startswith("O(") and t.endswith(")"):
-            return ("o", int(t[2:-1]))
+        try:
+            if t.startswith("T(") and t.endswith(")"):
+                point, _, deg = t[2:-1].rpartition(",")
+                if point.strip() and int(deg) >= 1:
+                    return ("t", point.strip(), int(deg))
+            elif t.startswith("O(") and t.endswith(")"):
+                return ("o", int(t[2:-1]))
+        except ValueError:  # a degree that is not an integer
+            pass
         raise ValueError(f"bad p1 label {text!r}")
     vidx = backend.label_table.vertex_index
     if t.startswith("S") and t[1:] in vidx:

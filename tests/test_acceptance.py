@@ -179,8 +179,7 @@ def test_criterion_08_pbw_truncations(a2_engine, loop_engine9):
 
 
 def sorted_exponents(nfam, g):
-    out = [e for e in pbw._exponent_vectors(nfam, g) if sum(e) == g]
-    return out
+    return list(alg._compositions(g, nfam))
 
 
 def test_criterion_09_green_exhaustive(a2_engine, loop_engine):

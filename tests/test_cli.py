@@ -123,7 +123,7 @@ def test_power_of_a_family_over_two_points(tmp_path):
 
 def test_p1_blocks_and_families_below_degree_one_are_refused(tmp_path):
     # a torsion block needs a named point and degree >= 1; so does a family
-    for bad in ("[T(x,-1)]", "[T(x,0)]", "[T(,1)]"):
+    for bad in ("[T(x,-1)]", "[T(x,0)]", "[T(,1)]", "[T(x,abc)]", "[T(x,)]", "[O(x)]"):
         r = run("--backend", "p1", "mul", bad, "[T(x,1)]")
         assert r.exit_code == 2 and r.stdout == ""
         assert f"bad p1 label '{bad[1:-1]}'" in r.stderr
@@ -293,6 +293,8 @@ def test_resource_error_is_machine_readable():
 def test_unknown_operand_and_bad_backend(tmp_path):
     r = run("--backend", "a2", "mul", "bogus", "[S1]")
     assert r.exit_code == 2
+    r = run("--backend", "a2", "mul", "[J1]", "[S1]")
+    assert r.exit_code == 2 and "unknown label 'J1' for backend a2" in r.stderr
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     r = run("--backend", str(bad), "indecomposables")

@@ -292,6 +292,24 @@ def test_bound_failure_is_not_memoized(loop):
             alg.convolve(engine, j2, j2)
 
 
+def test_foreign_labels_are_refused_before_any_memo():
+    # the label table refuses a label its backend lacks, also on the
+    # engine entry points that do not go through algebra
+    a2, loop, p1 = (quiver.builtin_backend(n) for n in ("a2", "loop", "p1"))
+    s1 = make_class(a2, [("i", 0, 0)])
+    calls = [(a2, lambda e: e.cells((("j", 2),))),
+             (a2, lambda e: e.hall_polynomial(s1, (), (("i", 0, 5),))),
+             (a2, lambda e: make_class(a2, [("j", 1)])),
+             (loop, lambda e: e.euler_constant((), (("j", 1),),
+                                               (("j", 1), ("i", 0, 0)))),
+             (p1, lambda e: e.cells((("t", "", 1),)))]
+    for backend, call in calls:
+        engine = HallEngine(backend)
+        with pytest.raises(BackendMismatchError, match="does not belong"):
+            call(engine)
+        assert engine._cells == {} and engine._splits == {}
+
+
 def test_surveys_are_engine_memos(a3):
     # the F_q histograms belong to the engine: a reversed-arrow a3, also
     # named "a3", counts its own [P13] after the built-in's engine ran
