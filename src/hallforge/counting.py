@@ -5,18 +5,23 @@ vertex in canonical order, pruning a tuple as soon as an arrow with both
 endpoints fixed fails closure.  For the one-loop backend it walks the
 lattice of nilpotent-invariant subspaces directly: every invariant
 subspace of dimension k+1 is U + F_q.v for an invariant U of dimension k
-and a v with (loop matrix).v in U, so a breadth-first sweep by dimension
-with canonical-basis deduplication visits each subspace exactly once.
+and a v in K = {v : (loop matrix).v in U}, so a breadth-first sweep by
+dimension that deduplicates each layer visits each subspace exactly once.
+A frontier subspace is the (RREF rows, pivots) pair `linalg.insert_row`
+returns, which is also its deduplication key, and v runs over one vector
+per line of K/U.
 
 Large-subobject cells on the loop backend are served from the small side
 of the lattice: transposition is a self-duality of nilpotent loop modules
 exchanging (sub, quot), so #{U : U = A, M/U = B} = #{U : U = B, M/U = A}.
 The tests verify this against two-sided enumeration at small dims.
 
-This module keeps no state.  Histograms are memoized by the caller: each
-`HallEngine` owns a `_surveys` dict, keyed by (target, q), that it passes
-to `count_points`, so the memo is freed with the engine and never shared
-between two backend definitions.  Only the F_q route loads this module
+A histogram is a dict {(sub class, quotient class): count}, and
+`enumerate_subreps` returns a target's full one.  This module keeps no
+state.  Histograms are memoized by the caller: each `HallEngine` owns a
+`_surveys` dict, keyed by (target, q), that it passes to `count_points`,
+so the memo is freed with the engine and never shared between two
+backend definitions.  Only the F_q route loads this module
 (`HallEngine._fit` imports it), and `Bounds` is `quiver.Bounds`.  A p1
 target has no matrix model (`quiver.realize_class` refuses it): p1 counts
 are loop counts, one per support point (`HallEngine._interpolate`).
@@ -31,15 +36,6 @@ from .gf import field
 Bounds, DEFAULT_BOUNDS = quiver.Bounds, quiver.DEFAULT_BOUNDS  # the same objects
 
 
-class SubrepHistogram:
-    """All subrepresentations of one realized class, keyed by
-    (sub iso class, quotient iso class)."""
-    def __init__(self, target, q, counts):
-        self.target = target
-        self.q = q
-        self.counts = counts
-
-
 def _check_bounds(backend, target, q, bounds):
     bounds.check_dim(quiver.class_total_dim(backend, target))
     if q > bounds.max_q:
@@ -49,10 +45,9 @@ def _check_bounds(backend, target, q, bounds):
 
 
 def enumerate_subreps(backend, target, q, bounds=DEFAULT_BOUNDS):
-    """Full histogram of subrepresentations of realize_class(target, q)."""
+    """Full histogram {(sub, quot): count} of realize_class(target, q)."""
     _check_bounds(backend, target, q, bounds)
-    cells = _survey(backend, target, q, None, {})
-    return SubrepHistogram(target=target, q=q, counts=dict(cells))
+    return _survey(backend, target, q, None, {})
 
 
 def count_points(backend, sub, quot, target, q, bounds=DEFAULT_BOUNDS,
@@ -108,20 +103,15 @@ def _loop_survey(backend, target, q, cap):
     max_h = max((l[1] for l in target), default=0)
 
     # canonical models are partial permutations: (A^j v)[i] = v[gather_j[i]]
-    gather1 = []
-    for i in range(d):
-        nz = [j for j, x in enumerate(mat[i]) if x]
-        gather1.append(nz[0] if nz else -1)
-    pow_gathers = []
+    gather1 = [next((j for j, x in enumerate(row) if x), -1) for row in mat]
+    # per power: the sparse (dst, src) pairs, as powers of nilpotents thin
+    # out fast, and the coordinates off Im(A^j) = span{e_i : gather_j[i] >= 0}
+    pow_moves, comp_coords = [], []
     g = list(range(d))
     for _ in range(max_h):
         g = [gather1[i] if i >= 0 else -1 for i in g]
-        pow_gathers.append(list(g))
-    # sparse (dst, src) pairs per power; powers of nilpotents thin out fast
-    pow_moves = [[(i, s) for i, s in enumerate(gj) if s >= 0]
-                 for gj in pow_gathers]
-    # Im(A^j) = span{e_i : gather_j[i] >= 0}; its complement coordinates
-    comp_coords = [[i for i in range(d) if gj[i] < 0] for gj in pow_gathers]
+        pow_moves.append([(i, s) for i, s in enumerate(g) if s >= 0])
+        comp_coords.append([i for i, s in enumerate(g) if s < 0])
 
     cells = defaultdict(int)
     part_memo = {}
@@ -140,13 +130,6 @@ def _loop_survey(backend, target, q, cap):
                 backend, [("j", s) for s in _partition_from_kernel_dims(kdims)])
             part_memo[key] = hit
         return hit
-
-    def unpack(packed):
-        k = len(packed) // d if d else 0
-        return tuple(packed[i * d:(i + 1) * d] for i in range(k))
-
-    def pivots_of(rows):
-        return tuple(next(j for j, x in enumerate(r) if x) for r in rows)
 
     def classify(rows, k):
         def sub_kernel(j):  # k - rank of A^j U
@@ -172,32 +155,22 @@ def _loop_survey(backend, target, q, cap):
         return partition(k, sub_kernel), partition(d - k, quot_kernel)
 
     cells[classify((), 0)] += 1
-    layer = [b""]
+    layer = [((), ())]
     qn = K.q
+    mat_cols = [bytes(row[c] for row in mat) for c in range(d)]
     for _dim in range(cap):
         next_layer = set()
-        for packed in layer:
-            rows = unpack(packed)
-            pivots = pivots_of(rows)
+        for rows, pivots in layer:
             # kernel of v -> (A v mod U); constraint row i: coefficients of
             # coordinate i of A e_c reduced mod U, c = 0..d-1
-            reduced_cols = []
-            for c in range(d):
-                col = bytes(mat[i][c] for i in range(d))
-                reduced_cols.append(linalg.reduce_vector(col, rows, pivots, K))
-            cons = [bytes(reduced_cols[c][i] for c in range(d)) for i in range(d)]
-            cons = [r for r in cons if any(r)]
+            reduced_cols = [linalg.reduce_vector(col, rows, pivots, K)
+                            for col in mat_cols]
+            cons = [bytes(col[i] for col in reduced_cols) for i in range(d)]
             kb_rows, _kb_piv = linalg.null_space(cons, K, d)
-            comp = []
-            crows, cpiv = rows, pivots
-            for v in kb_rows:
-                red = linalg.reduce_vector(v, rows, pivots, K)
-                if not any(red):
-                    continue
-                ins = linalg.insert_row(crows, cpiv, red, K)
-                if ins is not None:
-                    crows, cpiv = ins
-                    comp.append(red)
+            # a basis of K/U: the reduced rows vanish on U's pivot columns,
+            # so they span a complement of U in K, and its lines are K/U's
+            comp, _ = linalg.row_reduce(
+                [linalg.reduce_vector(v, rows, pivots, K) for v in kb_rows], K)
             c = len(comp)
             for lead in range(c):
                 tail = c - lead - 1
@@ -212,10 +185,8 @@ def _loop_survey(backend, target, q, cap):
                             for i in range(d):
                                 if w[i]:
                                     v[i] = K.add[v[i] * qn + K.mul[coef * qn + w[i]]]
-                    ins = linalg.insert_row(rows, pivots, bytes(v), K)
-                    next_layer.add(b"".join(ins[0]))
-        for packed in next_layer:
-            rows = unpack(packed)
+                    next_layer.add(linalg.insert_row(rows, pivots, bytes(v), K))
+        for rows, _pivots in next_layer:
             cells[classify(rows, len(rows))] += 1
         layer = next_layer
     return dict(cells)
@@ -254,10 +225,8 @@ def _quiver_survey(backend, target, q):
     inert = [v for v in range(nv) if v not in active and dims[v]]
 
     arrows_by_last = defaultdict(list)
-    active_arrows = []
     for ai, ar in enumerate(backend.arrows):
         if ar.src in active and ar.tgt in active:
-            active_arrows.append((ai, ar))
             arrows_by_last[max(apos[ar.src], apos[ar.tgt])].append((ai, ar))
 
     lists = {v: list(linalg.all_subspaces(dims[v], K)) for v in averts}

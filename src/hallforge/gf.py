@@ -95,27 +95,19 @@ class GF:
         mul = bytearray(q * q)
         neg = bytearray(q)
         inv = bytearray(q)
-        if k == 1:
-            for a in range(q):
-                neg[a] = (-a) % q
-                for b in range(q):
-                    add[a * q + b] = (a + b) % q
-                    sub[a * q + b] = (a - b) % q
-                    mul[a * q + b] = (a * b) % q
-        else:
-            reducer = _REDUCERS[q]
-            digs = [_digits(n, p, k) for n in range(q)]
-            for a in range(q):
-                da = digs[a]
-                neg[a] = _undigits([(-x) % p for x in da], p)
-                for b in range(q):
-                    db = digs[b]
-                    add[a * q + b] = _undigits(
-                        [(x + y) % p for x, y in zip(da, db)], p)
-                    sub[a * q + b] = _undigits(
-                        [(x - y) % p for x, y in zip(da, db)], p)
-                    mul[a * q + b] = _undigits(
-                        _poly_mul_mod(da, db, reducer, p, k), p)
+        reducer = _REDUCERS.get(q)  # None at k = 1, where nothing is reduced
+        digs = [_digits(n, p, k) for n in range(q)]
+        for a in range(q):
+            da = digs[a]
+            neg[a] = _undigits([(-x) % p for x in da], p)
+            for b in range(q):
+                db = digs[b]
+                add[a * q + b] = _undigits(
+                    [(x + y) % p for x, y in zip(da, db)], p)
+                sub[a * q + b] = _undigits(
+                    [(x - y) % p for x, y in zip(da, db)], p)
+                mul[a * q + b] = _undigits(
+                    _poly_mul_mod(da, db, reducer, p, k), p)
         for a in range(1, q):
             for b in range(1, q):
                 if mul[a * q + b] == 1:

@@ -21,7 +21,9 @@ is fitted through all but the last sample and accepted once it has integer
 coefficients and reproduces the held-out sample exactly.  Its value at q = 1
 is the same constant, which the `routes` verify suite checks cell by cell.
 On p1 a count is the product of the loop-backend counts at each support
-point, and the polynomial is the product of the per-point loop fits.
+point, and the polynomial is the product of the per-point loop fits.  A
+p1 engine loads that loop backend once, on its first fit (`_loop`), so
+its label and Hom tables carry over from one fit to the next.
 Only Hall polynomials go to the versioned JSON cache: a constant is cheaper
 to read off `cells` than to look up there.  `_fit` alone imports `counting`
 and `linalg`: a process that only reads `cells` never loads the F_q route.
@@ -50,11 +52,12 @@ A bound failure raises before anything is stored.
 import json
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from . import quiver
 from .errors import (BackendMismatchError, CacheCollisionError, CacheFormatError,
-                     CapabilityError, NonPolynomialCountError)
+                     NonPolynomialCountError)
 from .gf import prime_powers
 
 CACHE_VERSION = 1
@@ -247,10 +250,13 @@ class HallEngine:
     # -- Euler constants: torus fixed points --------------------------------
 
     def euler_constant(self, sub, quot, target):
-        """Euler characteristic of the (sub, quot) stratum of `target`."""
-        if self.backend.kind == quiver.KIND_P1:
-            _require_torsion(sub, quot, target)
-        return self.cells(target).get((sub, quot), 0)
+        """Euler characteristic of the (sub, quot) stratum of `target`.
+        An absent cell's labels are looked up, so a foreign label or a line
+        bundle raises; a present cell's are the target's own splits."""
+        c = self.cells(target).get((sub, quot))
+        if c is None:
+            quiver.class_total_dim(self.backend, sub + quot)
+        return c or 0
 
     def product(self, x, z):
         """The nonzero ((y, chi), ...) of 1_[x] * 1_[z], in the order of
@@ -281,8 +287,6 @@ class HallEngine:
         if hit is not None:
             return hit
         b = self.backend
-        if b.kind == quiver.KIND_P1:
-            _require_torsion(target)
         self.bounds.check_dim(quiver.class_total_dim(b, target))
         out = {((), ()): 1}
         for l in target:
@@ -312,9 +316,9 @@ class HallEngine:
         b = self.backend
         if b.kind != quiver.KIND_P1:
             return self._fit(b, sub, quot, target)
-        _require_torsion(sub, quot, target)
+        quiver.class_total_dim(b, sub + quot)  # refuses a line bundle or a foreign label
         self.bounds.check_dim(quiver.class_total_dim(b, target))
-        loop = quiver.builtin_backend("loop")
+        loop = self._loop
         coeffs = (1,)
         for x in sorted({l[1] for cls in (sub, quot, target) for l in cls}):
             local = [quiver.make_class(loop, [("j", l[2]) for l in cls if l[1] == x])
@@ -324,6 +328,11 @@ class HallEngine:
                 return p
             coeffs = _poly_mul(coeffs, p.coeffs)
         return HallPolynomial(coeffs)
+
+    @cached_property
+    def _loop(self):
+        """The loop backend of the per-point fits on p1, loaded once."""
+        return quiver.builtin_backend("loop")
 
     def _fit(self, backend, sub, quot, target):
         from . import counting
@@ -427,11 +436,3 @@ def _summand_splits(backend, label):
 
     rec([])
     return out
-
-
-def _require_torsion(*classes):
-    for cls in classes:
-        for l in cls:
-            if l[0] != "t":
-                raise CapabilityError(
-                    "products are defined for torsion classes only")

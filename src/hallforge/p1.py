@@ -144,26 +144,21 @@ def _base_product(engine, base, degs_a, degs_b):
     gmax = len(degs_a) + len(degs_b)
     npoints = None if base.cofinite else len(base.points)
     # Krull-Schmidt stratification: members of one output stratum that
-    # differ only in their point-collision pattern must share the value
+    # differ only in their point-collision pattern must share the value,
+    # zero included (shapes with more points than a finite base has are
+    # never generated)
     by_degmults = {}
     for shape in _output_shapes(total, gmax, npoints):
-        by_degmults.setdefault(_shape_to_degmults(shape), []).append(
+        by_degmults.setdefault(_shape_to_degmults(shape), set()).add(
             _shape_value(engine, degs_a, degs_b, shape))
     out = {}
     for degmults, values in by_degmults.items():
-        nonzero = {v for v in values if v}
-        if len(nonzero) > 1:
+        if len(values) > 1:
             raise InternalInvariantError(
                 f"family product is not constant on the stratum "
-                f"{degmults}: values {sorted(map(str, nonzero))}")
-        if nonzero and 0 in values:
-            # shapes with more points than a finite base has are never
-            # generated; on the rest, with matching block data, a zero
-            # pattern contradicts stratification
-            raise InternalInvariantError(
-                f"family product vanishes on part of the stratum {degmults}")
-        if nonzero:
-            out[degmults] = nonzero.pop()
+                f"{degmults}: values {sorted(map(str, values))}")
+        if (value := values.pop()):
+            out[degmults] = value
     memo[key] = out
     return out
 

@@ -250,7 +250,8 @@ def label_dim(backend, label):
 
 def label_total_dim(backend, label):
     if label[0] == "o":
-        raise CapabilityError("line bundles have no total dimension here")
+        raise CapabilityError("line bundles have no total dimension: counts "
+                              "and constants take torsion classes only")
     return backend.label_table[label][0][0]
 
 

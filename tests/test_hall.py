@@ -8,8 +8,8 @@ import pytest
 from hallforge import algebra as alg
 from hallforge import counting, hall, quiver, verify
 from hallforge.counting import Bounds
-from hallforge.errors import (BackendMismatchError, NonPolynomialCountError,
-                              ResourceLimitError)
+from hallforge.errors import (BackendMismatchError, CapabilityError,
+                              NonPolynomialCountError, ResourceLimitError)
 from hallforge.gf import prime_powers
 from hallforge.hall import HallCache, HallEngine, HallPolynomial, fit_polynomial
 from hallforge.quiver import make_class, parse_class
@@ -308,6 +308,26 @@ def test_foreign_labels_are_refused_before_any_memo():
         with pytest.raises(BackendMismatchError, match="does not belong"):
             call(engine)
         assert engine._cells == {} and engine._splits == {}
+
+
+def test_euler_constant_refuses_the_labels_of_an_absent_cell(a2, p1b):
+    # an absent cell's sub and quotient are looked up in the label table
+    with pytest.raises(BackendMismatchError, match="does not belong"):
+        HallEngine(a2).euler_constant((("j", 1),), (), (("i", 0, 0),))
+    with pytest.raises(CapabilityError):
+        HallEngine(p1b).euler_constant((("o", 1),), (), (("t", "x", 1),))
+
+
+def test_p1_engine_loads_one_loop_backend(p1b, monkeypatch):
+    loads = []
+    load = quiver.builtin_backend
+    monkeypatch.setattr(quiver, "builtin_backend",
+                        lambda name: loads.append(name) or load(name))
+    engine = HallEngine(p1b)
+    t1, t2 = make_class(p1b, [("t", "x", 1)]), make_class(p1b, [("t", "x", 2)])
+    assert engine.hall_polynomial(t1, (), t1).coeffs == (1,)
+    assert engine.hall_polynomial(t1, t1, t2).coeffs == (1,)
+    assert loads == ["loop"]
 
 
 def test_surveys_are_engine_memos(a3):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hallforge import algebra as alg
 from hallforge import coalgebra as co
 from hallforge import p1, quiver
-from hallforge.errors import BackendMismatchError, CapabilityError
+from hallforge.errors import (BackendMismatchError, CapabilityError,
+                              InternalInvariantError)
 from hallforge.hall import HallEngine
 from hallforge.p1sets import P1Set, chi_na, set_ops
 from hallforge.quiver import make_class
@@ -251,6 +252,25 @@ def test_torsion_labels_need_a_point_and_positive_degree(p1b):
     for label in (("t", "x", 0), ("t", "x", -1), ("t", "", 1)):
         with pytest.raises(BackendMismatchError):
             alg.class_char(p1b, (label,))
+
+
+@pytest.mark.parametrize("corrupt", ["raise", "empty"])
+def test_family_product_refuses_a_value_that_varies_on_a_stratum(p1b, corrupt):
+    # 1_O1 * 1_O1 reads the stratum of two degree-1 blocks off [T(x,1)+T(x,1)]
+    # and [T(p0,1)+T(p1,1)]; a changed or vanished value on the second
+    # collision shape breaks stratification
+    engine = HallEngine(p1b)
+    y = make_class(p1b, [("t", "p0", 1), ("t", "p1", 1)])
+    cells = dict(engine.cells(y))
+    if corrupt == "raise":
+        sq = next(k for k in cells if k[0] and k[1])
+        cells[sq] += 1
+    else:
+        cells.clear()
+    engine._cells[y] = cells
+    f = one_family(p1b, fam_all(1))
+    with pytest.raises(InternalInvariantError, match="not constant"):
+        alg.convolve(engine, f, f)
 
 
 def test_family_product_caches_only_nonzero_local_constants(p1b):
