@@ -1,4 +1,4 @@
-"""Command line surface: hallforge <cmd> --backend <file> ...
+"""Command line surface: hallforge --backend <file> <cmd> ...
 
 Operands are iso classes in bracket syntax ("[S1+S1+P12]", "[J2]", "[0]")
 or, on the P^1 backend, family names declared in the backend file.  All
@@ -6,9 +6,10 @@ numeric output is exact; identical command and cache state produce
 byte-identical stdout.
 """
 
+import argparse
 import json
-
-import click
+import os
+import sys
 
 from . import algebra as alg
 from . import hall, quiver
@@ -19,15 +20,15 @@ class Session:
     def __init__(self, backend_arg, dim, q_max, gamma, cache_path, as_json):
         self.backend, self.raw = quiver.load_backend(backend_arg)
         if dim < 1 or q_max < 2 or gamma < 1:
-            raise click.UsageError("bounds must be positive")
+            raise ValueError("bounds must be positive")
         self.bounds = quiver.Bounds(max_dim=dim, max_q=q_max)
         self.gamma = gamma
         self.cache_path = cache_path
         cache = hall.HallCache(self.backend, cache_path, rebuild_stale=True)
         if cache.rebuilt:
-            click.echo(json.dumps({"warning": "cache-rebuilt",
-                                   "message": "cache version mismatch; "
-                                   "starting a fresh cache"}), err=True)
+            print(json.dumps({"warning": "cache-rebuilt",
+                              "message": "cache version mismatch; "
+                              "starting a fresh cache"}), file=sys.stderr)
         self.engine = hall.HallEngine(self.backend, self.bounds, cache)
         self.as_json = as_json
         self.families = {}
@@ -47,8 +48,8 @@ class Session:
             fam = self.families[t]
             return alg.char_fn(self.backend,
                                [alg.make_stratum(self.backend, [(fam, 1)])])
-        raise click.UsageError(f"unknown operand {text!r}: not a bracketed "
-                               "class and not a declared family name")
+        raise ValueError(f"unknown operand {text!r}: not a bracketed "
+                         "class and not a declared family name")
 
     def parse_set(self, text):
         t = text.strip()
@@ -57,28 +58,27 @@ class Session:
         if t in self.families:
             return alg.ConstructibleSet(
                 (alg.make_stratum(self.backend, [(self.families[t], 1)]),))
-        raise click.UsageError(f"unknown set operand {text!r}")
+        raise ValueError(f"unknown set operand {text!r}")
 
     def finish(self):
         if self.cache_path and self.engine.cache.dirty:
             self.engine.cache.dump()
 
 
-def _session(ctx):
-    p = ctx.obj
-    return Session(p["backend"], p["dim"], p["q_max"], p["gamma"],
-                   p["cache"], p["json"])
+def _session(args):
+    return Session(args.backend, args.dim, args.q_max, args.gamma,
+                   args.cache, args.json)
 
 
 def _echo_json(obj):
-    click.echo(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 def _emit_element(session, element):
     if session.as_json:
-        click.echo(alg.canonical_json(session.backend, element))
+        print(alg.canonical_json(session.backend, element))
     else:
-        click.echo(alg.element_to_text(session.backend, element))
+        print(alg.element_to_text(session.backend, element))
 
 
 def _tensor_json(backend, t):
@@ -89,56 +89,37 @@ def _tensor_json(backend, t):
                       for (l, r), v in t.terms]}
 
 
-def _run(ctx, fn):
+def _run(args, fn):
     try:
-        session = _session(ctx)
+        session = _session(args)
         code = fn(session)
         session.finish()
     except ResourceLimitError as e:
-        click.echo(json.dumps({"error": "resource-limit", "message": str(e),
-                               "limit": e.limit, "requested": e.requested}),
-                   err=True)
+        print(json.dumps({"error": "resource-limit", "message": str(e),
+                          "limit": e.limit, "requested": e.requested}),
+              file=sys.stderr)
         raise SystemExit(3)
     except HallforgeError as e:
-        click.echo(json.dumps({"error": type(e).__name__, "message": str(e)}),
-                   err=True)
+        print(json.dumps({"error": type(e).__name__, "message": str(e)}),
+              file=sys.stderr)
         raise SystemExit(1)
     except ValueError as e:
-        raise click.UsageError(str(e))
+        args.parser.error(str(e))
+    except BrokenPipeError:  # the reader closed stdout early (`| head`)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise SystemExit(1)
     raise SystemExit(code or 0)
 
 
-@click.group()
-@click.option("--backend", required=True,
-              help="backend JSON file, or a builtin name (a2, a3, loop, p1)")
-@click.option("--dim", default=6, show_default=True,
-              help="maximum total dimension of a target class")
-@click.option("--q-max", default=13, show_default=True,
-              help="largest field size the F_q route (Hall polynomials, "
-                   "verify routes) samples")
-@click.option("--gamma", default=2, show_default=True,
-              help="summand-count bound for suites that take one")
-@click.option("--cache", default=None, type=click.Path(),
-              help="persistent cache file of Hall polynomials")
-@click.option("--json", "as_json", is_flag=True, help="JSON output")
-@click.pass_context
-def main(ctx, backend, dim, q_max, gamma, cache, as_json):
-    """Exact degenerate Hall-algebra computations on quiver categories."""
-    ctx.obj = {"backend": backend, "dim": dim, "q_max": q_max,
-               "gamma": gamma, "cache": cache, "json": as_json}
-
-
-@main.command()
-@click.pass_context
-def indecomposables(ctx):
+def indecomposables(args):
     """List the indecomposable labels within the dimension bound."""
     def go(session):
         b = session.backend
         if b.kind == quiver.KIND_P1:
             if not session.families:
-                click.echo(json.dumps({"error": "capability",
-                                       "message": "declare families in the "
-                                       "backend file to list them"}), err=True)
+                print(json.dumps({"error": "capability",
+                                  "message": "declare families in the "
+                                  "backend file to list them"}), file=sys.stderr)
                 return 1
             if session.as_json:
                 _echo_json({"families": {n: alg.family_to_json(b, f)
@@ -148,7 +129,7 @@ def indecomposables(ctx):
                     base = ("P1" if f.base.cofinite and not f.base.points else
                             ("P1 minus " if f.base.cofinite else "") +
                             "{" + ",".join(sorted(f.base.points)) + "}")
-                    click.echo(f"{n}: degree {f.degree} torsion over {base}")
+                    print(f"{n}: degree {f.degree} torsion over {base}")
             return 0
         labels = quiver.indec_labels(b, session.bounds.max_dim)
         if session.as_json:
@@ -156,62 +137,47 @@ def indecomposables(ctx):
         else:
             for l in labels:
                 dv = quiver.label_dim(b, l)
-                click.echo(f"{quiver.label_name(b, l)}  dim {list(dv)}")
+                print(f"{quiver.label_name(b, l)}  dim {list(dv)}")
         return 0
-    _run(ctx, go)
+    _run(args, go)
 
 
-@main.command()
-@click.argument("left")
-@click.argument("right")
-@click.pass_context
-def mul(ctx, left, right):
+def mul(args):
     """Convolution product of two elements."""
     def go(session):
-        f = session.parse_operand(left)
-        g = session.parse_operand(right)
+        f = session.parse_operand(args.left)
+        g = session.parse_operand(args.right)
         _emit_element(session, alg.convolve(session.engine, f, g))
         return 0
-    _run(ctx, go)
+    _run(args, go)
 
 
-@main.command()
-@click.argument("left")
-@click.argument("right")
-@click.pass_context
-def bracket(ctx, left, right):
+def bracket(args):
     """Lie bracket f*g - g*f."""
     def go(session):
-        f = session.parse_operand(left)
-        g = session.parse_operand(right)
+        f = session.parse_operand(args.left)
+        g = session.parse_operand(args.right)
         _emit_element(session, alg.lie_bracket(session.engine, f, g))
         return 0
-    _run(ctx, go)
+    _run(args, go)
 
 
-@main.command()
-@click.argument("operand")
-@click.argument("exponent", type=int)
-@click.pass_context
-def power(ctx, operand, exponent):
+def power(args):
     """Convolution power of an indecomposable family's characteristic
     function, with the factorial leading term asserted."""
     def go(session):
-        cset = session.parse_set(operand)
-        result = alg.convolution_power(session.engine, cset, exponent)
+        cset = session.parse_set(args.operand)
+        result = alg.convolution_power(session.engine, cset, args.exponent)
         _emit_element(session, result)
         return 0
-    _run(ctx, go)
+    _run(args, go)
 
 
-@main.command()
-@click.argument("operand")
-@click.pass_context
-def comul(ctx, operand):
+def comul(args):
     """Splitting comultiplication of an element."""
     def go(session):
         from . import coalgebra as co
-        b, f = session.backend, session.parse_operand(operand)
+        b, f = session.backend, session.parse_operand(args.operand)
         for k in f.values:  # Delta(1_[Y]) has 2^summands terms; a line bundle counts 1
             session.bounds.check_dim(quiver.class_total_dim(b, k) if b.kind != quiver.KIND_P1
                                      else sum((fam.degree or 1) * m for fam, m in k))
@@ -220,21 +186,22 @@ def comul(ctx, operand):
             _echo_json(_tensor_json(b, t))
         else:
             for (l, r), v in t.terms:
-                click.echo(f"({v}) * 1_{{{alg._stratum_text(b, l.strata[0])}}}"
-                           f" (x) 1_{{{alg._stratum_text(b, r.strata[0])}}}")
+                print(f"({v}) * 1_{{{alg._stratum_text(b, l.strata[0])}}}"
+                      f" (x) 1_{{{alg._stratum_text(b, r.strata[0])}}}")
         return 0
-    _run(ctx, go)
+    _run(args, go)
 
 
-@main.command(name="verify")
-@click.argument("suite", type=click.Choice((  # verify.SUITES, before it loads
-    "assoc", "lie-closure", "riedtmann", "pbw", "green", "bialgebra", "euler-axioms", "routes")))
-@click.pass_context
-def verify_cmd(ctx, suite):
+# verify.SUITES, named before verify loads
+SUITES = ("assoc", "lie-closure", "riedtmann", "pbw", "green", "bialgebra",
+          "euler-axioms", "routes")
+
+
+def verify_cmd(args):
     """Run a named invariant suite; exit 0 only if every check passes."""
     def go(session):
         from . import verify
-        res = verify.run_suite(suite, session.engine,
+        res = verify.run_suite(args.suite, session.engine,
                                dim=session.bounds.max_dim,
                                gamma=session.gamma)
         if session.as_json:
@@ -242,63 +209,113 @@ def verify_cmd(ctx, suite):
         else:
             for c in res.checks:
                 mark = "ok" if c["passed"] else "FAIL"
-                click.echo(f"[{mark}] {c['name']}")
-            click.echo(f"suite {suite}: {'pass' if res.passed else 'FAIL'}")
-        click.echo(f"elapsed: {res.elapsed:.2f}s", err=True)
+                print(f"[{mark}] {c['name']}")
+            print(f"suite {args.suite}: {'pass' if res.passed else 'FAIL'}")
+        print(f"elapsed: {res.elapsed:.2f}s", file=sys.stderr)
         return 0 if res.passed else 1
-    _run(ctx, go)
+    _run(args, go)
 
 
-@main.group()
-def cache():
-    """Inspect or move the persistent cache of Hall polynomials."""
-
-
-@cache.command()
-@click.pass_context
-def stats(ctx):
+def stats(args):
+    """Print the entry count and largest polynomial degree of the cache."""
     def go(session):
         _echo_json(session.engine.cache.stats())
         return 0
-    _run(ctx, go)
+    _run(args, go)
 
 
-@cache.command()
-@click.argument("dest", type=click.Path())
-@click.pass_context
-def export(ctx, dest):
+def export(args):
+    """Write the cache to a file."""
     def go(session):
-        session.engine.cache.dump(dest)
+        session.engine.cache.dump(args.dest)
         _echo_json({"exported": session.engine.cache.stats()})
         return 0
-    _run(ctx, go)
+    _run(args, go)
 
 
-@cache.command(name="import")
-@click.argument("src", type=click.Path(exists=True))
-@click.pass_context
-def import_(ctx, src):
+def import_(args):
+    """Merge a cache file into the cache."""
     def go(session):
         try:
-            session.engine.cache.load(src, merge=True)
+            session.engine.cache.load(args.src, merge=True)
         except ValueError as e:  # another version (a collision: CacheCollisionError)
-            click.echo(json.dumps({"error": "cache-version",
-                                   "message": str(e)}), err=True)
+            print(json.dumps({"error": "cache-version",
+                              "message": str(e)}), file=sys.stderr)
             return 1
         session.engine.cache.dirty = True
         _echo_json({"imported": session.engine.cache.stats()})
         return 0
-    _run(ctx, go)
+    _run(args, go)
 
 
-@cache.command()
-@click.pass_context
-def clear(ctx):
+def clear(args):
+    """Empty the cache."""
     def go(session):
         session.engine.cache.clear()
         _echo_json({"cleared": True})
         return 0
-    _run(ctx, go)
+    _run(args, go)
+
+
+def _existing_path(path):
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+def _parser(prog):
+    parser = argparse.ArgumentParser(prog=prog, description=main.__doc__,
+                                     allow_abbrev=False)
+    parser.add_argument("--backend", required=True,
+                        help="backend JSON file, or a builtin name (a2, a3, loop, p1)")
+    parser.add_argument("--dim", type=int, default=6,
+                        help="maximum total dimension of a target class "
+                        "(default: %(default)s)")
+    parser.add_argument("--q-max", type=int, default=13,
+                        help="largest field size the F_q route (Hall polynomials, "
+                        "verify routes) samples (default: %(default)s)")
+    parser.add_argument("--gamma", type=int, default=2,
+                        help="summand-count bound for suites that take one "
+                        "(default: %(default)s)")
+    parser.add_argument("--cache", help="persistent cache file of Hall polynomials")
+    parser.add_argument("--json", action="store_true", help="JSON output")
+
+    def command(group, fn, *positionals, name=None):
+        sub = group.add_parser(name or fn.__name__, help=fn.__doc__,
+                               description=fn.__doc__, allow_abbrev=False)
+        for arg in positionals:
+            sub.add_argument(arg)
+        sub.set_defaults(run=fn, parser=sub)
+        return sub
+
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    command(commands, indecomposables)
+    command(commands, mul, "left", "right")
+    command(commands, bracket, "left", "right")
+    command(commands, power, "operand").add_argument("exponent", type=int)
+    command(commands, comul, "operand")
+    command(commands, verify_cmd, name="verify").add_argument(
+        "suite", choices=SUITES, metavar="SUITE", help="one of %(choices)s")
+    cache = commands.add_parser(
+        "cache", allow_abbrev=False,
+        help="Inspect or move the persistent cache of Hall polynomials.")
+    actions = cache.add_subparsers(dest="action", metavar="ACTION", required=True)
+    command(actions, stats)
+    command(actions, export, "dest")
+    command(actions, import_, name="import").add_argument("src", type=_existing_path)
+    command(actions, clear)
+    return parser
+
+
+def main(argv=None, prog_name="hallforge", standalone_mode=True):
+    """Exact degenerate Hall-algebra computations on quiver categories."""
+    try:
+        args = _parser(prog_name).parse_args(argv)
+        args.run(args)
+    except SystemExit as e:
+        if standalone_mode:
+            raise
+        return e.code
 
 
 if __name__ == "__main__":

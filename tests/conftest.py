@@ -1,9 +1,23 @@
+import contextlib
+import io
+from types import SimpleNamespace
+
 import pytest
 
-from hallforge import counting, hall
+from hallforge import cli, counting, hall
 from hallforge.quiver import builtin_backend
 
 import conftest_acceptance
+
+
+def run_cli(*args):
+    """Run one hallforge command in this process and return its exit_code,
+    stdout and stderr.  An exception other than SystemExit propagates, so
+    a traceback fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(args), standalone_mode=False)
+    return SimpleNamespace(exit_code=code, stdout=out.getvalue(), stderr=err.getvalue())
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -12,15 +12,13 @@ import time
 from fractions import Fraction
 from itertools import product as iproduct
 
-from click.testing import CliRunner
-
 from hallforge import algebra as alg
 from hallforge import coalgebra as co
 from hallforge import counting, hall, p1, pbw, quiver, verify
-from hallforge.cli import main as cli_main
 from hallforge.p1sets import P1Set, chi_na
 from hallforge.quiver import make_class, parse_class
 
+from conftest import run_cli
 from conftest_acceptance import record
 
 
@@ -38,7 +36,7 @@ def test_criterion_01_a2_structure_constants(a2_engine):
     assert alg.equal(a2, prod2, char_of(a2, "[S1+S2]"))
     br = alg.lie_bracket(a2_engine, char_of(a2, "[S1]"), char_of(a2, "[S2]"))
     assert alg.equal(a2, br, alg.scale(a2, char_of(a2, "[P12]"), -1))
-    r = CliRunner().invoke(cli_main, ["--backend", "a2", "mul", "[S2]", "[S1]"])
+    r = run_cli("--backend", "a2", "mul", "[S2]", "[S1]")
     assert r.exit_code == 0
     assert r.stdout.strip() == "(1)*1_{{P12}} + (1)*1_{{S2}+{S1}}"
     record(1, "A2 structure constants", t0)
@@ -231,7 +229,6 @@ def test_criterion_12_p1_family_calculus(p1_engine):
 def test_criterion_13_determinism_and_cache(tmp_path, loop_engine,
                                             a2_engine, loop_engine9):
     t0 = time.monotonic()
-    runner = CliRunner()
     cache = tmp_path / "cache.json"
     argsets = [
         ["--backend", "a2", "--json", "mul", "[S2]", "[S1]"],
@@ -244,13 +241,11 @@ def test_criterion_13_determinism_and_cache(tmp_path, loop_engine,
         ["--backend", "loop", "--dim", "3", "--json", "verify", "routes"],
     ]
     for args in argsets:
-        cold = runner.invoke(cli_main, args)
+        cold = run_cli(*args)
         assert cold.exit_code == 0
-        again = runner.invoke(cli_main, args)
-        cached1 = runner.invoke(cli_main, args[:2] + ["--cache", str(cache)]
-                                + args[2:])
-        cached2 = runner.invoke(cli_main, args[:2] + ["--cache", str(cache)]
-                                + args[2:])
+        again = run_cli(*args)
+        cached1 = run_cli(*args[:2], "--cache", str(cache), *args[2:])
+        cached2 = run_cli(*args[:2], "--cache", str(cache), *args[2:])
         assert cold.stdout == again.stdout == cached1.stdout == cached2.stdout
         cache.unlink(missing_ok=True)
 

@@ -5,92 +5,88 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import hallforge
-from hallforge import hall, quiver, verify
-from hallforge.cli import main
+from hallforge import cli, hall, quiver, verify
 
-
-def run(*args):
-    return CliRunner().invoke(main, list(args))
+from conftest import run_cli
 
 
 def test_indecomposables_listing(tmp_path):
-    r = run("--backend", "a2", "--dim", "2", "indecomposables")
+    r = run_cli("--backend", "a2", "--dim", "2", "indecomposables")
     assert r.exit_code == 0
     assert [line.split()[0] for line in r.stdout.splitlines()] == \
         ["S2", "S1", "P12"]
     a1 = tmp_path / "a1.json"
     a1.write_text(json.dumps({"name": "a1", "kind": "dynkin-quiver",
                               "vertices": ["1"], "arrows": []}))
-    r = run("--backend", str(a1), "--dim", "3", "indecomposables")
+    r = run_cli("--backend", str(a1), "--dim", "3", "indecomposables")
     assert r.exit_code == 0 and r.stdout.split()[0] == "S1"
     assert len(r.stdout.splitlines()) == 1
-    r = run("--backend", "a2", "--dim", "1", "indecomposables", )
+    r = run_cli("--backend", "a2", "--dim", "1", "indecomposables", )
     assert "P12" not in r.stdout
-    r = run("--backend", "loop", "--dim", "3", "indecomposables")
+    r = run_cli("--backend", "loop", "--dim", "3", "indecomposables")
     assert [line.split()[0] for line in r.stdout.splitlines()] == \
         ["J1", "J2", "J3"]
-    r = run("--backend", "p1", "indecomposables")
+    r = run_cli("--backend", "p1", "indecomposables")
     assert r.exit_code == 0 and "O1: degree 1" in r.stdout
-    r = run("--backend", "p1", "--json", "indecomposables")
+    r = run_cli("--backend", "p1", "--json", "indecomposables")
     assert r.exit_code == 0
     assert r.stdout == (
         '{"families":{"O1":{"base":{"kind":"cofinite","points":[]},"degree":1},'
         '"O2":{"base":{"kind":"cofinite","points":[]},"degree":2},'
         '"O3":{"base":{"kind":"cofinite","points":[]},"degree":3}}}\n')
-    r = run("--backend", "a2", "--json", "indecomposables")
+    r = run_cli("--backend", "a2", "--json", "indecomposables")
     assert r.exit_code == 0 and r.stdout == '{"labels":["S2","S1","P12"]}\n'
     bare = tmp_path / "p1bare.json"
     bare.write_text(json.dumps({"name": "p1bare", "kind": "p1-torsion",
                                 "vertices": [], "arrows": []}))
-    r = run("--backend", str(bare), "indecomposables")
+    r = run_cli("--backend", str(bare), "indecomposables")
     assert r.exit_code == 1 and r.stdout == ""
     assert json.loads(r.stderr) == {"error": "capability", "message":
                                     "declare families in the backend file to list them"}
 
 
 def test_mul_golden(tmp_path):
-    r = run("--backend", "a2", "--json", "mul", "[S2]", "[S1]")
+    r = run_cli("--backend", "a2", "--json", "mul", "[S2]", "[S1]")
     assert r.exit_code == 0
     data = json.loads(r.stdout)
     assert data["backend"] == "a2"
     coeffs = sorted(t["coeff"] for t in data["terms"])
     assert coeffs == ["1", "1"]
-    r = run("--backend", "a2", "mul", "[S1]", "[S2]")
+    r = run_cli("--backend", "a2", "mul", "[S1]", "[S2]")
     assert r.exit_code == 0 and "P12" not in r.stdout
 
 
 def test_bracket_and_power_and_comul():
-    r = run("--backend", "a2", "bracket", "[S1]", "[S2]")
+    r = run_cli("--backend", "a2", "bracket", "[S1]", "[S2]")
     assert r.exit_code == 0 and r.stdout.strip() == "(-1)*1_{{P12}}"
-    r = run("--backend", "a2", "power", "[S1]", "3")
+    r = run_cli("--backend", "a2", "power", "[S1]", "3")
     assert r.exit_code == 0 and r.stdout.strip() == "(6)*1_{3.{S1}}"
-    r = run("--backend", "loop", "comul", "[0]")
+    r = run_cli("--backend", "loop", "comul", "[0]")
     assert r.exit_code == 0 and r.stdout.count("(x)") == 1
-    r = run("--backend", "p1", "mul", "O1", "O1")
+    r = run_cli("--backend", "p1", "mul", "O1", "O1")
     assert r.exit_code == 0 and "O2" in r.stdout
 
 
 def test_verify_exit_codes():
-    r = run("--backend", "a2", "--dim", "3", "verify", "assoc")
+    r = run_cli("--backend", "a2", "--dim", "3", "verify", "assoc")
     assert r.exit_code == 0 and "pass" in r.stdout
-    r = run("--backend", "a2", "--dim", "3", "--json", "verify", "lie-closure")
+    r = run_cli("--backend", "a2", "--dim", "3", "--json", "verify", "lie-closure")
     assert r.exit_code == 0
     assert json.loads(r.stdout)["passed"] is True
-    r = run("--backend", "a2", "verify", "nonsense")
+    r = run_cli("--backend", "a2", "verify", "nonsense")
     assert r.exit_code == 2
 
 
 def test_p1_refuses_suites_built_on_a_class_list():
     # p1 classes range over point families; its suite is euler-axioms
     for suite in ("assoc", "bialgebra", "routes"):
-        r = run("--backend", "p1", "--dim", "2", "--json", "verify", suite)
+        r = run_cli("--backend", "p1", "--dim", "2", "--json", "verify", suite)
         assert r.exit_code == 1 and r.stdout == ""
         assert json.loads(r.stderr.splitlines()[-1])["error"] == "CapabilityError"
-    r = run("--backend", "p1", "--json", "verify", "euler-axioms")
+    r = run_cli("--backend", "p1", "--json", "verify", "euler-axioms")
     assert r.exit_code == 0 and json.loads(r.stdout)["passed"] is True
 
 
@@ -108,14 +104,14 @@ def test_p1_families_on_different_bases(tmp_path):
     # degree 1 off x meets degree 2 everywhere but at x
     backend = p1_backend_file(tmp_path, [("O1x", 1, "cofinite", ["x"]),
                                          ("O2", 2, "cofinite", [])])
-    r = run("--backend", backend, "mul", "O1x", "O2")
+    r = run_cli("--backend", backend, "mul", "O1x", "O2")
     assert r.exit_code == 0
     assert r.stdout == "(1)*1_{O3\\{x}} + (1)*1_{O1\\{x}+O2}\n"
 
 
 def test_power_of_a_family_over_two_points(tmp_path):
     backend = p1_backend_file(tmp_path, [("Oxy", 1, "finite", ["x", "y"])])
-    r = run("--backend", backend, "power", "Oxy", "2")
+    r = run_cli("--backend", backend, "power", "Oxy", "2")
     assert r.exit_code == 0
     assert r.stdout == ("(1)*1_{O2{x} u O2{y}} + "
                         "(2)*1_{O1{x}+O1{y} u 2.O1{x} u 2.O1{y}}\n")
@@ -124,14 +120,14 @@ def test_power_of_a_family_over_two_points(tmp_path):
 def test_p1_blocks_and_families_below_degree_one_are_refused(tmp_path):
     # a torsion block needs a named point and degree >= 1; so does a family
     for bad in ("[T(x,-1)]", "[T(x,0)]", "[T(,1)]", "[T(x,abc)]", "[T(x,)]", "[O(x)]"):
-        r = run("--backend", "p1", "mul", bad, "[T(x,1)]")
+        r = run_cli("--backend", "p1", "mul", bad, "[T(x,1)]")
         assert r.exit_code == 2 and r.stdout == ""
         assert f"bad p1 label '{bad[1:-1]}'" in r.stderr
     for degree, base, args in ((-1, "cofinite", ("mul", "N", "O1")),
                                (0, "finite", ("power", "N", "2"))):
         backend = p1_backend_file(tmp_path, [("N", degree, base, ["x"]),
                                              ("O1", 1, "cofinite", [])])
-        r = run("--backend", backend, *args)
+        r = run_cli("--backend", backend, *args)
         assert r.exit_code == 2 and r.stdout == ""
         assert "family 'N' has degree below 1" in r.stderr
 
@@ -150,7 +146,7 @@ def test_p1_family_entry_with_a_missing_key_is_refused(tmp_path, entry, message)
     path = tmp_path / "p1x.json"
     path.write_text(json.dumps({"name": "p1x", "kind": "p1-torsion",
                                 "vertices": [], "arrows": [], "families": [entry]}))
-    r = run("--backend", str(path), "indecomposables")
+    r = run_cli("--backend", str(path), "indecomposables")
     assert r.exit_code == 2 and r.stdout == ""
     assert message in r.stderr and "Traceback" not in r.stderr
 
@@ -170,7 +166,7 @@ def test_p1_malformed_families_are_refused(tmp_path, families, message):
     path = tmp_path / "p1x.json"
     path.write_text(json.dumps({"name": "p1x", "kind": "p1-torsion",
                                 "vertices": [], "arrows": [], "families": families}))
-    r = run("--backend", str(path), "indecomposables")
+    r = run_cli("--backend", str(path), "indecomposables")
     assert r.exit_code == 2 and r.stdout == ""
     assert message in r.stderr and "Traceback" not in r.stderr
 
@@ -188,7 +184,7 @@ LOOP = {"name": "loop", "kind": "loop-nilpotent", "vertices": ["*"],
 def test_families_are_refused_off_p1(tmp_path, data, args):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps(dict(data, families=FAMILY_N)))
-    r = run("--backend", str(path), *args)
+    r = run_cli("--backend", str(path), *args)
     assert r.exit_code == 2 and r.stdout == ""
     assert (f"'families' are declared on p1-torsion backends only, "
             f"not on {data['kind']}") in r.stderr
@@ -204,14 +200,14 @@ def test_families_are_refused_off_p1(tmp_path, data, args):
 def test_malformed_backend_definitions_are_refused(tmp_path, change, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(A2, **change)))
-    r = run("--backend", str(path), "indecomposables")
+    r = run_cli("--backend", str(path), "indecomposables")
     assert r.exit_code == 2 and r.stdout == ""
     assert message in r.stderr and "Traceback" not in r.stderr
 
 
 def test_p1_target_beyond_the_degree_bound_exits_3():
     for args in (("power", "O1", "7"), ("mul", "[T(x,3)]", "[T(x,4)]")):
-        r = run("--backend", "p1", *args)
+        r = run_cli("--backend", "p1", *args)
         assert r.exit_code == 3 and r.stdout == ""
         assert r.stderr == ('{"error": "resource-limit", "message": "target '
                             'dimension 7 exceeds bound 6", "limit": 6, '
@@ -223,12 +219,12 @@ def test_comul_is_bounded_by_dim():
     for backend, operand, n in (("loop", "[J1+J2+J3]", 6), ("a3", "[S1+P12+P23]", 5),
                                 ("p1", "[T(x,1)+T(y,2)+T(z,3)]", 6),
                                 ("p1", "[O(1)+O(2)+O(3)+O(4)+O(-5)]", 5)):
-        r = run("--backend", backend, "--dim", "4", "--json", "comul", operand)
+        r = run_cli("--backend", backend, "--dim", "4", "--json", "comul", operand)
         assert r.exit_code == 3 and r.stdout == ""
         assert r.stderr == ('{"error": "resource-limit", "message": "target '
                             f'dimension {n} exceeds bound 4", "limit": 4, '
                             f'"requested": {n}}}\n')
-    r = run("--backend", "loop", "--json", "comul", "[J1+J1]")
+    r = run_cli("--backend", "loop", "--json", "comul", "[J1+J1]")
     assert r.exit_code == 0
     assert r.stdout == (
         '{"backend":"loop","terms":[{"coeff":"1","left":{"strata":[[]]},'
@@ -236,7 +232,7 @@ def test_comul_is_bounded_by_dim():
         '{"strata":[[[{"labels":["J1"]},1]]]},"right":{"strata":[[[{"labels":'
         '["J1"]},1]]]}},{"coeff":"1","left":{"strata":[[[{"labels":["J1"]},2]]]},'
         '"right":{"strata":[[]]}}]}\n')
-    r = run("--backend", "loop", "--dim", "2", "comul", "[J1+J1]")
+    r = run_cli("--backend", "loop", "--dim", "2", "comul", "[J1+J1]")
     assert r.exit_code == 0
     assert r.stdout == ("(1) * 1_{[0]} (x) 1_{2.{J1}}\n(1) * 1_{{J1}} (x) 1_{{J1}}\n"
                         "(1) * 1_{2.{J1}} (x) 1_{[0]}\n")
@@ -248,42 +244,74 @@ def test_products_above_dim_exit_3_before_listing_targets():
     for backend, args in (("loop", ("mul", "[J99999999999]", "[J1]")),
                           ("loop", ("power", "[J99999999999]", "2")),
                           ("p1", ("mul", "[T(x,99999999999)]", "O1"))):
-        r = run("--backend", backend, *args)
+        r = run_cli("--backend", backend, *args)
         assert r.exit_code == 3 and r.stdout == ""
         assert json.loads(r.stderr)["requested"] >= 99999999999
 
 
-VERIFY_USAGE = ("Usage: hallforge verify [OPTIONS] {assoc|lie-\n"
-                "                        closure|riedtmann|pbw|green|bialgebra|euler-\n"
-                "                        axioms|routes}\n")
+VERIFY_USAGE = "usage: hallforge verify [-h] SUITE\n"
 
 
-def test_verify_help_and_unknown_suite_are_pinned():
-    def invoke(*args):
-        return CliRunner().invoke(main, ["--backend", "a2", "verify", *args],
-                                  prog_name="hallforge", terminal_width=80)
-    r = invoke("--help")
-    assert r.exit_code == 0
-    assert r.stdout == (VERIFY_USAGE + "\n  Run a named invariant suite; exit 0 only "
-                        "if every check passes.\n\nOptions:\n  --help  Show this "
-                        "message and exit.\n")
-    r = invoke("nope")
+def test_verify_help_and_unknown_suite_are_pinned(monkeypatch):
+    # argparse wraps help to COLUMNS - 2; the invalid-choice text is that of
+    # CPython 3.10 to 3.13.0 (3.13.13 prints the choices unquoted)
+    monkeypatch.setenv("COLUMNS", "80")
+    r = run_cli("--backend", "a2", "verify", "--help")
+    assert r.exit_code == 0 and r.stderr == ""
+    assert r.stdout == (VERIFY_USAGE + "\nRun a named invariant suite; exit 0 only if "
+                        "every check passes.\n\npositional arguments:\n  SUITE       "
+                        "one of assoc, lie-closure, riedtmann, pbw, green, bialgebra,\n"
+                        "              euler-axioms, routes\n\noptions:\n  -h, --help  "
+                        "show this help message and exit\n")
+    r = run_cli("--backend", "a2", "verify", "nope")
     assert r.exit_code == 2 and r.stdout == ""
-    assert r.stderr == (VERIFY_USAGE + "Try 'hallforge verify --help' for help.\n\n"
-                        "Error: Invalid value for '{assoc|lie-closure|riedtmann|pbw|"
-                        "green|bialgebra|euler-axioms|routes}': 'nope' is not one of "
-                        "'assoc', 'lie-closure', 'riedtmann', 'pbw', 'green', "
-                        "'bialgebra', 'euler-axioms', 'routes'.\n")
+    assert r.stderr == (VERIFY_USAGE + "hallforge verify: error: argument SUITE: invalid "
+                        "choice: 'nope' (choose from 'assoc', 'lie-closure', 'riedtmann', "
+                        "'pbw', 'green', 'bialgebra', 'euler-axioms', 'routes')\n")
 
 
 def test_suite_choices_are_the_verify_suites():
     # the CLI names the suites before it loads verify
-    suite = next(p for p in main.commands["verify"].params if p.name == "suite")
-    assert tuple(suite.type.choices) == tuple(verify.SUITES)
+    assert cli.SUITES == tuple(verify.SUITES)
+
+
+@pytest.mark.parametrize("args,message", [
+    (("cache", "import", "/missing/cache.json"),
+     "argument src: path '/missing/cache.json' does not exist"),
+    (("--di", "3", "mul", "[S1]", "[S2]"), "invalid choice: '3'"),
+    (("power", "[S1]", "-1"), "hallforge power: error: power exponent must be >= 1"),
+], ids=["import-missing-file", "abbreviated-option", "negative-exponent"])
+def test_usage_errors_exit_2(args, message):
+    r = run_cli("--backend", "a2", *args)
+    assert r.exit_code == 2 and r.stdout == ""
+    assert message in r.stderr
+
+
+def test_usage_errors_name_hallforge_under_python_m():
+    env = dict(os.environ, PYTHONPATH=str(Path(hallforge.__file__).parent.parent))
+    r = subprocess.run([sys.executable, "-m", "hallforge.cli", "--backend", "a2",
+                        "mul", "bogus", "[S1]"], capture_output=True, text=True, env=env)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == ("usage: hallforge mul [-h] left right\nhallforge mul: error: "
+                        "unknown operand 'bogus': not a bracketed class and not a "
+                        "declared family name\n")
+
+
+def test_stdout_closed_by_its_reader_exits_1_without_a_traceback():
+    # 10000 lines overfill the pipe, so a write meets the closed end
+    env = dict(os.environ, PYTHONPATH=str(Path(hallforge.__file__).parent.parent))
+    p = subprocess.Popen([sys.executable, "-m", "hallforge.cli", "--backend", "loop",
+                          "--dim", "10000", "indecomposables"], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True, env=env)
+    assert p.stdout.readline() == "J1  dim [1]\n"
+    p.stdout.close()
+    assert p.wait(timeout=60) == 1
+    assert p.stderr.read() == ""
+    p.stderr.close()
 
 
 def test_resource_error_is_machine_readable():
-    r = run("--backend", "loop", "--dim", "2", "mul", "[J2]", "[J2]")
+    r = run_cli("--backend", "loop", "--dim", "2", "mul", "[J2]", "[J2]")
     assert r.exit_code == 3
     err = json.loads(r.stderr.splitlines()[-1])
     assert err["error"] == "resource-limit"
@@ -291,36 +319,36 @@ def test_resource_error_is_machine_readable():
 
 
 def test_unknown_operand_and_bad_backend(tmp_path):
-    r = run("--backend", "a2", "mul", "bogus", "[S1]")
+    r = run_cli("--backend", "a2", "mul", "bogus", "[S1]")
     assert r.exit_code == 2
-    r = run("--backend", "a2", "mul", "[J1]", "[S1]")
+    r = run_cli("--backend", "a2", "mul", "[J1]", "[S1]")
     assert r.exit_code == 2 and "unknown label 'J1' for backend a2" in r.stderr
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    r = run("--backend", str(bad), "indecomposables")
+    r = run_cli("--backend", str(bad), "indecomposables")
     assert r.exit_code != 0
 
 
 def test_cache_round_trip(tmp_path):
     cache = tmp_path / "cache.json"
     exported = tmp_path / "exported.json"
-    r = run("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",
-            "routes")
+    r = run_cli("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",
+                "routes")
     assert r.exit_code == 0 and cache.exists()
-    r = run("--backend", "loop", "--cache", str(cache), "cache", "stats")
+    r = run_cli("--backend", "loop", "--cache", str(cache), "cache", "stats")
     stats1 = json.loads(r.stdout)
     assert stats1["entries"] >= 2
-    r = run("--backend", "loop", "--cache", str(cache), "cache", "export",
-            str(exported))
+    r = run_cli("--backend", "loop", "--cache", str(cache), "cache", "export",
+                str(exported))
     assert r.exit_code == 0
-    r = run("--backend", "loop", "--cache", str(cache), "cache", "clear")
+    r = run_cli("--backend", "loop", "--cache", str(cache), "cache", "clear")
     assert r.exit_code == 0
-    r = run("--backend", "loop", "--cache", str(cache), "cache", "stats")
+    r = run_cli("--backend", "loop", "--cache", str(cache), "cache", "stats")
     assert json.loads(r.stdout)["entries"] == 0
-    r = run("--backend", "loop", "--cache", str(cache), "cache", "import",
-            str(exported))
+    r = run_cli("--backend", "loop", "--cache", str(cache), "cache", "import",
+                str(exported))
     assert r.exit_code == 0
-    r = run("--backend", "loop", "--cache", str(cache), "cache", "stats")
+    r = run_cli("--backend", "loop", "--cache", str(cache), "cache", "stats")
     assert json.loads(r.stdout) == stats1
 
 
@@ -328,7 +356,7 @@ def test_cache_export_refuses_a_directory(tmp_path):
     # exit 1 with a JSON error, and no DIR.lock or DIR.tmp beside it
     dest = tmp_path / "dest"
     dest.mkdir()
-    r = run("--backend", "loop", "cache", "export", str(dest))
+    r = run_cli("--backend", "loop", "cache", "export", str(dest))
     assert r.exit_code == 1 and r.stdout == ""
     err = json.loads(r.stderr)
     assert err["error"] == "CacheFormatError" and "directory" in err["message"]
@@ -343,49 +371,48 @@ def test_unwritable_cache_files_exit_1(tmp_path):
     (tmp_path / "dest.json.tmp").mkdir()
     nodir = str(tmp_path / "nodir" / "x.json")
     for dest in (nodir, str(tmp_path / "dest.json")):
-        r = CliRunner().invoke(main, ["--backend", "loop", "cache", "export", dest],
-                               catch_exceptions=False)
+        r = run_cli("--backend", "loop", "cache", "export", dest)
         assert r.exit_code == 1 and r.stdout == ""
         err = json.loads(r.stderr)
         assert err["error"] == "CacheFormatError" and "cannot write" in err["message"]
-    r = CliRunner().invoke(main, ["--backend", "loop", "--dim", "2", "--cache", nodir,
-                                  "--json", "verify", "routes"], catch_exceptions=False)
+    r = run_cli("--backend", "loop", "--dim", "2", "--cache", nodir, "--json", "verify",
+                "routes")
     assert r.exit_code == 1 and json.loads(r.stdout)["passed"] is True
     assert json.loads(r.stderr.splitlines()[-1])["error"] == "CacheFormatError"
 
 
 def test_cache_version_refusal(tmp_path):
     cache = tmp_path / "cache.json"
-    run("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",
-        "routes")
+    run_cli("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",
+            "routes")
     data = json.loads(cache.read_text())
     data["version"] = 0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
-    r = run("--backend", "loop", "--cache", str(cache), "cache", "import",
-            str(bad))
+    r = run_cli("--backend", "loop", "--cache", str(cache), "cache", "import",
+                str(bad))
     assert r.exit_code == 1
     assert "version" in json.loads(r.stderr.splitlines()[-1])["message"]
 
 
 def test_determinism_and_cache_transparency(tmp_path):
     cache = tmp_path / "cache.json"
-    cold = run("--backend", "loop", "--cache", str(cache), "--json",
-               "mul", "[J1]", "[J1]")
-    warm = run("--backend", "loop", "--cache", str(cache), "--json",
-               "mul", "[J1]", "[J1]")
-    nocache = run("--backend", "loop", "--json", "mul", "[J1]", "[J1]")
+    cold = run_cli("--backend", "loop", "--cache", str(cache), "--json",
+                   "mul", "[J1]", "[J1]")
+    warm = run_cli("--backend", "loop", "--cache", str(cache), "--json",
+                   "mul", "[J1]", "[J1]")
+    nocache = run_cli("--backend", "loop", "--json", "mul", "[J1]", "[J1]")
     assert cold.stdout == warm.stdout == nocache.stdout
 
 
 def test_stale_session_cache_is_rebuilt(tmp_path):
     cache = tmp_path / "cache.json"
-    run("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",
-        "routes")
+    run_cli("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",
+            "routes")
     data = json.loads(cache.read_text())
     data["version"] = 0
     cache.write_text(json.dumps(data))
-    r = run("--backend", "loop", "--cache", str(cache), "mul", "[J1]", "[J1]")
+    r = run_cli("--backend", "loop", "--cache", str(cache), "mul", "[J1]", "[J1]")
     assert r.exit_code == 0
     assert "cache-rebuilt" in r.stderr
     assert json.loads(cache.read_text())["version"] != 0
@@ -454,9 +481,9 @@ def test_cache_import_reports_a_collision_not_a_version(tmp_path):
 
 def test_session_cache_for_other_backend_is_refused(tmp_path):
     cache = tmp_path / "cache.json"
-    run("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",
-        "routes")
-    r = run("--backend", "a2", "--cache", str(cache), "mul", "[S1]", "[S2]")
+    run_cli("--backend", "loop", "--dim", "2", "--cache", str(cache), "verify",
+            "routes")
+    r = run_cli("--backend", "a2", "--cache", str(cache), "mul", "[S1]", "[S2]")
     assert r.exit_code == 1
     assert json.loads(r.stderr.splitlines()[-1])["error"] == "BackendMismatchError"
 
@@ -464,9 +491,9 @@ def test_session_cache_for_other_backend_is_refused(tmp_path):
 def test_default_bounds_riedtmann_and_deep_loop_product():
     # constants no longer depend on the F_q sample schedule: a degree-8
     # Hall polynomial needs 10 prime powers, only 9 are <= 13
-    r = run("--backend", "a2", "verify", "riedtmann")
+    r = run_cli("--backend", "a2", "verify", "riedtmann")
     assert r.exit_code == 0 and "suite riedtmann: pass" in r.stdout
-    r = run("--backend", "loop", "mul", "[J1+J1]", "[J1+J1+J1+J1]")
+    r = run_cli("--backend", "loop", "mul", "[J1+J1]", "[J1+J1+J1+J1]")
     assert r.exit_code == 0
     assert r.stdout.strip() == ("(1)*1_{2.{J1}+2.{J2}} + (4)*1_{4.{J1}+{J2}}"
                                 " + (15)*1_{6.{J1}}")
@@ -474,13 +501,13 @@ def test_default_bounds_riedtmann_and_deep_loop_product():
 
 def test_verify_routes_and_chi_cache_entries(tmp_path):
     cache = tmp_path / "cache.json"
-    r = run("--backend", "loop", "--dim", "3", "--json", "--cache", str(cache),
-            "verify", "routes")
+    r = run_cli("--backend", "loop", "--dim", "3", "--json", "--cache", str(cache),
+                "verify", "routes")
     assert r.exit_code == 0
     assert json.loads(r.stdout)["counts"] == {"cells": 42, "mismatches": 0}
     before = cache.read_bytes()
     # products read constants off the fixed points and write no entry
-    r = run("--backend", "loop", "--cache", str(cache), "mul", "[J1]", "[J1]")
+    r = run_cli("--backend", "loop", "--cache", str(cache), "mul", "[J1]", "[J1]")
     assert r.exit_code == 0 and cache.read_bytes() == before
     keys = [e["key"] for e in json.loads(before)["entries"]]
     assert "[J1]|[J1]|[J2]" in keys
@@ -498,9 +525,9 @@ def test_cache_file_with_chi_entries_still_loads(tmp_path, monkeypatch):
         {"key": "chi:[J1]|[J1]|[J2]", "coeffs": [9]},
         {"key": "[J1]|[J1]|[J1+J1]", "coeffs": [1, 1]}]}))
     before = cache.read_bytes()
-    nocache = run("--backend", "loop", "--json", "mul", "[J1]", "[J1]")
-    r = run("--backend", "loop", "--cache", str(cache), "--json", "mul",
-            "[J1]", "[J1]")
+    nocache = run_cli("--backend", "loop", "--json", "mul", "[J1]", "[J1]")
+    r = run_cli("--backend", "loop", "--cache", str(cache), "--json", "mul",
+                "[J1]", "[J1]")
     assert r.exit_code == 0 and r.stdout == nocache.stdout
     assert cache.read_bytes() == before
 
@@ -512,8 +539,8 @@ def test_cache_file_with_chi_entries_still_loads(tmp_path, monkeypatch):
                                for c in (sub, quot, target)))
         return interpolate(engine, sub, quot, target)
     monkeypatch.setattr(hall.HallEngine, "_interpolate", spy)
-    r = run("--backend", "loop", "--dim", "2", "--json", "--cache", str(cache),
-            "verify", "routes")
+    r = run_cli("--backend", "loop", "--dim", "2", "--json", "--cache", str(cache),
+                "verify", "routes")
     assert r.exit_code == 0 and json.loads(r.stdout)["passed"] is True
     assert "[J1]|[J1]|[J2]" in fitted and "[J1]|[J1]|[J1+J1]" not in fitted
 
@@ -647,7 +674,7 @@ GOLDEN = [
 
 @pytest.mark.parametrize("args,want", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
 def test_golden_stdout(args, want):
-    r = run(*args)
+    r = run_cli(*args)
     assert r.exit_code == 0
     assert r.stdout == want
 
@@ -666,7 +693,7 @@ BUILTIN = {n: quiver.builtin_backend(n).to_json() for n in ("a2", "loop", "p1")}
 
 
 def refused(*args):
-    r = CliRunner().invoke(main, list(args), catch_exceptions=False)
+    r = run_cli(*args)
     assert r.exit_code in (1, 2), (args, r.exit_code, r.stdout)
     assert r.stdout == "" and r.stderr and "Traceback" not in r.stderr
     return r
@@ -771,8 +798,7 @@ def test_any_operand_text_exits_cleanly(backend, operand, command, exponent):
     # valid classes among these run (exit 0) or pass --dim (exit 3)
     args = {"mul": [operand, operand], "comul": [operand],
             "power": [operand, str(exponent)]}[command]
-    r = CliRunner().invoke(main, ["--backend", backend, command, *args],
-                           catch_exceptions=False)
+    r = run_cli("--backend", backend, command, *args)
     assert r.exit_code in (0, 1, 2, 3)
     assert "Traceback" not in r.stderr and bool(r.stderr) == (r.exit_code != 0)
 

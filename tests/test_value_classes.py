@@ -106,18 +106,24 @@ def test_mutable_defaults_are_not_shared():
 
 def test_library_import_loads_no_dataclasses_inspect_or_resources():
     # -S: a site .pth file can preload importlib.resources and hide a
-    # regression
+    # regression; it also keeps site-packages, and so click, off the path:
+    # the CLI runs on the standard library alone
     src = Path(hallforge.__file__).resolve().parents[1]
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import hallforge.algebra, hallforge.coalgebra, hallforge.counting, "
-            "hallforge.hall, hallforge.p1, hallforge.pbw, hallforge.quiver, "
-            "hallforge.verify; hallforge.quiver.builtin_backend('a3'); "
-            "print(*(m for m in sys.argv[2:] if m in sys.modules))")
-    r = subprocess.run([sys.executable, "-S", "-c", code, str(src), "dataclasses",
-                        "inspect", "importlib.resources"],
-                       capture_output=True, text=True, timeout=60)
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == []
+    library = ("import hallforge.algebra, hallforge.coalgebra, hallforge.counting, "
+               "hallforge.hall, hallforge.p1, hallforge.pbw, hallforge.quiver, "
+               "hallforge.verify; hallforge.quiver.builtin_backend('a3')")
+    command = ("from hallforge import cli\n"
+               "try:\n    cli.main(['--backend', 'a3', 'mul', '[S1]', '[S2]'])\n"
+               "except SystemExit as e:\n    assert e.code == 0, e.code")
+    for code in (library, command):
+        r = subprocess.run([sys.executable, "-S", "-c",
+                            "import sys; sys.path.insert(0, sys.argv[1])\n" + code +
+                            "\nprint(*(m for m in sys.argv[2:] if m in sys.modules))",
+                            str(src), "click", "dataclasses", "inspect",
+                            "importlib.resources"],
+                           capture_output=True, text=True, timeout=60)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1].split() == []
 
 
 # hallforge modules that a CLI command loads only when it runs them: the
