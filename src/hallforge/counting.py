@@ -1,33 +1,45 @@
-"""Exhaustive subrepresentation counting over F_q.
+"""Subrepresentation counting over F_q.
 
 For quiver backends the kernel enumerates tuples of subspaces, one per
 vertex in canonical order, pruning a tuple as soon as an arrow with both
-endpoints fixed fails closure.  For the one-loop backend it walks the
-lattice of nilpotent-invariant subspaces directly: every invariant
-subspace of dimension k+1 is U + F_q.v for an invariant U of dimension k
-and a v in K = {v : (loop matrix).v in U}, so a breadth-first sweep by
-dimension that deduplicates each layer visits each subspace exactly once.
-A frontier subspace is the (RREF rows, pivots) pair `linalg.insert_row`
-returns, which is also its deduplication key, and v runs over one vector
-per line of K/U.
+endpoints fixed fails closure.
 
-Large-subobject cells on the loop backend are served from the small side
-of the lattice: transposition is a self-duality of nilpotent loop modules
-exchanging (sub, quot), so #{U : U = A, M/U = B} = #{U : U = B, M/U = A}.
-The tests verify this against two-sided enumeration at small dims.
+The one-loop backend is counted in closed form, with no enumeration.  A
+loop class is a partition (the sizes of its Jordan blocks), and the loop
+Hall algebra is commutative and generated by the u_(1^m) (Macdonald,
+*Symmetric Functions and Hall Polynomials*, ch. II sections 2-4).
+Multiplying by one of them is explicit (ch. II (4.6)): G^lam_{mu,(1^m)}(q)
+is nonzero only when lam - mu is a vertical m-strip, and then it is
+
+    q^(n(lam) - n(mu) - n(1^m))
+        * prod_i [lam'_i - lam'_{i+1} choose lam'_i - mu'_i]_(1/q)
+
+where lam' is the conjugate partition and n(lam) = sum_i (i - 1) lam_i.
+The product E_nu = prod_i u_(1^nu'_i) of nu's columns is sum_kappa
+a_kappa u_kappa over kappa <= nu in dominance order, with a_nu != 0, so
+every other product follows by recursion down that order:
+
+    u_mu u_nu = (u_mu E_nu - sum_{kappa != nu} a_kappa u_mu u_kappa) / a_nu.
+
+All of it is integer arithmetic at one q: [n choose k]_(1/q) is
+q^(-k(n-k)) [n choose k]_q, the power of q left over is the lowest degree
+of a polynomial count and so is not negative, and the division by a_nu is
+exact because every coefficient is a count.
 
 A histogram is a dict {(sub class, quotient class): count}, and
 `enumerate_subreps` returns a target's full one.  This module keeps no
-state.  Histograms are memoized by the caller: each `HallEngine` owns a
-`_surveys` dict, keyed by (target, q), that it passes to `count_points`,
-so the memo is freed with the engine and never shared between two
-backend definitions.  Only the F_q route loads this module
+state.  Its memos belong to the caller: each `HallEngine` owns a
+`_surveys` dict that it passes to `count_points`, holding quiver
+histograms by (target, q) and loop products {lam: G^lam_{mu,nu}(q)} by
+(mu, nu, q), so the memo is freed with the engine and never shared
+between two backend definitions.  Only the F_q route loads this module
 (`HallEngine._fit` imports it), and `Bounds` is `quiver.Bounds`.  A p1
 target has no matrix model (`quiver.realize_class` refuses it): p1 counts
 are loop counts, one per support point (`HallEngine._interpolate`).
 """
 
 from collections import defaultdict
+from itertools import combinations
 
 from . import linalg, quiver
 from .errors import ResourceLimitError
@@ -42,20 +54,32 @@ def _check_bounds(backend, target, q, bounds):
         raise ResourceLimitError(
             f"field size {q} exceeds bound {bounds.max_q}",
             limit=bounds.max_q, requested=q)
+    field(q)  # refuses a q that is not a prime power, on every backend
 
 
 def enumerate_subreps(backend, target, q, bounds=DEFAULT_BOUNDS):
     """Full histogram {(sub, quot): count} of realize_class(target, q)."""
     _check_bounds(backend, target, q, bounds)
-    return _survey(backend, target, q, None, {})
+    if backend.kind != quiver.KIND_LOOP:
+        return _quiver_survey(backend, target, q)
+    lam = _partition(target)
+    d = sum(lam)
+    products, out = {}, {}
+    for k in range(d + 1):
+        for mu in quiver.partitions(k, k):
+            for nu in quiver.partitions(d - k, d - k):
+                n = _loop_product(mu, nu, q, products).get(lam)
+                if n:
+                    out[_loop_class(backend, mu), _loop_class(backend, nu)] = n
+    return out
 
 
 def count_points(backend, sub, quot, target, q, bounds=DEFAULT_BOUNDS,
                  surveys=None):
     """Number of subrepresentations of `target` over F_q with the given
     sub and quotient isomorphism classes.  `surveys` memoizes histograms
-    by (target, q); `HallEngine` passes its own, a call without one
-    surveys afresh."""
+    by (target, q), and on loop products by their partitions and q;
+    `HallEngine` passes its own, a call without one counts afresh."""
     _check_bounds(backend, target, q, bounds)
     if quiver.dim_add(quiver.class_dim(backend, sub),
                       quiver.class_dim(backend, quot)) \
@@ -64,147 +88,79 @@ def count_points(backend, sub, quot, target, q, bounds=DEFAULT_BOUNDS,
     if surveys is None:
         surveys = {}
     if backend.kind == quiver.KIND_LOOP:
-        d = quiver.class_total_dim(backend, target)
-        ks = quiver.class_total_dim(backend, sub)
-        if ks <= d - ks:
-            return _survey(backend, target, q, ks, surveys).get((sub, quot), 0)
-        return _survey(backend, target, q, d - ks, surveys).get((quot, sub), 0)
-    return _survey(backend, target, q, None, surveys).get((sub, quot), 0)
+        return _loop_product(_partition(sub), _partition(quot), q,
+                             surveys).get(_partition(target), 0)
+    return _survey(backend, target, q, surveys).get((sub, quot), 0)
 
 
-def _survey(backend, target, q, cap, surveys):
-    """Cell counts for subs of total dim <= cap (cap=None: everything),
-    memoized in `surveys` as (largest dim surveyed, cells)."""
-    d = quiver.class_total_dim(backend, target)
-    want = d if cap is None else min(cap, d)
+def _survey(backend, target, q, surveys):
+    """The quiver histogram of `target`, memoized by (target, q)."""
     key = (target, q)
     hit = surveys.get(key)
-    if hit is not None and hit[0] >= want:
-        return hit[1]
-    if backend.kind == quiver.KIND_LOOP and any(l[1] >= 2 for l in target):
-        cells = _loop_survey(backend, target, q, want)
-    else:
-        # a loop target of J1 blocks has a zero matrix: the quiver survey's
-        # fold over unconstrained vertices counts it by Gaussian binomials
-        want = d
-        cells = _quiver_survey(backend, target, q)
-    surveys[key] = (want, cells)
-    return cells
+    if hit is None:
+        hit = surveys[key] = _quiver_survey(backend, target, q)
+    return hit
 
 
 # ---------------------------------------------------------------------------
-# loop backend: invariant-subspace BFS by dimension
+# loop backend: Macdonald's closed form
 
-def _loop_survey(backend, target, q, cap):
-    K = field(q)
-    rep = quiver.realize_class(backend, target, q)
-    d = rep.dims[0]
-    mat = rep.mats[0]
-    max_h = max((l[1] for l in target), default=0)
+def _partition(cls):
+    return tuple(sorted((l[1] for l in cls), reverse=True))
 
-    # canonical models are partial permutations: (A^j v)[i] = v[gather_j[i]]
-    gather1 = [next((j for j, x in enumerate(row) if x), -1) for row in mat]
-    # per power: the sparse (dst, src) pairs, as powers of nilpotents thin
-    # out fast, and the coordinates off Im(A^j) = span{e_i : gather_j[i] >= 0}
-    pow_moves, comp_coords = [], []
-    g = list(range(d))
-    for _ in range(max_h):
-        g = [gather1[i] if i >= 0 else -1 for i in g]
-        pow_moves.append([(i, s) for i, s in enumerate(g) if s >= 0])
-        comp_coords.append([i for i, s in enumerate(g) if s < 0])
 
-    cells = defaultdict(int)
-    part_memo = {}
+def _loop_class(backend, lam):
+    return quiver.make_class(backend, [("j", x) for x in lam])
 
-    def partition(total, kernel_dim):
-        """The class whose dim ker(x^j) is kernel_dim(j), j = 1, 2, ...,
-        read until it reaches `total` (x^j = 0 past max_h)."""
-        kdims = []
-        while not kdims or kdims[-1] != total:
-            j = len(kdims) + 1
-            kdims.append(total if j > max_h else kernel_dim(j))
-        key = tuple(kdims)
-        hit = part_memo.get(key)
-        if hit is None:
-            hit = quiver.make_class(
-                backend, [("j", s) for s in _partition_from_kernel_dims(kdims)])
-            part_memo[key] = hit
-        return hit
 
-    def classify(rows, k):
-        def sub_kernel(j):  # k - rank of A^j U
-            vecs = []
+def _conjugate(lam):
+    return tuple(sum(1 for x in lam if x > i)
+                 for i in range(lam[0])) if lam else ()
+
+
+def _n(lam):
+    return sum(i * x for i, x in enumerate(lam))
+
+
+def _times_column(vec, m, q):
+    """(sum_mu c_mu u_mu) u_(1^m) at q, as {lam: coefficient}: ch. II (4.6)."""
+    out = defaultdict(int)
+    for mu, c in vec.items():
+        mu_c = _conjugate(mu) + (0,)
+        for rows in combinations(range(len(mu) + m), m):
+            lam = list(mu) + [0] * m
             for r in rows:
-                w = bytearray(d)
-                nz = False
-                for i, s in pow_moves[j - 1]:
-                    x = r[s]
-                    if x:
-                        w[i] = x
-                        nz = True
-                if nz:
-                    vecs.append(w)
-            return k - linalg.rank(vecs, K)
-
-        def quot_kernel(j):  # on V/U: d - dim(Im A^j + U), which is the
-            # coordinates off Im A^j less the rank of U's projection onto them
-            comp = comp_coords[j - 1]
-            return len(comp) - linalg.rank([bytes([r[c] for c in comp])
-                                            for r in rows], K)
-
-        return partition(k, sub_kernel), partition(d - k, quot_kernel)
-
-    cells[classify((), 0)] += 1
-    layer = [((), ())]
-    qn = K.q
-    mat_cols = [bytes(row[c] for row in mat) for c in range(d)]
-    for _dim in range(cap):
-        next_layer = set()
-        for rows, pivots in layer:
-            # kernel of v -> (A v mod U); constraint row i: coefficients of
-            # coordinate i of A e_c reduced mod U, c = 0..d-1
-            reduced_cols = [linalg.reduce_vector(col, rows, pivots, K)
-                            for col in mat_cols]
-            cons = [bytes(col[i] for col in reduced_cols) for i in range(d)]
-            kb_rows, _kb_piv = linalg.null_space(cons, K, d)
-            # a basis of K/U: the reduced rows vanish on U's pivot columns,
-            # so they span a complement of U in K, and its lines are K/U's
-            comp, _ = linalg.row_reduce(
-                [linalg.reduce_vector(v, rows, pivots, K) for v in kb_rows], K)
-            c = len(comp)
-            for lead in range(c):
-                tail = c - lead - 1
-                for mask in range(qn ** tail):
-                    v = bytearray(comp[lead])
-                    mm = mask
-                    for t in range(tail):
-                        coef = mm % qn
-                        mm //= qn
-                        if coef:
-                            w = comp[lead + 1 + t]
-                            for i in range(d):
-                                if w[i]:
-                                    v[i] = K.add[v[i] * qn + K.mul[coef * qn + w[i]]]
-                    next_layer.add(linalg.insert_row(rows, pivots, bytes(v), K))
-        for rows, _pivots in next_layer:
-            cells[classify(rows, len(rows))] += 1
-        layer = next_layer
-    return dict(cells)
-
-
-def _partition_from_kernel_dims(kdims):
-    """Jordan partition from dim ker(x^j), j = 1, 2, ... (last entry = total)."""
-    prev = 0
-    parts_ge = []
-    for kd in kdims:
-        parts_ge.append(kd - prev)
-        prev = kd
-    parts_ge.append(0)
-    out = []
-    for s in range(len(parts_ge) - 1):
-        for _ in range(parts_ge[s] - parts_ge[s + 1]):
-            out.append(s + 1)
+                lam[r] += 1
+            if any(a < b for a, b in zip(lam, lam[1:])):
+                continue  # not a partition, so lam - mu is no vertical strip
+            lam = tuple(x for x in lam if x)
+            lam_c = _conjugate(lam) + (0,)
+            e = _n(lam) - _n(mu) - m * (m - 1) // 2
+            g = c
+            for i in range(len(lam_c) - 1):
+                n, k = lam_c[i] - lam_c[i + 1], lam_c[i] - mu_c[i]
+                e -= k * (n - k)
+                g *= linalg.gaussian_binomial(n, k, q)
+            out[lam] += g * q ** e
     return out
+
+
+def _loop_product(mu, nu, q, products):
+    """{lam: G^lam_{mu,nu}(q)}, the nonzero coefficients of u_mu u_nu,
+    memoized in `products` by (mu, nu, q)."""
+    key = (mu, nu, q)
+    hit = products.get(key)
+    if hit is None:
+        cols, acc = {(): 1}, {mu: 1}    # E_nu and u_mu E_nu
+        for m in _conjugate(nu):
+            cols = _times_column(cols, m, q)
+            acc = _times_column(acc, m, q)
+        a_nu = cols.pop(nu)
+        for kappa, a in cols.items():   # kappa < nu in dominance order
+            for lam, c in _loop_product(mu, kappa, q, products).items():
+                acc[lam] -= a * c
+        hit = products[key] = {lam: c // a_nu for lam, c in acc.items() if c}
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +266,7 @@ def _quiver_survey(backend, target, q):
     cells = active_cells
     for v in inert:
         dv = dims[v]
-        simple = ("j", 1) if backend.kind == quiver.KIND_LOOP else ("i", v, v)
+        simple = ("i", v, v)
         folded = defaultdict(int)
         for (sub, quo), n in cells.items():
             for k in range(dv + 1):

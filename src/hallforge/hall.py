@@ -20,8 +20,10 @@ are sampled at an ascending schedule of prime powers; a candidate polynomial
 is fitted through all but the last sample and accepted once it has integer
 coefficients and reproduces the held-out sample exactly.  Its value at q = 1
 is the same constant, which the `routes` verify suite checks cell by cell.
-On p1 a count is the product of the loop-backend counts at each support
-point, and the polynomial is the product of the per-point loop fits.  A
+On quiver backends the counts come from enumerating subspaces, on loop from
+Macdonald's closed form for the loop Hall algebra (`counting`).  On p1 a
+count is the product of the loop-backend counts at each support point, and
+the polynomial is the product of the per-point loop fits.  A
 p1 engine loads that loop backend once, on its first fit (`_loop`), so
 its label and Hom tables carry over from one fit to the next.
 Only Hall polynomials go to the versioned JSON cache: a constant is cheaper
@@ -39,10 +41,11 @@ its own backend:
              that `product` returns and convolution reads: x, z, y are
              classes, or on p1 atom strata (`p1._stratum_product`);
   _classes   (dims, gmax) -> the classes `classes_with_dim` lists;
-  _surveys   (target, q) -> (largest sub dim surveyed, {(sub, quot): count}),
-             the F_q histograms `counting.count_points` fills for
-             `hall_polynomial`; on p1 the targets are the loop classes
-             at each support point;
+  _surveys   what `counting.count_points` memoizes for `hall_polynomial`:
+             on quiver backends (target, q) -> {(sub, quot): count}, and on
+             loop and p1 (mu, nu, q) -> {lam: G^lam_{mu,nu}(q)}, products
+             of partitions (on p1, of the loop classes at each support
+             point);
   _p1_base_memo  the p1 backend's one-base family products
              (`p1._base_product`).
 
@@ -81,20 +84,19 @@ class HallPolynomial(quiver.ReadOnly):
         return len(self.coeffs) - 1 if self.coeffs else -1
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
+        out = ""
         for e in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[e]
             if not c:
                 continue
-            if e == 0:
-                terms.append(f"{c}")
-            elif e == 1:
-                terms.append("q" if c == 1 else f"{c}*q")
+            a = abs(c)
+            term = f"{a}" if e == 0 else (
+                ("" if a == 1 else f"{a}*") + ("q" if e == 1 else f"q^{e}"))
+            if out:
+                out += (" - " if c < 0 else " + ") + term
             else:
-                terms.append(f"q^{e}" if c == 1 else f"{c}*q^{e}")
-        return " + ".join(terms) if terms else "0"
+                out = ("-" if c < 0 else "") + term
+        return out or "0"
 
 
 def fit_polynomial(points):
@@ -244,7 +246,7 @@ class HallEngine:
         self._splits = {}           # label -> _summand_splits(backend, label)
         self._products = {}         # (x, z) -> ((y, chi), ...), chi nonzero
         self._classes = {}          # (dims, gmax) -> classes
-        self._surveys = {}          # (target, q) -> (max sub dim, cells)
+        self._surveys = {}          # (target, q) or (mu, nu, q) -> counts
         self._p1_base_memo = {}     # see p1._base_product
 
     # -- Euler constants: torus fixed points --------------------------------

@@ -89,35 +89,6 @@ def reduce_vector(v, rows, pivots, K):
     return bytes(w)
 
 
-def insert_row(rows, pivots, v, K):
-    """Add v to an RREF basis.  Returns the new (rows, pivots), or None if
-    v is already in the row space."""
-    q, mul, sub, inv = K.q, K.mul, K.sub, K.inv
-    w = reduce_vector(v, rows, pivots, K)
-    p = next((j for j, x in enumerate(w) if x), None)
-    if p is None:
-        return None
-    c = inv[w[p]]
-    if c != 1:
-        w = bytes(mul[x * q + c] for x in w)
-    new_rows, new_pivs = [], []
-    placed = False
-    for r, rp in zip(rows, pivots):
-        if not placed and p < rp:
-            new_rows.append(w)
-            new_pivs.append(p)
-            placed = True
-        f = r[p]
-        if f:
-            r = bytes(sub[r[j] * q + mul[w[j] * q + f]] for j in range(len(r)))
-        new_rows.append(r)
-        new_pivs.append(rp)
-    if not placed:
-        new_rows.append(w)
-        new_pivs.append(p)
-    return tuple(new_rows), tuple(new_pivs)
-
-
 def coordinates(v, rows, pivots, K):
     """Coordinates of v in an RREF basis, or None if v is outside it."""
     q, mul, sub = K.q, K.mul, K.sub

@@ -1,6 +1,6 @@
 import pytest
 
-from hallforge import counting, linalg, quiver
+from hallforge import linalg, quiver, verify
 from hallforge.counting import Bounds, count_points, enumerate_subreps
 from hallforge.errors import CapabilityError, ResourceLimitError
 from hallforge.quiver import (Arrow, Backend, builtin_backend, make_class,
@@ -55,18 +55,17 @@ def test_dimension_mismatch_is_zero(loop):
                         parse_class(loop, "[J3]"), 3) == 0
 
 
-def test_gaussian_binomial_sanity_all_routes(loop):
-    # the loop BFS, the fold over unconstrained vertices that
-    # enumerate_subreps runs on J1 blocks, and the closed form must agree
-    for m in (2, 3, 4):
-        target = make_class(loop, [("j", 1)] * m)
-        for q in (2, 3, 5):
-            generic = counting._loop_survey(loop, target, q, m)
-            assert generic == enumerate_subreps(loop, target, q)
-            for k in range(m + 1):
-                sub = make_class(loop, [("j", 1)] * k)
-                quo = make_class(loop, [("j", 1)] * (m - k))
-                assert generic[(sub, quo)] == linalg.gaussian_binomial(m, k, q)
+def test_gaussian_binomial_sanity_all_routes(loop, a2):
+    # J1 blocks on loop (the closed form) and S1 blocks on a2 (the quiver
+    # survey's fold over unconstrained vertices) both count the subspaces
+    # of F_q^m
+    for backend, simple in ((loop, ("j", 1)), (a2, ("i", 0, 0))):
+        for m in (2, 3, 4):
+            for q in (2, 3, 5):
+                hist = enumerate_subreps(backend, (simple,) * m, q)
+                assert hist == {((simple,) * k, (simple,) * (m - k)):
+                                linalg.gaussian_binomial(m, k, q)
+                                for k in range(m + 1)}
 
 
 def test_histogram_total_and_grading(a3, loop):
@@ -88,7 +87,9 @@ def test_against_unpruned_brute_force(a2, a3, loop):
              (loop, "[J2+J1]", 2), (loop, "[J3]", 3),
              # two or more layers with a complement of dimension >= 2
              (loop, "[J2+J2]", 2), (loop, "[J2+J2]", 3),
-             (loop, "[J2+J1+J1]", 2), (loop, "[J3+J2]", 2)]
+             (loop, "[J2+J1+J1]", 2), (loop, "[J3+J2]", 2),
+             (loop, "[J4]", 2), (loop, "[J3+J1]", 2),
+             (loop, "[J1+J1+J1+J1]", 2)]
     for backend, text, q in cases:
         target = parse_class(backend, text)
         cand = {}
@@ -104,15 +105,18 @@ def test_against_unpruned_brute_force(a2, a3, loop):
 
 
 def test_loop_self_duality_of_cells(loop):
-    # transpose duality: the (sub, quot) histogram is symmetric
-    for text, q in (("[J2+J1]", 2), ("[J2+J2]", 3), ("[J3+J1]", 2)):
-        target = parse_class(loop, text)
-        h = enumerate_subreps(loop, target, q)
-        for (s, t), n in h.items():
-            assert h.get((t, s)) == n
+    # transpose duality: the (sub, quot) histogram is symmetric.  The closed
+    # form builds u_mu u_nu from nu's columns and u_nu u_mu from mu's, so
+    # this checks it at every q, where `verify routes` sees q = 1 only
+    for target in verify.classes_up_to(loop, 6):
+        for q in (2, 3):
+            h = enumerate_subreps(loop, target, q)
+            for (s, t), n in h.items():
+                assert h.get((t, s)) == n
 
 
-def test_min_side_flip_agrees_with_full_enumeration(loop):
+def test_count_points_agrees_with_full_enumeration(loop):
+    # one product per cell against the histogram of every product
     for text, q in (("[J2+J1+J1]", 2), ("[J2+J2]", 3)):
         target = parse_class(loop, text)
         full = enumerate_subreps(loop, target, q)
@@ -141,6 +145,22 @@ def test_resource_bounds(loop):
     assert count_points(loop, parse_class(loop, "[J1]"),
                         parse_class(loop, "[J1]"),
                         parse_class(loop, "[J2]"), 13, b) == 1
+
+
+@pytest.mark.parametrize("q", [1, 6])
+def test_field_size_that_is_not_a_prime_power_is_refused(loop, a2, q):
+    # the closed form on loop would return numbers at any q (6 and 7 at
+    # q = 6); gf.field refuses q on every backend before any count
+    for backend, text, sub, quot in (
+            (loop, "[J2+J1]", "[J1]", "[J2]"),
+            (loop, "[J1+J1]", "[J1]", "[J1]"),
+            (a2, "[P12+S1]", "[S1]", "[P12]")):
+        target = parse_class(backend, text)
+        with pytest.raises(CapabilityError, match=f"{q} is not a prime power"):
+            enumerate_subreps(backend, target, q)
+        with pytest.raises(CapabilityError, match=f"{q} is not a prime power"):
+            count_points(backend, parse_class(backend, sub),
+                         parse_class(backend, quot), target, q)
 
 
 def test_p1_counting_is_capability_error(p1b):

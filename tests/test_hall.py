@@ -21,6 +21,8 @@ def test_polynomial_str_and_eval():
     assert p.evaluate(1) == 2 and p.evaluate(7) == 8
     assert str(HallPolynomial((1,))) == "1"
     assert HallPolynomial((0, 0, 2)).evaluate(3) == 18
+    assert str(HallPolynomial((-1, 1, 2))) == "2*q^2 + q - 1"
+    assert str(HallPolynomial((0, -1))) == "-q"
 
 
 def test_hall_polynomial_examples(a2_engine, loop_engine):
@@ -51,14 +53,24 @@ def test_euler_constant_examples(a2_engine, loop_engine):
                                     parse_class(a2, "[P12]")) == 1
 
 
-def test_interpolation_reproduces_every_sample(loop_engine):
-    loop = loop_engine.backend
-    sub = parse_class(loop, "[J1]")
-    quot = parse_class(loop, "[J1+J1]")
-    target = parse_class(loop, "[J2+J1]")
-    p = loop_engine.hall_polynomial(sub, quot, target)
-    for q in prime_powers(13):
-        assert p.evaluate(q) == counting.count_points(loop, sub, quot, target, q)
+def test_interpolation_reproduces_every_sample(loop):
+    # Macdonald's g^(321)_(21),(21), and two [J1^6] cells that need q up to
+    # 16 and 17: the Gaussian binomials [6 choose 2]_q and [6 choose 3]_q
+    j1x6 = "[J1+J1+J1+J1+J1+J1]"
+    cases = [(("[J1]", "[J1+J1]", "[J2+J1]"), 13, (1,)),
+             (("[J2+J1]", "[J2+J1]", "[J3+J2+J1]"), 13, (-1, 1, 2)),
+             (("[J1+J1]", "[J1+J1+J1+J1]", j1x6), 17,
+              (1, 1, 2, 2, 3, 2, 2, 1, 1)),
+             (("[J1+J1+J1]", "[J1+J1+J1]", j1x6), 17,
+              (1, 1, 2, 3, 3, 3, 3, 2, 1, 1))]
+    for texts, max_q, coeffs in cases:
+        sub, quot, target = (parse_class(loop, t) for t in texts)
+        bounds = Bounds(max_q=max_q)
+        p = HallEngine(loop, bounds).hall_polynomial(sub, quot, target)
+        assert p.coeffs == coeffs
+        for q in prime_powers(max_q):
+            assert p.evaluate(q) == counting.count_points(
+                loop, sub, quot, target, q, bounds)
 
 
 def test_interpolation_stability(loop_engine):

@@ -82,14 +82,6 @@ def test_subspaces_are_distinct_rrefs():
         assert linalg.row_reduce(list(rows), K) == (rows, piv) if rows else True
 
 
-def test_insert_row_grows_or_rejects():
-    K = field(5)
-    rows, piv = linalg.row_reduce([bytes([1, 2, 0]), bytes([0, 0, 3])], K)
-    assert linalg.insert_row(rows, piv, bytes([2, 4, 3]), K) is None
-    grown = linalg.insert_row(rows, piv, bytes([0, 1, 0]), K)
-    assert grown is not None and len(grown[0]) == 3
-
-
 def test_gaussian_binomial_values():
     assert linalg.gaussian_binomial(2, 1, 3) == 4
     assert linalg.gaussian_binomial(4, 2, 2) == 35
