@@ -20,9 +20,11 @@ result (`_minimize_points`).  On classes both ends are the identity.  On
 p1 refinement puts atoms of every degree over one point set, so any two
 atom bases are equal or disjoint and `HallEngine.product` can multiply
 two atom strata base by base; `_minimize_points` then keeps, degree by
-degree, only the points the function singles out.  Output derives the
-stratified form (terms grouped by summand count and coefficient, strata
-in `_stratum_key` order) with `_canonical`.
+degree, only the points the function singles out: it keys the fibres of
+a point by each key's other families and merged multiplicity, and builds
+strata only for a point that goes.  Output derives the stratified form
+(terms grouped by summand count and coefficient, strata in
+`_stratum_key` order) with `_canonical`.
 """
 
 import json
@@ -380,7 +382,7 @@ def _canonical(backend, values):
             kv[0][0], kv[0][1].numerator, kv[0][1].denominator)))
 
 
-def _minimize_points(backend, atom_values):
+def _minimize_points(backend, values):
     """Drop the points a p1 function does not single out, degree by degree.
 
     The keys are atom strata over a point set S_d per degree d: each
@@ -392,7 +394,10 @@ def _minimize_points(backend, atom_values):
     those copies between x and the core, and none of them is empty.  So
     the function is constant on every I, and x can go, exactly when every
     image has m_I + 1 preimages that all carry one value (a missing
-    preimage reads 0).
+    preimage reads 0).  A fibre is keyed by (the key's other families,
+    m_I), not by I: the other families are a subsequence of a canonical
+    stratum and never hold core', so the pair and I determine each other,
+    and `make_stratum` builds I, once per fibre, only when x goes.
 
     Whether x can go from S_d does not depend on which other points have
     gone, from degree d or any other: the fibre condition holds before a
@@ -400,8 +405,7 @@ def _minimize_points(backend, atom_values):
     point set, and one pass over (d, x) reaches it.  Class keys have no
     points: off p1 the values come back as they are."""
     if backend.kind != quiver.KIND_P1:
-        return atom_values
-    values = atom_values
+        return values
     points = {}
     for s in values:
         for f, _ in s:
@@ -409,8 +413,6 @@ def _minimize_points(backend, atom_values):
                 points.setdefault(f.degree, set()).update(f.base.points)
     for d in sorted(points):
         for x in sorted(points[d]):
-            rest = points[d] - {x}
-            core = IndecFamily.of_points(d, P1Set.cofinite_of(rest))
             fibres = {}
             for s, v in values.items():
                 parts, m = [], 0
@@ -420,12 +422,13 @@ def _minimize_points(backend, atom_values):
                         m += k
                     else:
                         parts.append((f, k))
-                image = make_stratum(backend, parts + [(core, m)])
-                fibres.setdefault(image, (m, []))[1].append(v)
+                fibres.setdefault((tuple(parts), m), []).append(v)
             if all(len(vs) == m + 1 and len(set(vs)) == 1
-                   for m, vs in fibres.values()):
-                values = {image: vs[0] for image, (_, vs) in fibres.items()}
-                points[d] = rest
+                   for (_, m), vs in fibres.items()):
+                points[d].discard(x)
+                core = IndecFamily.of_points(d, P1Set.cofinite_of(points[d]))
+                values = {make_stratum(backend, [*parts, (core, m)]): vs[0]
+                          for (parts, m), vs in fibres.items()}
     return values
 
 

@@ -209,9 +209,6 @@ def suite_pbw(engine, gamma):
     res.add("gamma-triangularity", report.triangular)
     res.add("diagonal entries are products of factorials", report.diagonal_ok)
     res.add("graded bijectivity per filtration degree", report.graded_bijective)
-    res.add("back-substitution residuals recorded", True,
-            "correction-closed" if report.correction_closed
-            else "corrections outside the family window (reported)")
     res.counts = {"monomials": sum(len(b["diagonal"]) for b in report.blocks),
                   "gamma": gamma}
     res.report = report

@@ -14,6 +14,11 @@ pairing the cells of every split y1 + y2 of the target.
 `class_char_by_stratum` builds 1_[x] through the class's Krull-Schmidt
 stratum, enumerated back into its one member, where `class_char` builds
 the one-key class map directly.
+
+`minimize_points_by_image` is the p1 canonicalization that keys each
+fibre by its image stratum, built with `make_stratum` for every key and
+every point tried, where `algebra._minimize_points` keys it by the
+key's other families and its core multiplicity.
 """
 
 from itertools import product as iproduct
@@ -22,6 +27,7 @@ from hallforge import algebra as alg
 from hallforge import coalgebra as co
 from hallforge import linalg, quiver, verify
 from hallforge.gf import field
+from hallforge.p1sets import P1Set
 
 
 def all_matrices(rows, cols, q):
@@ -352,3 +358,39 @@ def type_a_classes(backend, dimvec, max_summands):
 
     rec(0, tuple(dimvec), max_summands, [])
     return tuple(quiver.make_class(backend, c) for c in out)
+
+
+def minimize_points_by_image(backend, atom_values):
+    """`algebra._minimize_points` with every fibre keyed by its image
+    stratum: dropping x from the degree-d point set S_d maps a key to
+    the stratum whose degree-d atom at x and degree-d core merge into
+    P^1 \\ (S_d - {x}), multiplicities added; x goes when each image
+    with m copies of that core has m + 1 preimages of one value."""
+    if backend.kind != quiver.KIND_P1:
+        return atom_values
+    values = atom_values
+    points = {}
+    for s in values:
+        for f, _ in s:
+            if f.kind == "points":
+                points.setdefault(f.degree, set()).update(f.base.points)
+    for d in sorted(points):
+        for x in sorted(points[d]):
+            rest = points[d] - {x}
+            core = alg.IndecFamily.of_points(d, P1Set.cofinite_of(rest))
+            fibres = {}
+            for s, v in values.items():
+                parts, m = [], 0
+                for f, k in s:
+                    if f.kind == "points" and f.degree == d \
+                            and (f.base.cofinite or x in f.base.points):
+                        m += k
+                    else:
+                        parts.append((f, k))
+                image = alg.make_stratum(backend, parts + [(core, m)])
+                fibres.setdefault(image, (m, []))[1].append(v)
+            if all(len(vs) == m + 1 and len(set(vs)) == 1
+                   for m, vs in fibres.values()):
+                values = {image: vs[0] for image, (_, vs) in fibres.items()}
+                points[d] = rest
+    return values

@@ -604,8 +604,7 @@ GOLDEN = [
      '{"checks":[{"name":"gamma-triangularity","passed":true},'
      '{"name":"diagonal entries are products of factorials",'
      '"passed":true},{"name":"graded bijectivity per filtration '
-     'degree","passed":true},{"detail":"correction-closed",'
-     '"name":"back-substitution residuals recorded","passed":true}],'
+     'degree","passed":true}],'
      '"counts":{"gamma":2,"monomials":10},"passed":true,'
      '"report":{"back_substitution":[{"coefficients":{"[0, 0, '
      '0]":"1"},"expressible":true,"stratum":{"strata":[[]]}},'

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -279,3 +280,39 @@ def test_family_product_caches_only_nonzero_local_constants(p1b):
     assert alg.convolve(engine, f, f).terms
     # the local constants are read off the cells: nothing is cached
     assert engine.cache.entries == {}
+
+
+# sha256 (first 16 hex digits) of canonical_json of O_d * O_e, keyed by
+# (base, min(d, e), max(d, e)); the product is commutative, so both orders
+# read one digest
+FAMILY_PRODUCT_DIGESTS = {
+    ("cofinite", 1, 1): "fcbe0ae523efe2a7", ("cofinite", 1, 2): "05dcf173d45730ef",
+    ("cofinite", 1, 3): "2da9e5775814f059", ("cofinite", 1, 4): "76e2ece1384b8a9e",
+    ("cofinite", 1, 5): "a3da194d22cabebe", ("cofinite", 2, 2): "2486859ea47bcd68",
+    ("cofinite", 2, 3): "e09c1206321cc7a8", ("cofinite", 2, 4): "6e1c9698df36e8c9",
+    ("cofinite", 3, 3): "df3086f395144c04",
+    ("finite", 1, 1): "c9274d7406e23a35", ("finite", 1, 2): "938e1be2b504a6d6",
+    ("finite", 1, 3): "b2faaabf008f692e", ("finite", 1, 4): "23bda2973113a910",
+    ("finite", 1, 5): "e0de6c16c6035323", ("finite", 2, 2): "25d504ccdd5fe44e",
+    ("finite", 2, 3): "47aaf2670cff32d4", ("finite", 2, 4): "23bc1485097c60b8",
+    ("finite", 3, 3): "9a761351a4e5d530",
+}
+
+
+def test_family_products_are_byte_identical(p1_engine):
+    # the 30 products O_d * O_e, d + e <= 6, over the cofinite base P^1
+    # and the finite base {x, y}: canonicalization must not change a byte
+    b = p1_engine.backend
+    bases = {"cofinite": P1Set.cofinite_of([]), "finite": P1Set.finite(["x", "y"])}
+    checked = 0
+    for name, base in bases.items():
+        for d in range(1, 6):
+            for e in range(1, 7 - d):
+                prod = alg.convolve(
+                    p1_engine, one_family(b, alg.IndecFamily.of_points(d, base)),
+                    one_family(b, alg.IndecFamily.of_points(e, base)))
+                text = alg.canonical_json(b, prod)
+                assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
+                    FAMILY_PRODUCT_DIGESTS[name, min(d, e), max(d, e)], (name, d, e)
+                checked += 1
+    assert checked == 30

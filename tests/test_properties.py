@@ -15,6 +15,8 @@ from hallforge.hall import HallEngine
 from hallforge.quiver import Arrow, Backend
 from hallforge.p1sets import P1Set
 
+import oracles
+
 BACKENDS = {name: quiver.builtin_backend(name) for name in ("a2", "a3", "loop")}
 POOLS = {name: verify.classes_up_to(b, 3) for name, b in BACKENDS.items()}
 ENGINES = {name: HallEngine(b) for name, b in BACKENDS.items()}
@@ -147,18 +149,18 @@ P1_PROPS = settings(derandomize=True, max_examples=50, deadline=None)
 
 
 @st.composite
-def p1_elements(draw, families=2):
+def p1_elements(draw, families=2, max_degree=2):
     """A sum of one or two multiples of 1_S, each S a stratum of one to
-    `families` point families of degree 1 or 2 over a subset of {x, y, z}
-    or its complement (a family that meets an earlier one of its degree is
-    left out)."""
+    `families` point families of degree 1 to `max_degree` over a subset of
+    {x, y, z} or its complement (a family that meets an earlier one of its
+    degree is left out)."""
     f = alg.zero_element(P1)
     for _ in range(draw(st.integers(1, 2))):
         parts = []
         for _ in range(draw(st.integers(1, families))):
             pts = draw(st.frozensets(st.sampled_from("xyz")))
             base = P1Set(draw(st.booleans()) or not pts, pts)
-            fam = alg.IndecFamily.of_points(draw(st.integers(1, 2)), base)
+            fam = alg.IndecFamily.of_points(draw(st.integers(1, max_degree)), base)
             if all(fam.is_disjoint(g) for g, _ in parts):
                 parts.append((fam, 1))
         s = alg.char_fn(P1, [alg.make_stratum(P1, parts)])
@@ -183,6 +185,34 @@ def test_p1_canonical_form(f, g, point):
         assert alg.equal(P1, f, h) == (f.values == h.values) \
             == alg.subtract(P1, f, h).is_zero()
     assert alg.equal(P1, f, detour)
+
+
+@P1_PROPS
+@given(p1_elements(max_degree=3), p1_elements(max_degree=3), st.sampled_from("xyzw"),
+       VALUES, st.lists(st.tuples(st.integers(0, 63), INTS | st.just(None)),
+                        max_size=3))
+def test_p1_minimize_points_matches_the_image_keyed_oracle(f, g, point, c, bumps):
+    # an atom value map: f, g and c * 1_{O1 over {u, v}} refined over one
+    # more point, then a few atoms bumped by a value or removed (None), so
+    # that the points they sit on stay while the others go.  Dropping u,
+    # an atom O1{v} is an image of core multiplicity 0
+    uv = alg.char_fn(P1, [alg.make_stratum(P1, [(alg.IndecFamily.of_points(
+        1, P1Set.finite(["u", "v"])), 1)])])
+    extra = alg.make_stratum(P1, [(alg.IndecFamily.of_points(
+        3, P1Set.finite([point])), 1)])
+    *maps, _ = alg._common_atoms(P1, [f.values, g.values,
+                                      alg.scale(P1, uv, c).values, {extra: 1}])
+    atoms = {}
+    for m in maps:
+        for k, v in m.items():
+            atoms[k] = atoms.get(k, 0) + v
+    keys = list(atoms)
+    for i, v in bumps:
+        k = keys[i % len(keys)]
+        atoms[k] = 0 if v is None else atoms[k] + v
+    atoms = {k: v for k, v in atoms.items() if v}
+    assert list(alg._minimize_points(P1, atoms).items()) == \
+        list(oracles.minimize_points_by_image(P1, atoms).items())
 
 
 def test_p1_family_products_have_int_values():
