@@ -31,8 +31,8 @@ to read off `cells` than to look up there.  `_fit` alone imports `counting`
 and `linalg`: a process that only reads `cells` never loads the F_q route.
 
 Each `HallEngine` also keeps six memos, created in `__init__` and freed
-with it, all keyed by labels or classes (or p1 bases and atom strata) of
-its own backend:
+with it, all keyed by labels or classes (or p1 block degrees and atom
+strata) of its own backend:
 
   _cells     target -> {(sub, quot): chi}, every nonzero cell of a target;
   _splits    label -> the `_summand_splits` of one indecomposable, made
@@ -46,8 +46,10 @@ its own backend:
              loop and p1 (mu, nu, q) -> {lam: G^lam_{mu,nu}(q)}, products
              of partitions (on p1, of the loop classes at each support
              point);
-  _p1_base_memo  the p1 backend's one-base family products
-             (`p1._base_product`).
+  _p1_base_memo  (block degrees of A, of B) -> {(degree, mult) tuple:
+             value}, the p1 backend's one-base family products
+             (`p1._base_product`), read off the member with every block
+             at one point and so the same on every base.
 
 A bound failure raises before anything is stored.
 """
@@ -247,7 +249,7 @@ class HallEngine:
         self._products = {}         # (x, z) -> ((y, chi), ...), chi nonzero
         self._classes = {}          # (dims, gmax) -> classes
         self._surveys = {}          # (target, q) or (mu, nu, q) -> counts
-        self._p1_base_memo = {}     # see p1._base_product
+        self._p1_base_memo = {}     # (degs_a, degs_b) -> {degmults: chi}, any base
 
     # -- Euler constants: torus fixed points --------------------------------
 

@@ -11,23 +11,24 @@ strata of one refinement (`_stratum_product`, answered and memoized by
 `HallEngine.product`).  It decomposes base by base: cross-base parts
 split, same-base parts pick up the one-point loop constants.
 
-Why a value is constant along a base: the torsion category is the direct
-sum of its point-supported subcategories, and each one is the same loop
-category whatever the point.  A target Y is therefore, up to the name of
-its points, just its collision shape (one partition per occupied point),
-and every constant of Y is a product of loop constants of those
-partitions.  The value on a shape is computed once, read off
-`HallEngine.cells` of one representative target of that shape; the
-point names it uses are arbitrary, since the value depends on the shape
-alone.
+Why one member per stratum suffices: the cells of a target are the
+direct-sum merge of its blocks' splits (`HallEngine.cells`), and a block
+T(x,h) splits as the chain J_h does, into T(x,k) / T(x,h-k).  Neither
+step looks at which blocks share a point, so a cell's value depends on
+the degrees of the blocks alone, not on their points: this is the q = 1
+fact that 1_[J_lambda] goes to the monomial m_lambda (Macdonald,
+Symmetric Functions and Hall Polynomials, ch. III, sections 2-3).  Every
+member of an output stratum therefore gives the value of its member
+with all blocks at one point, which every nonempty base has, and the
+name of that point is arbitrary.
 """
 
 import math
-from itertools import product as iproduct
+from itertools import groupby, product as iproduct
 
 from . import algebra as alg
 from . import quiver
-from .errors import CapabilityError, InternalInvariantError
+from .errors import CapabilityError
 from .p1sets import P1Set
 
 
@@ -35,13 +36,19 @@ def families_from_json(entries):
     """{name: family} of the `families` list of a backend file."""
     if not isinstance(entries, list):
         raise ValueError(f"'families' is not a list of family objects: {entries!r}")
-    return dict(_family_from_json(data) for data in entries)
+    out = {}
+    for name, fam in map(_family_from_json, entries):
+        if name in out:
+            raise ValueError(f"family {name!r} is declared twice")
+        out[name] = fam
+    return out
 
 
 def _family_from_json(data):
     """(name, family) of one `families` entry of a backend file; a missing
     key, a name that is not a string, a non-integer degree or a base whose
-    points are not a list of names is a ValueError naming family and key."""
+    points are not a list of names, or are empty on a finite base, is a
+    ValueError naming family and key."""
     if not isinstance(data, dict):
         raise ValueError(f"family entry {data!r} is not an object")
     name = data.get("name")
@@ -61,6 +68,8 @@ def _family_from_json(data):
     if base["kind"] == "cofinite":
         b = P1Set.cofinite_of(pts)
     elif base["kind"] == "finite":
+        if not pts:
+            raise ValueError(f"family {name!r} has 'base.points' [], an empty finite base")
         b = P1Set.finite(pts)
     else:
         raise ValueError(f"bad base kind {base['kind']!r}")
@@ -102,10 +111,9 @@ def _stratum_product(engine, sa, sb):
     memoizes it, and convolution reads it there.
 
     The families are grouped by base set, multiplied base by base, and the
-    per-base outputs recombined.  A value depends on a member only through
-    its collision shape (see the module docstring), and each output
-    stratum's value is checked to be the same on all of its collision
-    shapes, which is what a stratified form requires."""
+    per-base outputs recombined.  Each output stratum's value is that of
+    its member with every block at one point (see the module docstring),
+    so it is constant on the stratum, as a stratified form requires."""
     backend = engine.backend
     if any(fam.kind != "points" for fam, _ in sa + sb):
         raise CapabilityError("products involving line bundles are out of scope")
@@ -113,9 +121,9 @@ def _stratum_product(engine, sa, sb):
     for side, stratum in enumerate((sa, sb)):
         for fam, m in stratum:
             degs.setdefault(fam.base, ([], []))[side].extend([fam.degree] * m)
-    per_base = [_base_product(engine, base, sorted(a, reverse=True),
+    per_base = [_base_product(engine, sorted(a, reverse=True),
                               sorted(b, reverse=True)).items()
-                for base, (a, b) in degs.items()]
+                for a, b in degs.values()]
     out = {}
     for combo in iproduct(*per_base):
         stratum = alg.make_stratum(backend, [
@@ -125,87 +133,30 @@ def _stratum_product(engine, sa, sb):
     return out
 
 
-def _base_product(engine, base, degs_a, degs_b):
+def _base_product(engine, degs_a, degs_b):
     """Local product over one base: the block degrees on each side, as
     lists sorted in descending order.
 
     Returns {(sorted (degree, mult) tuple): value}; values are the Euler
-    characteristics of the corresponding conflation cells.  The torsion
-    category splits by support point into copies of one loop category, so
-    a member is seen only through its collision shape and one evaluation
-    per shape covers the whole base.
+    characteristics of the corresponding conflation cells.  Each output
+    stratum is read off its member with every block at one point, as
+    `HallEngine.product` reads a quiver product (see the module
+    docstring); the value does not depend on the base.
     """
     memo = engine._p1_base_memo
-    key = (base.descriptor(), tuple(degs_a), tuple(degs_b))
+    key = (tuple(degs_a), tuple(degs_b))
     hit = memo.get(key)
     if hit is not None:
         return hit
-    engine.bounds.check_dim(total := sum(degs_a) + sum(degs_b))  # before any shape
-    gmax = len(degs_a) + len(degs_b)
-    npoints = None if base.cofinite else len(base.points)
-    # Krull-Schmidt stratification: members of one output stratum that
-    # differ only in their point-collision pattern must share the value,
-    # zero included (shapes with more points than a finite base has are
-    # never generated)
-    by_degmults = {}
-    for shape in _output_shapes(total, gmax, npoints):
-        by_degmults.setdefault(_shape_to_degmults(shape), set()).add(
-            _shape_value(engine, degs_a, degs_b, shape))
+    engine.bounds.check_dim(total := sum(degs_a) + sum(degs_b))  # before partitions
+
+    def at_one_point(degs):
+        return quiver.make_class(engine.backend, [("t", "p", d) for d in degs])
+
+    cell = (at_one_point(degs_a), at_one_point(degs_b))
     out = {}
-    for degmults, values in by_degmults.items():
-        if len(values) > 1:
-            raise InternalInvariantError(
-                f"family product is not constant on the stratum "
-                f"{degmults}: values {sorted(map(str, values))}")
-        if (value := values.pop()):
-            out[degmults] = value
+    for lam in quiver.partitions(total, len(degs_a) + len(degs_b)):
+        if (value := engine.cells(at_one_point(lam)).get(cell)):
+            out[tuple((d, len(list(g))) for d, g in groupby(lam))] = value
     memo[key] = out
     return out
-
-
-def _output_shapes(total, gmax, npoints):
-    """Collision shapes: multisets of local partitions, one per occupied
-    point, total degree `total`, at most gmax blocks overall, and at most
-    npoints occupied points when the base is finite."""
-    shapes = set()
-
-    def rec(remaining, budget, max_partition, acc):
-        if remaining == 0:
-            shapes.add(tuple(sorted(acc, reverse=True)))
-            return
-        if budget == 0 or (npoints is not None and len(acc) >= npoints):
-            return
-        for local in range(remaining, 0, -1):
-            for part in quiver.partitions(local, budget):
-                if max_partition is None or part <= max_partition:
-                    acc.append(part)
-                    rec(remaining - local, budget - len(part), part, acc)
-                    acc.pop()
-
-    rec(total, gmax, None, [])
-    return sorted(shapes, reverse=True)
-
-
-def _shape_to_degmults(shape):
-    """Forget the collision pattern: count blocks by degree."""
-    counts = {}
-    for part in shape:
-        for d in part:
-            counts[d] = counts.get(d, 0) + 1
-    return tuple(sorted(counts.items(), reverse=True))
-
-
-def _shape_value(engine, degs_a, degs_b, shape):
-    """(1_A * 1_B)([Y]) for Y of the given collision shape (one partition
-    per occupied point); A, B are the one-base strata with block degrees
-    degs_a, degs_b (sorted in descending order).
-
-    Read off `engine.cells` of one representative Y, its occupied points
-    named apart: the sum of the cells whose sub blocks have the degrees
-    of A and whose quotient blocks have those of B."""
-    y = quiver.make_class(engine.backend, [("t", f"p{i}", d)
-                                           for i, part in enumerate(shape)
-                                           for d in part])
-    return sum(c for (sub, quot), c in engine.cells(y).items()
-               if sorted((l[2] for l in sub), reverse=True) == degs_a
-               and sorted((l[2] for l in quot), reverse=True) == degs_b)

@@ -65,11 +65,6 @@ class P1Set(ReadOnly):
         return (1 if self.cofinite else 0, tuple(sorted(self.points)))
 
 
-def set_ops(a, b, op):
-    """Boolean operation on P1 sets: 'intersect' | 'union' | 'minus'."""
-    return getattr(a, op)(b)
-
-
 def chi_na(s):
     """Naive Euler characteristic of a finite or cofinite subset of P^1."""
     return s.chi()

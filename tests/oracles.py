@@ -19,6 +19,11 @@ the one-key class map directly.
 fibre by its image stratum, built with `make_stratum` for every key and
 every point tried, where `algebra._minimize_points` keys it by the
 key's other families and its core multiplicity.
+
+`p1_values_by_shape` evaluates a one-base p1 family product on every
+collision shape of every output stratum, one target per shape, where
+`p1._base_product` reads each stratum off its member with every block
+at one point.
 """
 
 from itertools import product as iproduct
@@ -394,3 +399,41 @@ def minimize_points_by_image(backend, atom_values):
                 values = {image: vs[0] for image, (_, vs) in fibres.items()}
                 points[d] = rest
     return values
+
+
+def p1_values_by_shape(engine, degs_a, degs_b, npoints):
+    """{(degree, mult) tuple: {collision shape: value}} of the one-base
+    family product with block degrees degs_a, degs_b (lists in descending
+    order) on a base of npoints points (None: cofinite).  A collision
+    shape is a multiset of local partitions, one per occupied point, of
+    total degree sum(degs_a) + sum(degs_b), with at most
+    len(degs_a) + len(degs_b) blocks and at most npoints occupied points.
+    Each value is read off one target of its shape, points named p0,
+    p1, ...: the sum of its cells whose sub blocks have the degrees
+    degs_a and whose quotient blocks have the degrees degs_b.  Zeros are
+    kept, so every stratum lists all of its shapes."""
+    total, gmax = sum(degs_a) + sum(degs_b), len(degs_a) + len(degs_b)
+    shapes = set()
+
+    def rec(remaining, budget, largest, acc):
+        if remaining == 0:
+            shapes.add(tuple(acc))
+        elif budget and (npoints is None or len(acc) < npoints):
+            for local in range(remaining, 0, -1):
+                for part in quiver.partitions(local, budget):
+                    if largest is None or part <= largest:
+                        rec(remaining - local, budget - len(part), part, acc + [part])
+
+    rec(total, gmax, None, [])
+    out = {}
+    for shape in shapes:
+        y = quiver.make_class(engine.backend, [("t", f"p{i}", d)
+                                               for i, part in enumerate(shape)
+                                               for d in part])
+        value = sum(c for (sub, quot), c in engine.cells(y).items()
+                    if sorted((l[2] for l in sub), reverse=True) == degs_a
+                    and sorted((l[2] for l in quot), reverse=True) == degs_b)
+        degrees = sorted((d for part in shape for d in part), reverse=True)
+        degmults = tuple((d, degrees.count(d)) for d in sorted(set(degrees), reverse=True))
+        out.setdefault(degmults, {})[shape] = value
+    return out

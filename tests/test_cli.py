@@ -160,8 +160,13 @@ def test_p1_family_entry_with_a_missing_key_is_refused(tmp_path, entry, message)
      "family 'N' has 'base.points' [1, 'x'], not a list of names"),
     ([{"name": ["N"], "degree": 1, "base": {"kind": "finite"}}],
      "family name ['N'] is not a string"),
+    ([{"name": "N", "degree": 1, "base": {"kind": "finite", "points": []}}],
+     "family 'N' has 'base.points' [], an empty finite base"),
+    ([{"name": "F", "degree": 1, "base": {"kind": "cofinite", "points": []}},
+      {"name": "F", "degree": 2, "base": {"kind": "finite", "points": ["x"]}}],
+     "family 'F' is declared twice"),
 ], ids=["entry-not-object", "families-not-list", "points-string", "point-not-name",
-        "name-not-string"])
+        "name-not-string", "empty-finite-base", "duplicate-name"])
 def test_p1_malformed_families_are_refused(tmp_path, families, message):
     path = tmp_path / "p1x.json"
     path.write_text(json.dumps({"name": "p1x", "kind": "p1-torsion",
@@ -240,7 +245,7 @@ def test_comul_is_bounded_by_dim():
 
 def test_products_above_dim_exit_3_before_listing_targets():
     # a huge operand exits at once instead of listing every class of its
-    # dimension (loop) or every collision shape of its degree (p1)
+    # dimension (loop) or every partition of its degree (p1)
     for backend, args in (("loop", ("mul", "[J99999999999]", "[J1]")),
                           ("loop", ("power", "[J99999999999]", "2")),
                           ("p1", ("mul", "[T(x,99999999999)]", "O1"))):

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from hallforge import algebra as alg
 from hallforge import coalgebra as co
 from hallforge import p1, quiver
-from hallforge.errors import (BackendMismatchError, CapabilityError,
-                              InternalInvariantError)
+from hallforge.errors import BackendMismatchError, CapabilityError
 from hallforge.hall import HallEngine
-from hallforge.p1sets import P1Set, chi_na, set_ops
+from hallforge.p1sets import P1Set, chi_na
 from hallforge.quiver import make_class
+
+import oracles
 
 
 def fam_all(degree):
@@ -35,11 +36,11 @@ def test_chi_examples():
 def test_set_ops_examples():
     full = P1Set.cofinite_of([])
     x = P1Set.finite(["x"])
-    assert set_ops(full, x, "intersect") == x
-    assert set_ops(P1Set.cofinite_of(["x"]), x, "union") == full
-    assert set_ops(P1Set.cofinite_of(["x"]), P1Set.cofinite_of(["y"]),
-                   "intersect") == P1Set.cofinite_of(["x", "y"])
-    assert set_ops(x, x, "minus").is_empty
+    assert full.intersect(x) == x
+    assert P1Set.cofinite_of(["x"]).union(x) == full
+    assert P1Set.cofinite_of(["x"]).intersect(
+        P1Set.cofinite_of(["y"])) == P1Set.cofinite_of(["x", "y"])
+    assert x.minus(x).is_empty
 
 
 points = st.frozensets(st.sampled_from([f"p{i}" for i in range(8)]),
@@ -185,9 +186,12 @@ def test_line_bundles_allowed_in_sets_but_not_products(p1_engine):
 def test_family_product_splits_by_support_point(p1_engine):
     # 1_A * 1_B at a target Y is the sum of the per-point constants
     # euler_constant(sub, quot, Y) over the members sub of A and quot of B.
-    # Over {x, y, z} the atoms are single points; over the whole line one
-    # base carries every collision shape.  Members outside {x, y, z} do
-    # not meet a Y supported there, so the sum runs over {x, y, z} alone.
+    # The product reads each stratum off its member with every block at
+    # one point; here it is checked at every Y on {x, y, z}, whose blocks
+    # share a point or not.  Over {x, y, z} the atoms are single points;
+    # over the whole line one base holds all of them.  Members outside
+    # {x, y, z} do not meet a Y supported there, so the sum runs over
+    # {x, y, z} alone.
     # The last operand pairs put their degrees on different bases, which
     # still meet at x or y.
     b = p1_engine.backend
@@ -255,11 +259,41 @@ def test_torsion_labels_need_a_point_and_positive_degree(p1b):
             alg.class_char(p1b, (label,))
 
 
+def check_every_collision_shape(engine, degs_a, degs_b, npoints):
+    # the oracle reads each output stratum off every collision shape that
+    # a base of npoints points (None: cofinite) allows; each shape must
+    # give one value, and _base_product's one-point member that value
+    got = p1._base_product(engine, list(degs_a), list(degs_b))
+    by_shape = oracles.p1_values_by_shape(
+        engine, list(degs_a), list(degs_b), npoints)
+    want = {}
+    for degmults, values in by_shape.items():
+        assert len(set(values.values())) == 1, (degmults, values)
+        if (value := next(iter(values.values()))):
+            want[degmults] = value
+    assert got == want, (degs_a, degs_b, npoints)
+
+
+def test_base_product_matches_every_collision_shape(p1b):
+    engine = HallEngine(p1b, quiver.Bounds(max_dim=7))
+    checked = 0
+    for total in range(1, 8):
+        for k in range(total + 1):
+            for degs_a in quiver.partitions(k, k):
+                for degs_b in quiver.partitions(total - k, total - k):
+                    for npoints in (1, 2, 3, None):
+                        check_every_collision_shape(engine, degs_a, degs_b,
+                                                    npoints)
+                        checked += 1
+    assert checked == 4 * 248
+
+
 @pytest.mark.parametrize("corrupt", ["raise", "empty"])
 def test_family_product_refuses_a_value_that_varies_on_a_stratum(p1b, corrupt):
-    # 1_O1 * 1_O1 reads the stratum of two degree-1 blocks off [T(x,1)+T(x,1)]
-    # and [T(p0,1)+T(p1,1)]; a changed or vanished value on the second
-    # collision shape breaks stratification
+    # 1_O1 * 1_O1 reads the stratum of two degree-1 blocks off
+    # [T(x,1)+T(x,1)]; a changed or vanished value on the other collision
+    # shape [T(p0,1)+T(p1,1)] breaks stratification, and the shape check
+    # must refuse it
     engine = HallEngine(p1b)
     y = make_class(p1b, [("t", "p0", 1), ("t", "p1", 1)])
     cells = dict(engine.cells(y))
@@ -269,9 +303,9 @@ def test_family_product_refuses_a_value_that_varies_on_a_stratum(p1b, corrupt):
     else:
         cells.clear()
     engine._cells[y] = cells
-    f = one_family(p1b, fam_all(1))
-    with pytest.raises(InternalInvariantError, match="not constant"):
-        alg.convolve(engine, f, f)
+    check_every_collision_shape(engine, (1,), (1,), 1)
+    with pytest.raises(AssertionError, match=r"\(\(1, 2\),\)"):
+        check_every_collision_shape(engine, (1,), (1,), 2)
 
 
 def test_family_product_caches_only_nonzero_local_constants(p1b):
