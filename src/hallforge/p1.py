@@ -72,7 +72,8 @@ def _family_from_json(data):
             raise ValueError(f"family {name!r} has 'base.points' [], an empty finite base")
         b = P1Set.finite(pts)
     else:
-        raise ValueError(f"bad base kind {base['kind']!r}")
+        raise ValueError(f"family {name!r} has 'base.kind' {base['kind']!r}, "
+                         f"not 'finite' or 'cofinite'")
     if degree < 1:
         raise ValueError(f"family {name!r} has degree below 1")
     return name, alg.IndecFamily.of_points(degree, b)

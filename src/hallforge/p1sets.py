@@ -31,6 +31,7 @@ class P1Set(ReadOnly):
         return not self.cofinite and not self.points
 
     def chi(self):
+        """Naive Euler characteristic of a finite or cofinite subset of P^1."""
         if self.cofinite:
             return 2 - len(self.points)
         return len(self.points)
@@ -63,8 +64,3 @@ class P1Set(ReadOnly):
 
     def descriptor(self):
         return (1 if self.cofinite else 0, tuple(sorted(self.points)))
-
-
-def chi_na(s):
-    """Naive Euler characteristic of a finite or cofinite subset of P^1."""
-    return s.chi()

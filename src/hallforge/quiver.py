@@ -588,38 +588,24 @@ def decompose(backend, rep):
 
 def _solve_multiplicities(backend, labels, profile, q):
     """The class with the given Hom `profile`, solved over `Fraction`s."""
-    from fractions import Fraction
+    from . import linalg
     labels = tuple(labels)
     homs = backend.label_table.homs
     if (labels, q) not in homs:
         reps = [realize(backend, l, q) for l in labels]
         homs[labels, q] = tuple(tuple(hom_dim(backend, ri, rj) for rj in reps)
                                 for ri in reps)
-    table = homs[labels, q]
-    n = len(labels)
-    aug = [[Fraction(table[i][j]) for j in range(n)] + [Fraction(profile[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise InternalInvariantError("singular Hom-multiplicity system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col] / pv
-                for c in range(col, n + 1):
-                    aug[r][c] -= f * aug[col][c]
-    mults = []
-    for i in range(n):
-        m = aug[i][n] / aug[i][i]
-        if m.denominator != 1 or m < 0:
-            raise InternalInvariantError(f"non-integral multiplicity {m} for "
-                                         f"{label_name(backend, labels[i])}")
-        mults.append(int(m))
+    [(mults, residual)] = linalg.solve_in_span(list(zip(*homs[labels, q])),
+                                               [profile])
+    if residual:
+        raise InternalInvariantError(f"Hom profile {list(profile)} is no class")
     out = []
     for l, m in zip(labels, mults):
-        out.extend([l] * m)
+        if m.denominator != 1 or m < 0:
+            raise InternalInvariantError(f"multiplicity {m} of "
+                                         f"{label_name(backend, l)} is not a "
+                                         f"non-negative integer")
+        out.extend([l] * int(m))
     return make_class(backend, out)
 
 

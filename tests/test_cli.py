@@ -165,8 +165,10 @@ def test_p1_family_entry_with_a_missing_key_is_refused(tmp_path, entry, message)
     ([{"name": "F", "degree": 1, "base": {"kind": "cofinite", "points": []}},
       {"name": "F", "degree": 2, "base": {"kind": "finite", "points": ["x"]}}],
      "family 'F' is declared twice"),
+    ([{"name": "F", "degree": 1, "base": {"kind": "open", "points": []}}],
+     "family 'F' has 'base.kind' 'open', not 'finite' or 'cofinite'"),
 ], ids=["entry-not-object", "families-not-list", "points-string", "point-not-name",
-        "name-not-string", "empty-finite-base", "duplicate-name"])
+        "name-not-string", "empty-finite-base", "duplicate-name", "unknown-base-kind"])
 def test_p1_malformed_families_are_refused(tmp_path, families, message):
     path = tmp_path / "p1x.json"
     path.write_text(json.dumps({"name": "p1x", "kind": "p1-torsion",

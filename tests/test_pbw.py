@@ -1,9 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from hallforge import algebra as alg
-from hallforge import pbw, quiver
+from hallforge import linalg, pbw
 from hallforge.quiver import parse_class
 
 
@@ -14,37 +15,41 @@ def fam(backend, label):
 def test_leading_term_examples(a2):
     f = fam(a2, ("i", 0, 0))
     g = fam(a2, ("i", 1, 1))
-    coeff, cset = pbw.leading_term(a2, pbw.make_monomial(a2, [(f, 3)]))
+    coeff, cset = pbw.leading_term(alg.make_stratum(a2, [(f, 3)]))
     assert coeff == 6
     assert cset.strata == (alg.make_stratum(a2, [(f, 3)]),)
-    coeff, cset = pbw.leading_term(a2, pbw.make_monomial(a2, [(f, 1), (g, 1)]))
+    coeff, cset = pbw.leading_term(alg.make_stratum(a2, [(f, 1), (g, 1)]))
     assert coeff == 1
-    coeff, _ = pbw.leading_term(a2, pbw.make_monomial(a2, [(f, 2), (g, 2)]))
+    coeff, _ = pbw.leading_term(alg.make_stratum(a2, [(f, 2), (g, 2)]))
     assert coeff == 4
 
 
-def test_monomial_rejects_overlapping_families(a2):
+def test_monomial_rejects_overlapping_families(a2_engine):
+    # overlapping and repeated families are refused at every gamma, not
+    # only where a monomial of degree >= 2 meets both
+    a2 = a2_engine.backend
     f1 = alg.IndecFamily.of_labels(a2, [("i", 0, 0), ("i", 0, 1)])
     f2 = fam(a2, ("i", 0, 1))
-    with pytest.raises(ValueError):
-        pbw.make_monomial(a2, [(f1, 1), (f2, 1)])
+    for fams, gamma in product(([f1, f2], [f2, f2]), (1, 2)):
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            pbw.certify_truncation(a2_engine, fams, gamma)
 
 
 def test_image_of_empty_monomial_is_unit(a2_engine):
     a2 = a2_engine.backend
-    img = pbw.monomial_image(a2_engine, pbw.make_monomial(a2, []))
+    img = pbw.monomial_image(a2_engine, alg.make_stratum(a2, []))
     assert alg.equal(a2, img, alg.unit_element(a2))
 
 
 def test_image_examples(a2_engine):
     a2 = a2_engine.backend
     s1 = fam(a2, ("i", 0, 0))
-    img = pbw.monomial_image(a2_engine, pbw.make_monomial(a2, [(s1, 2)]))
+    img = pbw.monomial_image(a2_engine, alg.make_stratum(a2, [(s1, 2)]))
     expected = alg.scale(a2, alg.class_char(a2, parse_class(a2, "[S1+S1]")), 2)
     assert alg.equal(a2, img, expected)
     s2 = fam(a2, ("i", 1, 1))
     img = pbw.monomial_image(a2_engine,
-                             pbw.make_monomial(a2, [(s2, 1), (s1, 1)]))
+                             alg.make_stratum(a2, [(s2, 1), (s1, 1)]))
     expected = alg.add(a2, alg.class_char(a2, parse_class(a2, "[S1+S2]")),
                        alg.class_char(a2, parse_class(a2, "[P12]")))
     assert alg.equal(a2, img, expected)
@@ -53,9 +58,9 @@ def test_image_examples(a2_engine):
 def test_functoriality_concatenation(loop_engine):
     loop = loop_engine.backend
     f1, f2 = fam(loop, ("j", 1)), fam(loop, ("j", 2))
-    m1 = pbw.make_monomial(loop, [(f1, 1)])
-    m2 = pbw.make_monomial(loop, [(f2, 1)])
-    m12 = pbw.make_monomial(loop, [(f1, 1), (f2, 1)])
+    m1 = alg.make_stratum(loop, [(f1, 1)])
+    m2 = alg.make_stratum(loop, [(f2, 1)])
+    m12 = alg.make_stratum(loop, [(f1, 1), (f2, 1)])
     lhs = pbw.monomial_image(loop_engine, m12)
     rhs = alg.convolve(loop_engine, pbw.monomial_image(loop_engine, m1),
                        pbw.monomial_image(loop_engine, m2))
@@ -66,13 +71,13 @@ def test_triangularity_property(loop_engine):
     loop = loop_engine.backend
     f1, f2 = fam(loop, ("j", 1)), fam(loop, ("j", 2))
     for factors in ([(f1, 2)], [(f1, 1), (f2, 1)], [(f2, 2)]):
-        mono = pbw.make_monomial(loop, factors)
+        mono = alg.make_stratum(loop, factors)
         img = pbw.monomial_image(loop_engine, mono)
-        coeff, lead = pbw.leading_term(loop, mono)
+        coeff, lead = pbw.leading_term(mono)
         rest = alg.add(loop, img,
                        alg.scale(loop, alg.char_fn(loop, lead.strata), coeff),
                        Fraction(-1))
-        assert rest.summand_count() < mono.gamma()
+        assert rest.summand_count() < alg.stratum_gamma(mono)
 
 
 def test_solve_in_span_divides_int_entries_exactly():
@@ -80,7 +85,7 @@ def test_solve_in_span_divides_int_entries_exactly():
     # division; the third rhs leaves the span at row 2
     cols = [[2, 0, 0], [1, 3, 0]]
     rhss = [[1, 0, 0], [1, 1, 0], [0, 0, 5]]
-    (half, r1), (thirds, r2), (sol, r3) = pbw._solve_in_span(cols, rhss)
+    (half, r1), (thirds, r2), (sol, r3) = linalg.solve_in_span(cols, rhss)
     assert half == [Fraction(1, 2), 0] and thirds == [Fraction(1, 3)] * 2
     assert r1 == r2 == [] and sol is None and r3 == [2]
     assert [str(c) for c in half + thirds] == ["1/2", "0", "1/3", "1/3"]

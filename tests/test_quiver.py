@@ -1,11 +1,12 @@
 import json
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
 
 from hallforge import quiver
-from hallforge.errors import CapabilityError
+from hallforge.errors import CapabilityError, InternalInvariantError
 from hallforge.quiver import (Arrow, Backend, class_name,
                               decompose, hom_dim, label_name, make_class,
                               parse_class, positive_roots, realize,
@@ -141,6 +142,34 @@ def test_decompose_round_trip_a3_exhaustive(a3):
     for cls in classes:
         for q in (2, 3, 5):
             assert decompose(a3, realize_class(a3, cls, q)) == cls
+
+
+@pytest.mark.parametrize("arrows,max_dim", [
+    ((Arrow("a", 0, 1), Arrow("b", 2, 1)), 5),
+    ((Arrow("a", 0, 1), Arrow("b", 2, 1), Arrow("c", 2, 3)), 4),
+], ids=["a3-sink", "a4-zigzag"])
+def test_decompose_round_trip_other_orientations(arrows, max_dim):
+    # the middle-sink a3 and the zigzag A4 1 -> 2 <- 3 -> 4, every class of
+    # total dimension <= max_dim
+    n = len(arrows) + 1
+    backend = Backend(f"a{n}", quiver.KIND_DYNKIN,
+                      tuple(str(v + 1) for v in range(n)), arrows)
+    for dims in product(range(max_dim + 1), repeat=n):
+        if sum(dims) > max_dim:
+            continue
+        for cls in quiver.classes_with_dim(backend, dims, max_dim):
+            for q in (2, 3, 5):
+                assert decompose(backend, realize_class(backend, cls, q)) == cls
+
+
+@pytest.mark.parametrize("profile", [(0, 1, 0), (Fraction(1, 2), 0, 0)],
+                         ids=["negative", "fractional"])
+def test_hom_profile_of_no_class_is_refused(a2, profile):
+    # on a2, in the order S2, S1, P12: (0, 1, 0) solves to S2 + S1 - P12
+    # and (1/2, 0, 0) to half of S2
+    labels = quiver._indec_basis(a2, (1, 1))
+    with pytest.raises(InternalInvariantError, match="not a non-negative integer"):
+        quiver._solve_multiplicities(a2, labels, profile, 2)
 
 
 def test_decompose_rank_one_example(a2):

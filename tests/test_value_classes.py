@@ -32,7 +32,6 @@ FIELDS = {
     counting.Bounds: lambda: (6, 13),
     hall.HallPolynomial: lambda: ((1, 1),),
     P1Set: lambda: (True, frozenset({"x"})),
-    pbw.PBWMonomial: lambda: (((FAMILY, 2),),),
 }
 UNHASHABLE = (alg.CFElement, co.TensorElement)
 
