@@ -272,8 +272,8 @@ def _parser(prog):
                         help="maximum total dimension of a target class "
                         "(default: %(default)s)")
     parser.add_argument("--q-max", type=int, default=13,
-                        help="largest field size the F_q route (Hall polynomials, "
-                        "verify routes) samples (default: %(default)s)")
+                        help="largest field size the type-A F_q route (Hall "
+                        "polynomials, verify routes) samples (default: %(default)s)")
     parser.add_argument("--gamma", type=int, default=2,
                         help="summand-count bound for suites that take one "
                         "(default: %(default)s)")

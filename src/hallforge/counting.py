@@ -1,10 +1,10 @@
-"""Subrepresentation counting over F_q.
+"""Subrepresentation counting over F_q, and loop Hall polynomials in Z[q].
 
 For quiver backends the kernel enumerates tuples of subspaces, one per
 vertex in canonical order, pruning a tuple as soon as an arrow with both
 endpoints fixed fails closure.
 
-The one-loop backend is counted in closed form, with no enumeration.  A
+The one-loop backend is computed in closed form, with no enumeration.  A
 loop class is a partition (the sizes of its Jordan blocks), and the loop
 Hall algebra is commutative and generated by the u_(1^m) (Macdonald,
 *Symmetric Functions and Hall Polynomials*, ch. II sections 2-4).
@@ -21,25 +21,25 @@ every other product follows by recursion down that order:
 
     u_mu u_nu = (u_mu E_nu - sum_{kappa != nu} a_kappa u_mu u_kappa) / a_nu.
 
-All of it is integer arithmetic at one q: [n choose k]_(1/q) is
-q^(-k(n-k)) [n choose k]_q, the power of q left over is the lowest degree
-of a polynomial count and so is not negative, and the division by a_nu is
-exact because every coefficient is a count.
+All of it is exact arithmetic on ascending coefficient tuples in Z[q]:
+[n choose k]_(1/q) is q^(-k(n-k)) [n choose k]_q (`gaussian_binomial`),
+the power of q left over is the lowest degree of a polynomial count and
+so is not negative, and a_nu divides exactly (ch. II (4.3)).
 
 A histogram is a dict {(sub class, quotient class): count}, and
-`enumerate_subreps` returns a target's full one.  This module keeps no
-state.  Its memos belong to the caller: each `HallEngine` owns a
-`_surveys` dict that it passes to `count_points`, holding quiver
-histograms by (target, q) and loop products {lam: G^lam_{mu,nu}(q)} by
-(mu, nu, q), so the memo is freed with the engine and never shared
-between two backend definitions.  Only the F_q route loads this module
-(`HallEngine._fit` imports it), and `Bounds` is `quiver.Bounds`.  A p1
-target has no matrix model (`quiver.realize_class` refuses it): p1 counts
-are loop counts, one per support point (`HallEngine._interpolate`).
+`enumerate_subreps` returns a target's full one.  Memos belong to the
+caller, but for the backend-free `gaussian_binomial`: each `HallEngine`
+owns a `_surveys` dict, holding quiver histograms by (target, q) and loop
+products {lam: G^lam_{mu,nu}(q)} by (mu, nu), so the memo is freed with
+the engine and never shared between two backend definitions.  Only
+`HallEngine._interpolate` loads this module, and `Bounds` is
+`quiver.Bounds`.  A p1 target has no matrix model (`realize_class`
+refuses it): its polynomials are products of loop ones, point by point.
 """
 
 from collections import defaultdict
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, zip_longest
 
 from . import linalg, quiver
 from .errors import ResourceLimitError
@@ -68,7 +68,7 @@ def enumerate_subreps(backend, target, q, bounds=DEFAULT_BOUNDS):
     for k in range(d + 1):
         for mu in quiver.partitions(k, k):
             for nu in quiver.partitions(d - k, d - k):
-                n = _loop_product(mu, nu, q, products).get(lam)
+                n = _value(_loop_product(mu, nu, products).get(lam, (0,)), q)
                 if n:
                     out[_loop_class(backend, mu), _loop_class(backend, nu)] = n
     return out
@@ -78,7 +78,7 @@ def count_points(backend, sub, quot, target, q, bounds=DEFAULT_BOUNDS,
                  surveys=None):
     """Number of subrepresentations of `target` over F_q with the given
     sub and quotient isomorphism classes.  `surveys` memoizes histograms
-    by (target, q), and on loop products by their partitions and q;
+    by (target, q), and on loop polynomials by their partitions;
     `HallEngine` passes its own, a call without one counts afresh."""
     _check_bounds(backend, target, q, bounds)
     if quiver.dim_add(quiver.class_dim(backend, sub),
@@ -88,8 +88,8 @@ def count_points(backend, sub, quot, target, q, bounds=DEFAULT_BOUNDS,
     if surveys is None:
         surveys = {}
     if backend.kind == quiver.KIND_LOOP:
-        return _loop_product(_partition(sub), _partition(quot), q,
-                             surveys).get(_partition(target), 0)
+        return _value(_loop_product(_partition(sub), _partition(quot),
+                                    surveys).get(_partition(target), (0,)), q)
     return _survey(backend, target, q, surveys).get((sub, quot), 0)
 
 
@@ -103,10 +103,54 @@ def _survey(backend, target, q, surveys):
 
 
 # ---------------------------------------------------------------------------
+# polynomials in Z[q]: ascending coefficient tuples, trimmed, zero is (0,)
+
+def _value(coeffs, q):
+    return sum(c * q ** i for i, c in enumerate(coeffs))
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def _poly_add(a, b):
+    out = [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _poly_divexact(a, b):
+    """a / b in Z[q], long division from the top: exact when b divides a."""
+    a, n = list(a), len(b) - 1
+    out = [0] * (len(a) - n)
+    for i in range(len(out) - 1, -1, -1):
+        out[i] = a[i + n] // b[-1]
+        for j, y in enumerate(b):
+            a[i + j] -= out[i] * y
+    assert not any(a), "inexact division in Z[q]"
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def gaussian_binomial(n, k):
+    """[n choose k]_q for 0 <= k <= n, by the q-Pascal rule."""
+    if k in (0, n):
+        return (1,)
+    return _poly_add(gaussian_binomial(n - 1, k - 1),
+                     (0,) * k + gaussian_binomial(n - 1, k))
+
+
+# ---------------------------------------------------------------------------
 # loop backend: Macdonald's closed form
 
 def _partition(cls):
-    return tuple(sorted((l[1] for l in cls), reverse=True))
+    """The block sizes of a loop class, or of p1 blocks at one point."""
+    return tuple(sorted((l[-1] for l in cls), reverse=True))
 
 
 def _loop_class(backend, lam):
@@ -122,9 +166,9 @@ def _n(lam):
     return sum(i * x for i, x in enumerate(lam))
 
 
-def _times_column(vec, m, q):
-    """(sum_mu c_mu u_mu) u_(1^m) at q, as {lam: coefficient}: ch. II (4.6)."""
-    out = defaultdict(int)
+def _times_column(vec, m):
+    """(sum_mu c_mu u_mu) u_(1^m), as {lam: polynomial}: ch. II (4.6)."""
+    out = {}
     for mu, c in vec.items():
         mu_c = _conjugate(mu) + (0,)
         for rows in combinations(range(len(mu) + m), m):
@@ -140,26 +184,26 @@ def _times_column(vec, m, q):
             for i in range(len(lam_c) - 1):
                 n, k = lam_c[i] - lam_c[i + 1], lam_c[i] - mu_c[i]
                 e -= k * (n - k)
-                g *= linalg.gaussian_binomial(n, k, q)
-            out[lam] += g * q ** e
+                g = poly_mul(g, gaussian_binomial(n, k))
+            out[lam] = _poly_add(out.get(lam, (0,)), (0,) * e + g)
     return out
 
 
-def _loop_product(mu, nu, q, products):
-    """{lam: G^lam_{mu,nu}(q)}, the nonzero coefficients of u_mu u_nu,
-    memoized in `products` by (mu, nu, q)."""
-    key = (mu, nu, q)
-    hit = products.get(key)
+def _loop_product(mu, nu, products):
+    """{lam: G^lam_{mu,nu}(q)}, the nonzero coefficients of u_mu u_nu as
+    polynomials, memoized in `products` by (mu, nu)."""
+    hit = products.get((mu, nu))
     if hit is None:
-        cols, acc = {(): 1}, {mu: 1}    # E_nu and u_mu E_nu
+        cols, acc = {(): (1,)}, {mu: (1,)}  # E_nu and u_mu E_nu
         for m in _conjugate(nu):
-            cols = _times_column(cols, m, q)
-            acc = _times_column(acc, m, q)
+            cols = _times_column(cols, m)
+            acc = _times_column(acc, m)
         a_nu = cols.pop(nu)
         for kappa, a in cols.items():   # kappa < nu in dominance order
-            for lam, c in _loop_product(mu, kappa, q, products).items():
-                acc[lam] -= a * c
-        hit = products[key] = {lam: c // a_nu for lam, c in acc.items() if c}
+            for lam, c in _loop_product(mu, kappa, products).items():
+                acc[lam] = _poly_add(acc.get(lam, (0,)), poly_mul(a, [-x for x in c]))
+        hit = products[mu, nu] = {lam: _poly_divexact(c, a_nu)
+                                  for lam, c in acc.items() if any(c)}
     return hit
 
 
@@ -262,7 +306,7 @@ def _quiver_survey(backend, target, q):
 
     # fold in the unconstrained vertices (all incident arrow matrices zero):
     # a k-dim subspace at v splits off k simples, and F_q^dv has
-    # gaussian_binomial(dv, k, q) of them
+    # gaussian_binomial(dv, k) of them at q
     cells = active_cells
     for v in inert:
         dv = dims[v]
@@ -272,6 +316,6 @@ def _quiver_survey(backend, target, q):
             for k in range(dv + 1):
                 s2 = quiver.make_class(backend, list(sub) + [simple] * k)
                 q2 = quiver.make_class(backend, list(quo) + [simple] * (dv - k))
-                folded[(s2, q2)] += n * linalg.gaussian_binomial(dv, k, q)
+                folded[(s2, q2)] += n * _value(gaussian_binomial(dv, k), q)
         cells = folded
     return dict(cells)

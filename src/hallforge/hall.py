@@ -15,20 +15,17 @@ read off it.  A target's cells are the direct-sum merge (`merge_cells`)
 of its summands' splits, on every backend: a p1 block T(x,h) is the
 Jordan block J_h at the point x, and splits as the chain does.
 
-Hall polynomials remain the F_q route: point counts of the subobject variety
-are sampled at an ascending schedule of prime powers; a candidate polynomial
-is fitted through all but the last sample and accepted once it has integer
-coefficients and reproduces the held-out sample exactly.  Its value at q = 1
-is the same constant, which the `routes` verify suite checks cell by cell.
-On quiver backends the counts come from enumerating subspaces, on loop from
-Macdonald's closed form for the loop Hall algebra (`counting`).  On p1 a
-count is the product of the loop-backend counts at each support point, and
-the polynomial is the product of the per-point loop fits.  A
-p1 engine loads that loop backend once, on its first fit (`_loop`), so
-its label and Hom tables carry over from one fit to the next.
+A Hall polynomial's value at q = 1 is the same constant, which the
+`routes` verify suite checks cell by cell.  On loop it is exact, from
+Macdonald's closed form in Z[q] (`counting`), and loop is the one-point
+case of p1, whose polynomial is the product over support points.  On
+type A it is fitted to point counts of the subobject variety (enumerated
+subspaces) at ascending prime powers up to `Bounds.max_q`: through all
+but the last sample, and accepted once it has integer coefficients and
+reproduces the held-out sample exactly.
 Only Hall polynomials go to the versioned JSON cache: a constant is cheaper
-to read off `cells` than to look up there.  `_fit` alone imports `counting`
-and `linalg`: a process that only reads `cells` never loads the F_q route.
+to read off `cells` than to look up there.  `_interpolate` alone imports
+`counting`: a process that only reads `cells` never loads it or `linalg`.
 
 Each `HallEngine` also keeps six memos, created in `__init__` and freed
 with it, all keyed by labels or classes (or p1 block degrees and atom
@@ -41,11 +38,10 @@ strata) of its own backend:
              that `product` returns and convolution reads: x, z, y are
              classes, or on p1 atom strata (`p1._stratum_product`);
   _classes   (dims, gmax) -> the classes `classes_with_dim` lists;
-  _surveys   what `counting.count_points` memoizes for `hall_polynomial`:
-             on quiver backends (target, q) -> {(sub, quot): count}, and on
-             loop and p1 (mu, nu, q) -> {lam: G^lam_{mu,nu}(q)}, products
-             of partitions (on p1, of the loop classes at each support
-             point);
+  _surveys   what `counting` memoizes for `hall_polynomial`: on quiver
+             backends (target, q) -> {(sub, quot): count}, and on loop and
+             p1 (mu, nu) -> {lam: G^lam_{mu,nu}(q) coefficients}, products
+             of partitions (on p1, of the blocks at each support point);
   _p1_base_memo  (block degrees of A, of B) -> {(degree, mult) tuple:
              value}, the p1 backend's one-base family products
              (`p1._base_product`), read off the member with every block
@@ -57,7 +53,6 @@ A bound failure raises before anything is stored.
 import json
 from collections import Counter, defaultdict
 from fractions import Fraction
-from functools import cached_property
 from pathlib import Path
 
 from . import quiver
@@ -248,7 +243,7 @@ class HallEngine:
         self._splits = {}           # label -> _summand_splits(backend, label)
         self._products = {}         # (x, z) -> ((y, chi), ...), chi nonzero
         self._classes = {}          # (dims, gmax) -> classes
-        self._surveys = {}          # (target, q) or (mu, nu, q) -> counts
+        self._surveys = {}          # (target, q) -> counts, or (mu, nu) -> polynomials
         self._p1_base_memo = {}     # (degs_a, degs_b) -> {degmults: chi}, any base
 
     # -- Euler constants: torus fixed points --------------------------------
@@ -300,7 +295,7 @@ class HallEngine:
         self._cells[target] = out
         return out
 
-    # -- Hall polynomials: F_q counting ---------------------------------------
+    # -- Hall polynomials: Z[q] on loop and p1, F_q counting on type A ---------
 
     def hall_polynomial(self, sub, quot, target):
         """Counting polynomial of the (sub, quot) cell of `target`."""
@@ -313,38 +308,33 @@ class HallEngine:
         return poly
 
     def _interpolate(self, sub, quot, target):
-        """The fitted counting polynomial of one cell.  On p1 a count is the
-        product of the loop-backend counts at each support point, and so is
-        the polynomial: the loop fits are multiplied, and a zero fit makes
-        the product zero."""
+        """The counting polynomial of one cell: fitted on type A (`_fit`).
+        On loop and p1 it is exact, the product over support points (a
+        label's `l[1:-1]`, none on loop) of the loop polynomials of the
+        blocks there, and a zero factor makes it zero."""
         b = self.backend
-        if b.kind != quiver.KIND_P1:
-            return self._fit(b, sub, quot, target)
+        if b.kind == quiver.KIND_DYNKIN:
+            return self._fit(sub, quot, target)
+        from . import counting
         quiver.class_total_dim(b, sub + quot)  # refuses a line bundle or a foreign label
         self.bounds.check_dim(quiver.class_total_dim(b, target))
-        loop = self._loop
         coeffs = (1,)
-        for x in sorted({l[1] for cls in (sub, quot, target) for l in cls}):
-            local = [quiver.make_class(loop, [("j", l[2]) for l in cls if l[1] == x])
-                     for cls in (sub, quot, target)]
-            p = self._fit(loop, *local)
-            if not any(p.coeffs):
-                return p
-            coeffs = _poly_mul(coeffs, p.coeffs)
+        for x in {l[1:-1] for cls in (sub, quot, target) for l in cls}:
+            mu, nu, lam = (counting._partition([l for l in cls if l[1:-1] == x])
+                           for cls in (sub, quot, target))
+            p = counting._loop_product(mu, nu, self._surveys).get(lam)
+            if p is None:
+                return HallPolynomial((0,))
+            coeffs = counting.poly_mul(coeffs, p)
         return HallPolynomial(coeffs)
 
-    @cached_property
-    def _loop(self):
-        """The loop backend of the per-point fits on p1, loaded once."""
-        return quiver.builtin_backend("loop")
-
-    def _fit(self, backend, sub, quot, target):
+    def _fit(self, sub, quot, target):
         from . import counting
         schedule = prime_powers(self.bounds.max_q)
         samples = []
         for i, q in enumerate(schedule):
             samples.append((q, counting.count_points(
-                backend, sub, quot, target, q, self.bounds, self._surveys)))
+                self.backend, sub, quot, target, q, self.bounds, self._surveys)))
             if i == 0:
                 continue
             coeffs = fit_polynomial(samples[:-1])
@@ -354,9 +344,9 @@ class HallEngine:
             if cand.evaluate(samples[-1][0]) == samples[-1][1]:
                 return cand
         raise NonPolynomialCountError(
-            f"counts for {quiver.class_name(backend, target)} cell "
-            f"({quiver.class_name(backend, sub)}, "
-            f"{quiver.class_name(backend, quot)}) did not stabilize "
+            f"counts for {quiver.class_name(self.backend, target)} cell "
+            f"({quiver.class_name(self.backend, sub)}, "
+            f"{quiver.class_name(self.backend, quot)}) did not stabilize "
             f"within q <= {self.bounds.max_q}")
 
     # -- support enumeration -------------------------------------------------
@@ -393,15 +383,6 @@ def merge_cells(backend, a, b):
             out[(tuple(sorted(s + ls, key=key)),
                  tuple(sorted(q + lq, key=key)))] += c * lc
     return dict(out)
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
 
 
 def _summand_splits(backend, label):

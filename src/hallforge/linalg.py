@@ -194,19 +194,6 @@ def all_subspaces(d, K):
         yield from subspaces(d, k, K)
 
 
-@lru_cache(maxsize=None)
-def gaussian_binomial(d, k, q):
-    """Number of k-dim subspaces of F_q^d, exactly."""
-    if k < 0 or k > d:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (d - i) - 1
-        den *= q ** (i + 1) - 1
-    assert num % den == 0
-    return num // den
-
-
 def solve_in_span(cols, rhss):
     """Exact solves of (columns)·x = rhs, one per right-hand side, from one
     elimination (its pivots depend on the columns alone and divide as

@@ -56,7 +56,7 @@ class ReadOnly:
 
 class Bounds(ReadOnly):
     """Resource limits (configuration, not constants): max_dim bounds the
-    target of every constant, max_q the fields the F_q route samples."""
+    target of every constant, max_q the fields the type-A F_q route samples."""
     __slots__ = ("max_dim", "max_q")
 
     def __init__(self, max_dim=6, max_q=13):

@@ -24,6 +24,9 @@ key's other families and its core multiplicity.
 collision shape of every output stratum, one target per shape, where
 `p1._base_product` reads each stratum off its member with every block
 at one point.
+
+`lr_coefficient` counts Littlewood-Richardson tableaux, with no Hall
+algebra in it: the leading coefficients of the loop Hall polynomials.
 """
 
 from itertools import product as iproduct
@@ -437,3 +440,35 @@ def p1_values_by_shape(engine, degs_a, degs_b, npoints):
         degmults = tuple((d, degrees.count(d)) for d in sorted(set(degrees), reverse=True))
         out.setdefault(degmults, {})[shape] = value
     return out
+
+
+def lr_coefficient(lam, mu, nu):
+    """c^lam_{mu,nu}: the number of semistandard fillings of the skew shape
+    lam/mu with content nu whose reading word (rows from the top, each
+    right to left) is a lattice word."""
+    if sum(lam) != sum(mu) + sum(nu) or len(mu) > len(lam) \
+            or any(m > l for m, l in zip(mu, lam)):
+        return 0
+    mu = tuple(mu) + (0,) * (len(lam) - len(mu))
+    cells = [(r, c) for r in range(len(lam))
+             for c in range(lam[r] - 1, mu[r] - 1, -1)]
+    filling, used = {}, [0] * len(nu)
+
+    def rec(i):
+        if i == len(cells):
+            return 1
+        r, c = cells[i]
+        total = 0
+        for v in range(len(nu)):
+            if used[v] == nu[v] or (v and used[v] == used[v - 1]):
+                continue  # content, or the lattice condition
+            if filling.get((r, c + 1), v) < v or filling.get((r - 1, c), -1) >= v:
+                continue  # rows weakly increase, columns strictly
+            filling[r, c] = v
+            used[v] += 1
+            total += rec(i + 1)
+            used[v] -= 1
+            del filling[r, c]
+        return total
+
+    return rec(0)

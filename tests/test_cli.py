@@ -496,8 +496,8 @@ def test_session_cache_for_other_backend_is_refused(tmp_path):
 
 
 def test_default_bounds_riedtmann_and_deep_loop_product():
-    # constants no longer depend on the F_q sample schedule: a degree-8
-    # Hall polynomial needs 10 prime powers, only 9 are <= 13
+    # constants are read off torus fixed points, with no Hall polynomial:
+    # the [J1^6] product below holds cells of degree 8
     r = run_cli("--backend", "a2", "verify", "riedtmann")
     assert r.exit_code == 0 and "suite riedtmann: pass" in r.stdout
     r = run_cli("--backend", "loop", "mul", "[J1+J1]", "[J1+J1+J1+J1]")
@@ -519,6 +519,23 @@ def test_verify_routes_and_chi_cache_entries(tmp_path):
     keys = [e["key"] for e in json.loads(before)["entries"]]
     assert "[J1]|[J1]|[J2]" in keys
     assert not any(k.startswith("chi:") for k in keys)
+
+
+def test_loop_routes_pass_at_every_q_max():
+    # loop Hall polynomials are exact in Z[q]: the [J1^6] cells of degrees
+    # 8 and 9 pass at the default --q-max, and so does --q-max 2.  --q-max
+    # bounds the type-A F_q route only, which still exits 1 when its
+    # samples run out
+    r = run_cli("--backend", "loop", "--json", "verify", "routes")
+    assert r.exit_code == 0
+    assert json.loads(r.stdout)["counts"] == {"cells": 1109, "mismatches": 0}
+    r = run_cli("--backend", "loop", "--q-max", "2", "--dim", "4", "--json",
+                "verify", "routes")
+    assert r.exit_code == 0 and json.loads(r.stdout)["passed"] is True
+    r = run_cli("--backend", "a2", "--q-max", "2", "--dim", "2", "--json",
+                "verify", "routes")
+    assert r.exit_code == 1 and r.stdout == ""
+    assert json.loads(r.stderr.splitlines()[-1])["error"] == "NonPolynomialCountError"
 
 
 def test_cache_file_with_chi_entries_still_loads(tmp_path, monkeypatch):

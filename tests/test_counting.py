@@ -1,8 +1,10 @@
 import pytest
 
-from hallforge import linalg, quiver, verify
-from hallforge.counting import Bounds, count_points, enumerate_subreps
+from hallforge import counting, quiver, verify
+from hallforge.counting import (Bounds, count_points, enumerate_subreps,
+                                gaussian_binomial)
 from hallforge.errors import CapabilityError, ResourceLimitError
+from hallforge.hall import HallPolynomial
 from hallforge.quiver import (Arrow, Backend, builtin_backend, make_class,
                               parse_class)
 
@@ -64,7 +66,7 @@ def test_gaussian_binomial_sanity_all_routes(loop, a2):
             for q in (2, 3, 5):
                 hist = enumerate_subreps(backend, (simple,) * m, q)
                 assert hist == {((simple,) * k, (simple,) * (m - k)):
-                                linalg.gaussian_binomial(m, k, q)
+                                HallPolynomial(gaussian_binomial(m, k)).evaluate(q)
                                 for k in range(m + 1)}
 
 
@@ -102,6 +104,32 @@ def test_against_unpruned_brute_force(a2, a3, loop):
         classify = oracles.classify_by_iso(backend, cand)
         brute = oracles.brute_subrep_histogram(backend, target, q, classify)
         assert enumerate_subreps(backend, target, q) == brute
+
+
+def test_loop_polynomials_against_littlewood_richardson():
+    # Macdonald ch. II (4.3): G^lam_{mu,nu}(q) is nonzero iff the
+    # Littlewood-Richardson coefficient c^lam_{mu,nu} is, and then has
+    # degree n(lam) - n(mu) - n(nu) and leading coefficient c^lam_{mu,nu}
+    def n(lam):
+        return sum(i * x for i, x in enumerate(lam))
+
+    products, nonzero, non_unit = {}, 0, 0
+    for d in range(9):
+        for k in range(d + 1):
+            for mu in quiver.partitions(k, k):
+                for nu in quiver.partitions(d - k, d - k):
+                    got = counting._loop_product(mu, nu, products)
+                    for lam in quiver.partitions(d, d):
+                        c = oracles.lr_coefficient(lam, mu, nu)
+                        p = got.get(lam)
+                        assert (p is None) == (c == 0), (lam, mu, nu)
+                        if p is not None:
+                            assert len(p) - 1 == n(lam) - n(mu) - n(nu)
+                            assert p[-1] == c, (lam, mu, nu)
+                            nonzero += 1
+                            non_unit += c != 1
+    # 1329 cells with 1 <= |lam| <= 8, and ((), ()) -> ()
+    assert (nonzero, non_unit) == (1330, 21)
 
 
 def test_loop_self_duality_of_cells(loop):

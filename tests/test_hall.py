@@ -53,24 +53,22 @@ def test_euler_constant_examples(a2_engine, loop_engine):
                                     parse_class(a2, "[P12]")) == 1
 
 
-def test_interpolation_reproduces_every_sample(loop):
-    # Macdonald's g^(321)_(21),(21), and two [J1^6] cells that need q up to
-    # 16 and 17: the Gaussian binomials [6 choose 2]_q and [6 choose 3]_q
+def test_loop_polynomials_are_exact_at_every_q_max(loop):
+    # Macdonald's g^(321)_(21),(21), and the two [J1^6] cells of degrees 8
+    # and 9, the Gaussian binomials [6 choose 2]_q and [6 choose 3]_q: the
+    # closed form samples no field, so no --q-max bounds them
     j1x6 = "[J1+J1+J1+J1+J1+J1]"
-    cases = [(("[J1]", "[J1+J1]", "[J2+J1]"), 13, (1,)),
-             (("[J2+J1]", "[J2+J1]", "[J3+J2+J1]"), 13, (-1, 1, 2)),
-             (("[J1+J1]", "[J1+J1+J1+J1]", j1x6), 17,
-              (1, 1, 2, 2, 3, 2, 2, 1, 1)),
-             (("[J1+J1+J1]", "[J1+J1+J1]", j1x6), 17,
-              (1, 1, 2, 3, 3, 3, 3, 2, 1, 1))]
-    for texts, max_q, coeffs in cases:
-        sub, quot, target = (parse_class(loop, t) for t in texts)
-        bounds = Bounds(max_q=max_q)
-        p = HallEngine(loop, bounds).hall_polynomial(sub, quot, target)
-        assert p.coeffs == coeffs
-        for q in prime_powers(max_q):
-            assert p.evaluate(q) == counting.count_points(
-                loop, sub, quot, target, q, bounds)
+    cases = [(("[J1]", "[J1+J1]", "[J2+J1]"), (1,)),
+             (("[J2+J1]", "[J2+J1]", "[J3+J2+J1]"), (-1, 1, 2)),
+             (("[J1+J1]", "[J1+J1+J1+J1]", j1x6), (1, 1, 2, 2, 3, 2, 2, 1, 1)),
+             (("[J1+J1+J1]", "[J1+J1+J1]", j1x6), (1, 1, 2, 3, 3, 3, 3, 2, 1, 1))]
+    assert [c for _, c in cases[2:]] == [counting.gaussian_binomial(6, 2),
+                                         counting.gaussian_binomial(6, 3)]
+    for bounds in (Bounds(), Bounds(max_q=2)):
+        engine = HallEngine(loop, bounds)
+        for texts, coeffs in cases:
+            sub, quot, target = (parse_class(loop, t) for t in texts)
+            assert engine.hall_polynomial(sub, quot, target).coeffs == coeffs
 
 
 def test_interpolation_stability(loop_engine):
@@ -111,12 +109,13 @@ def test_split_consistency_binomials(loop_engine, a2_engine):
                 assert engine.euler_constant(a, b, target) == expected
 
 
-def test_non_polynomial_error_when_samples_run_out(loop):
-    engine = HallEngine(loop, Bounds(max_dim=6, max_q=3))
+def test_non_polynomial_error_when_samples_run_out(a2):
+    # type A is still fitted: q + 1 needs three prime powers, two are <= 3
+    engine = HallEngine(a2, Bounds(max_dim=6, max_q=3))
     with pytest.raises(NonPolynomialCountError):
-        engine.hall_polynomial(parse_class(loop, "[J1]"),
-                               parse_class(loop, "[J1]"),
-                               parse_class(loop, "[J1+J1]"))
+        engine.hall_polynomial(parse_class(a2, "[S1]"),
+                               parse_class(a2, "[S1]"),
+                               parse_class(a2, "[S1+S1]"))
 
 
 def test_cache_round_trip(loop, tmp_path):
@@ -330,16 +329,20 @@ def test_euler_constant_refuses_the_labels_of_an_absent_cell(a2, p1b):
         HallEngine(p1b).euler_constant((("o", 1),), (), (("t", "x", 1),))
 
 
-def test_p1_engine_loads_one_loop_backend(p1b, monkeypatch):
-    loads = []
-    load = quiver.builtin_backend
-    monkeypatch.setattr(quiver, "builtin_backend",
-                        lambda name: loads.append(name) or load(name))
+def test_p1_polynomial_loads_no_backend(p1b, monkeypatch):
+    # the per-point factors are partition products in Z[q], with no loop
+    # backend behind them; the [T(0,1)^6] cell is [6 choose 2]_q, of
+    # degree 8, at the default bounds
+    def refuse(name):
+        raise AssertionError(f"loaded backend {name}")
+    monkeypatch.setattr(quiver, "builtin_backend", refuse)
     engine = HallEngine(p1b)
     t1, t2 = make_class(p1b, [("t", "x", 1)]), make_class(p1b, [("t", "x", 2)])
     assert engine.hall_polynomial(t1, (), t1).coeffs == (1,)
     assert engine.hall_polynomial(t1, t1, t2).coeffs == (1,)
-    assert loads == ["loop"]
+    sub, quot, target = (make_class(p1b, [("t", "0", 1)] * n) for n in (2, 4, 6))
+    assert engine.hall_polynomial(sub, quot, target).coeffs == \
+        counting.gaussian_binomial(6, 2)
 
 
 def test_surveys_are_engine_memos(a3):
