@@ -17,11 +17,11 @@ from .errors import HallforgeError, ResourceLimitError
 
 
 class Session:
-    def __init__(self, backend_arg, dim, q_max, gamma, cache_path, as_json):
+    def __init__(self, backend_arg, dim, gamma, cache_path, as_json):
         self.backend, self.raw = quiver.load_backend(backend_arg)
-        if dim < 1 or q_max < 2 or gamma < 1:
+        if dim < 1 or gamma < 1:
             raise ValueError("bounds must be positive")
-        self.bounds = quiver.Bounds(max_dim=dim, max_q=q_max)
+        self.bounds = quiver.Bounds(max_dim=dim)
         self.gamma = gamma
         self.cache_path = cache_path
         cache = hall.HallCache(self.backend, cache_path, rebuild_stale=True)
@@ -66,8 +66,7 @@ class Session:
 
 
 def _session(args):
-    return Session(args.backend, args.dim, args.q_max, args.gamma,
-                   args.cache, args.json)
+    return Session(args.backend, args.dim, args.gamma, args.cache, args.json)
 
 
 def _echo_json(obj):
@@ -271,9 +270,6 @@ def _parser(prog):
     parser.add_argument("--dim", type=int, default=6,
                         help="maximum total dimension of a target class "
                         "(default: %(default)s)")
-    parser.add_argument("--q-max", type=int, default=13,
-                        help="largest field size the type-A F_q route (Hall "
-                        "polynomials, verify routes) samples (default: %(default)s)")
     parser.add_argument("--gamma", type=int, default=2,
                         help="summand-count bound for suites that take one "
                         "(default: %(default)s)")

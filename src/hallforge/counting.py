@@ -1,8 +1,9 @@
-"""Subrepresentation counting over F_q, and loop Hall polynomials in Z[q].
+"""Polynomials in Z[q], loop Hall polynomials, and an F_q counting oracle.
 
-For quiver backends the kernel enumerates tuples of subspaces, one per
-vertex in canonical order, pruning a tuple as soon as an arrow with both
-endpoints fixed fails closure.
+`enumerate_subreps` counts subrepresentations over F_q: the oracle that
+the tests compare the Hall polynomials with.  On quiver backends it
+enumerates tuples of subspaces, one per vertex in canonical order, pruning
+a tuple as soon as an arrow with both endpoints fixed fails closure.
 
 The one-loop backend is computed in closed form, with no enumeration.  A
 loop class is a partition (the sizes of its Jordan blocks), and the loop
@@ -29,20 +30,20 @@ so is not negative, and a_nu divides exactly (ch. II (4.3)).
 A histogram is a dict {(sub class, quotient class): count}, and
 `enumerate_subreps` returns a target's full one.  Memos belong to the
 caller, but for the backend-free `gaussian_binomial`: each `HallEngine`
-owns a `_surveys` dict, holding quiver histograms by (target, q) and loop
-products {lam: G^lam_{mu,nu}(q)} by (mu, nu), so the memo is freed with
-the engine and never shared between two backend definitions.  Only
-`HallEngine._interpolate` loads this module, and `Bounds` is
-`quiver.Bounds`.  A p1 target has no matrix model (`realize_class`
-refuses it): its polynomials are products of loop ones, point by point.
+owns a `_surveys` dict, holding loop products {lam: G^lam_{mu,nu}(q)} by
+(mu, nu) and the type-A Green tables of `hall`, so the memo is freed with
+the engine and never shared between two backend definitions.  Only the
+Hall polynomials load this module, and `Bounds` is `quiver.Bounds`.  A p1
+target has no matrix model (`realize_class` refuses it): its polynomials
+are products of loop ones, point by point.
 """
 
 from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations, zip_longest
 
-from . import linalg, quiver
-from .errors import ResourceLimitError
+from . import quiver
+from .errors import InternalInvariantError, ResourceLimitError
 from .gf import field
 
 Bounds, DEFAULT_BOUNDS = quiver.Bounds, quiver.DEFAULT_BOUNDS  # the same objects
@@ -72,34 +73,6 @@ def enumerate_subreps(backend, target, q, bounds=DEFAULT_BOUNDS):
                 if n:
                     out[_loop_class(backend, mu), _loop_class(backend, nu)] = n
     return out
-
-
-def count_points(backend, sub, quot, target, q, bounds=DEFAULT_BOUNDS,
-                 surveys=None):
-    """Number of subrepresentations of `target` over F_q with the given
-    sub and quotient isomorphism classes.  `surveys` memoizes histograms
-    by (target, q), and on loop polynomials by their partitions;
-    `HallEngine` passes its own, a call without one counts afresh."""
-    _check_bounds(backend, target, q, bounds)
-    if quiver.dim_add(quiver.class_dim(backend, sub),
-                      quiver.class_dim(backend, quot)) \
-            != quiver.class_dim(backend, target):
-        return 0
-    if surveys is None:
-        surveys = {}
-    if backend.kind == quiver.KIND_LOOP:
-        return _value(_loop_product(_partition(sub), _partition(quot),
-                                    surveys).get(_partition(target), (0,)), q)
-    return _survey(backend, target, q, surveys).get((sub, quot), 0)
-
-
-def _survey(backend, target, q, surveys):
-    """The quiver histogram of `target`, memoized by (target, q)."""
-    key = (target, q)
-    hit = surveys.get(key)
-    if hit is None:
-        hit = surveys[key] = _quiver_survey(backend, target, q)
-    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +105,8 @@ def _poly_divexact(a, b):
         out[i] = a[i + n] // b[-1]
         for j, y in enumerate(b):
             a[i + j] -= out[i] * y
-    assert not any(a), "inexact division in Z[q]"
+    if any(a):
+        raise InternalInvariantError("inexact division in Z[q]")
     return tuple(out)
 
 
@@ -211,6 +185,7 @@ def _loop_product(mu, nu, products):
 # quiver backends: per-vertex tuples with arrow pruning
 
 def _quiver_survey(backend, target, q):
+    from . import linalg  # the F_q oracle only: the Hall polynomials need none
     K = field(q)
     rep = quiver.realize_class(backend, target, q)
     nv = backend.n_vertices

@@ -18,10 +18,6 @@ class ResourceLimitError(HallforgeError):
         self.requested = requested
 
 
-class NonPolynomialCountError(HallforgeError):
-    """Point counts failed to stabilize to an integer polynomial in q."""
-
-
 class BackendMismatchError(HallforgeError):
     """Operands built over different backends were combined."""
 

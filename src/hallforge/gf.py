@@ -42,11 +42,6 @@ def factor_prime_power(q):
     return (q, 1)
 
 
-def prime_powers(max_q):
-    """All prime powers 2, 3, 4, 5, 7, 8, 9, 11, 13, 16, ... up to max_q."""
-    return [q for q in range(2, max_q + 1) if factor_prime_power(q)]
-
-
 def _digits(n, p, k):
     out = []
     for _ in range(k):

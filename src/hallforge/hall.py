@@ -19,13 +19,12 @@ A Hall polynomial's value at q = 1 is the same constant, which the
 `routes` verify suite checks cell by cell.  On loop it is exact, from
 Macdonald's closed form in Z[q] (`counting`), and loop is the one-point
 case of p1, whose polynomial is the product over support points.  On
-type A it is fitted to point counts of the subobject variety (enumerated
-subspaces) at ascending prime powers up to `Bounds.max_q`: through all
-but the last sample, and accepted once it has integer coefficients and
-reproduces the held-out sample exactly.
-Only Hall polynomials go to the versioned JSON cache: a constant is cheaper
-to read off `cells` than to look up there.  `_interpolate` alone imports
-`counting`: a process that only reads `cells` never loads it or `linalg`.
+type A it is exact too, from Green's theorem: each target's polynomials
+come from those of smaller targets (`_green`), with no field sampled and
+no matrix built.  Only Hall polynomials go to the versioned JSON cache: a
+constant is cheaper to read off `cells` than to look up there.  Only the
+polynomials import `counting`, and no route here imports `linalg`: a
+process that only reads `cells` loads neither.
 
 Each `HallEngine` also keeps six memos, created in `__init__` and freed
 with it, all keyed by labels or classes (or p1 block degrees and atom
@@ -38,10 +37,10 @@ strata) of its own backend:
              that `product` returns and convolution reads: x, z, y are
              classes, or on p1 atom strata (`p1._stratum_product`);
   _classes   (dims, gmax) -> the classes `classes_with_dim` lists;
-  _surveys   what `counting` memoizes for `hall_polynomial`: on quiver
-             backends (target, q) -> {(sub, quot): count}, and on loop and
-             p1 (mu, nu) -> {lam: G^lam_{mu,nu}(q) coefficients}, products
-             of partitions (on p1, of the blocks at each support point);
+  _surveys   the exact tables `hall_polynomial` reads: on type A target
+             -> {(sub, quot): coefficients} (`_green`), on loop and p1
+             (mu, nu) -> {lam: G^lam_{mu,nu}(q) coefficients} (`counting`;
+             on p1 the partitions of the blocks at each support point);
   _p1_base_memo  (block degrees of A, of B) -> {(degree, mult) tuple:
              value}, the p1 backend's one-base family products
              (`p1._base_product`), read off the member with every block
@@ -52,13 +51,11 @@ A bound failure raises before anything is stored.
 
 import json
 from collections import Counter, defaultdict
-from fractions import Fraction
 from pathlib import Path
 
 from . import quiver
 from .errors import (BackendMismatchError, CacheCollisionError, CacheFormatError,
-                     NonPolynomialCountError)
-from .gf import prime_powers
+                     InternalInvariantError)
 
 CACHE_VERSION = 1
 
@@ -94,30 +91,6 @@ class HallPolynomial(quiver.ReadOnly):
             else:
                 out = ("-" if c < 0 else "") + term
         return out or "0"
-
-
-def fit_polynomial(points):
-    """Exact polynomial through (x, y) samples via Newton divided
-    differences over `Fraction`s; returns ascending Fraction coefficients."""
-    xs = [Fraction(x) for x, _ in points]
-    divided = [Fraction(y) for _, y in points]
-    n = len(points)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            divided[i] = (divided[i] - divided[i - 1]) / (xs[i] - xs[i - j])
-    coeffs = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        # multiply accumulated poly by (x - xs[i]) and add divided[i]
-        new = [Fraction(0)] * n
-        for e in range(n - 1):
-            if coeffs[e]:
-                new[e + 1] += coeffs[e]
-                new[e] -= coeffs[e] * xs[i]
-        new[0] += divided[i]
-        coeffs = new
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 class HallCache:
@@ -243,7 +216,7 @@ class HallEngine:
         self._splits = {}           # label -> _summand_splits(backend, label)
         self._products = {}         # (x, z) -> ((y, chi), ...), chi nonzero
         self._classes = {}          # (dims, gmax) -> classes
-        self._surveys = {}          # (target, q) -> counts, or (mu, nu) -> polynomials
+        self._surveys = {}          # target -> polynomials, or (mu, nu) -> polynomials
         self._p1_base_memo = {}     # (degs_a, degs_b) -> {degmults: chi}, any base
 
     # -- Euler constants: torus fixed points --------------------------------
@@ -295,7 +268,7 @@ class HallEngine:
         self._cells[target] = out
         return out
 
-    # -- Hall polynomials: Z[q] on loop and p1, F_q counting on type A ---------
+    # -- Hall polynomials: exact in Z[q] ------------------------------------
 
     def hall_polynomial(self, sub, quot, target):
         """Counting polynomial of the (sub, quot) cell of `target`."""
@@ -308,16 +281,16 @@ class HallEngine:
         return poly
 
     def _interpolate(self, sub, quot, target):
-        """The counting polynomial of one cell: fitted on type A (`_fit`).
-        On loop and p1 it is exact, the product over support points (a
-        label's `l[1:-1]`, none on loop) of the loop polynomials of the
-        blocks there, and a zero factor makes it zero."""
+        """The counting polynomial of one cell, exact in Z[q]: on type A
+        read off the target's Green table (`_green`); on loop and p1 the
+        product over support points (a label's `l[1:-1]`, none on loop) of
+        the loop polynomials of the blocks there, zero if a factor is."""
         b = self.backend
-        if b.kind == quiver.KIND_DYNKIN:
-            return self._fit(sub, quot, target)
-        from . import counting
         quiver.class_total_dim(b, sub + quot)  # refuses a line bundle or a foreign label
         self.bounds.check_dim(quiver.class_total_dim(b, target))
+        if b.kind == quiver.KIND_DYNKIN:
+            return HallPolynomial(self._green(target).get((sub, quot), (0,)))
+        from . import counting
         coeffs = (1,)
         for x in {l[1:-1] for cls in (sub, quot, target) for l in cls}:
             mu, nu, lam = (counting._partition([l for l in cls if l[1:-1] == x])
@@ -328,26 +301,69 @@ class HallEngine:
             coeffs = counting.poly_mul(coeffs, p)
         return HallPolynomial(coeffs)
 
-    def _fit(self, sub, quot, target):
-        from . import counting
-        schedule = prime_powers(self.bounds.max_q)
-        samples = []
-        for i, q in enumerate(schedule):
-            samples.append((q, counting.count_points(
-                self.backend, sub, quot, target, q, self.bounds, self._surveys)))
-            if i == 0:
-                continue
-            coeffs = fit_polynomial(samples[:-1])
-            if any(c.denominator != 1 for c in coeffs):
-                continue
-            cand = HallPolynomial(tuple(int(c) for c in coeffs))
-            if cand.evaluate(samples[-1][0]) == samples[-1][1]:
-                return cand
-        raise NonPolynomialCountError(
-            f"counts for {quiver.class_name(self.backend, target)} cell "
-            f"({quiver.class_name(self.backend, sub)}, "
-            f"{quiver.class_name(self.backend, quot)}) did not stabilize "
-            f"within q <= {self.bounds.max_q}")
+    def _green(self, target):
+        """{(sub, quot): coefficients} over the nonzero cells of a type-A
+        target, memoized in `_surveys` by target.  An indecomposable is
+        thin (and 0 has one cell): each cell counts one subobject at every q.
+        Otherwise Green's theorem (J. A. Green, Invent. Math. 120, 1995,
+        in C. M. Ringel's form) splits off the first summand M with
+        Ext^1(M, k) = 0 for every summand k, so that E = M + N is the only
+        extension of M by the rest N, and
+
+            F^E_{X,Y} = q^hom(M,N) / (a_X a_Y) * sum over A, B, C, D of
+                q^-<A,D> F^M_{A,B} F^N_{C,D} F^X_{A,C} F^Y_{B,D} a_A a_B a_C a_D
+
+        where F^E_{X,Y} is cell (Y, X), X and Y range over
+        `candidate_targets` and a_X = |Aut X| (`_aut`).  X = 0 or Y = 0
+        gives the cell (0, E) or (E, 0), which is 1: every other X and Y
+        is smaller than E."""
+        hit = self._surveys.get(target)
+        if hit is not None:
+            return hit
+        b = self.backend
+        if len(target) < 2:  # zero or indecomposable
+            return self._surveys.setdefault(target, dict.fromkeys(self.cells(target), (1,)))
+        from .counting import _poly_divexact, poly_mul
+        dim = lambda c: quiver.class_dim(b, c)
+        i = next(i for i, l in enumerate(target) if all(
+            _hom(b, l, k) == _euler(b, dim((l,)), dim((k,))) for k in target))
+        m, n = target[i], target[:i] + target[i + 1:]
+        auts = {}
+        aut = lambda c: auts.get(c) or auts.setdefault(c, _aut(b, c))
+        acc = defaultdict(Counter)  # (Y, X) -> {power of q: coefficient}
+        for (bb, aa), fm in self._green((m,)).items():
+            for (dd, cc), fn in self._green(n).items():
+                if not (aa or cc) or not (bb or dd):
+                    continue  # X = 0 or Y = 0
+                e, base = -_euler(b, dim(aa), dim(dd)), poly_mul(fm, fn)
+                for c in (aa, bb, cc, dd):
+                    e_c, p_c = aut(c)
+                    e, base = e + e_c, poly_mul(base, p_c)
+                xs = [(x, f) for x in self.candidate_targets(cc, aa)
+                      if (f := self._green(x).get((cc, aa)))]
+                ys = [(y, f) for y in self.candidate_targets(dd, bb)
+                      if (f := self._green(y).get((dd, bb)))]
+                for x, fx in xs:
+                    bx = poly_mul(base, fx)
+                    for y, fy in ys:
+                        cell = acc[y, x]
+                        for k, c in enumerate(poly_mul(bx, fy), e):
+                            cell[k] += c
+        hom_mn = sum(_hom(b, m, k) for k in n)
+        out = {((), target): (1,), (target, ()): (1,)}
+        for (y, x), cell in acc.items():
+            powers = [k for k, c in cell.items() if c]
+            lo = min(powers)
+            (ex, px), (ey, py) = aut(x), aut(y)
+            shift = hom_mn - ex - ey + lo
+            if shift < 0:
+                raise InternalInvariantError(
+                    f"q^{shift} in the Green cell ({quiver.class_name(b, y)}, "
+                    f"{quiver.class_name(b, x)}) of {quiver.class_name(b, target)}")
+            num = tuple(cell[k] for k in range(lo, max(powers) + 1))
+            out[y, x] = (0,) * shift + _poly_divexact(num, poly_mul(px, py))
+        self._surveys[target] = out
+        return out
 
     # -- support enumeration -------------------------------------------------
 
@@ -383,6 +399,36 @@ def merge_cells(backend, a, b):
             out[(tuple(sorted(s + ls, key=key)),
                  tuple(sorted(q + lq, key=key)))] += c * lc
     return dict(out)
+
+
+def _hom(backend, i, j):
+    """dim Hom(M_i, M_j) of two interval modules: 1 when C = i & j is
+    nonempty, no arrow goes from i - C into C (C is a quotient of M_i) and
+    none from C into j - C (C is a submodule of M_j), else 0."""
+    c = range(max(i[1], j[1]), min(i[2], j[2]) + 1)
+    return int(bool(c) and not any(
+        (ar.tgt in c and ar.src not in c and i[1] <= ar.src <= i[2])
+        or (ar.src in c and ar.tgt not in c and j[1] <= ar.tgt <= j[2])
+        for ar in backend.arrows))
+
+
+def _euler(backend, x, y):
+    """The Euler form <x, y> = dim Hom - dim Ext^1 of two dimension vectors."""
+    return sum(a * b for a, b in zip(x, y)) \
+        - sum(x[ar.src] * y[ar.tgt] for ar in backend.arrows)
+
+
+def _aut(backend, cls):
+    """|Aut X| = q^(dim End X - sum m^2) prod |GL_m(q)| over the summand
+    multiplicities m of a type-A class (its indecomposables are bricks),
+    as (power of q, polynomial): |GL_m(q)| = q^(m(m-1)/2) prod_{j<=m} (q^j - 1)."""
+    from .counting import poly_mul
+    power, poly = sum(_hom(backend, k, l) for k in cls for l in cls), (1,)
+    for m in Counter(cls).values():
+        power -= m * (m + 1) // 2
+        for j in range(1, m + 1):
+            poly = poly_mul(poly, (-1,) + (0,) * (j - 1) + (1,))
+    return power, poly
 
 
 def _summand_splits(backend, label):

@@ -56,7 +56,8 @@ class ReadOnly:
 
 class Bounds(ReadOnly):
     """Resource limits (configuration, not constants): max_dim bounds the
-    target of every constant, max_q the fields the type-A F_q route samples."""
+    target of every constant and Hall polynomial, max_q the field size of
+    the F_q oracle `counting.enumerate_subreps` (no Hall polynomial samples one)."""
     __slots__ = ("max_dim", "max_q")
 
     def __init__(self, max_dim=6, max_q=13):
@@ -521,7 +522,7 @@ def realize_class(backend, cls, q):
 def hom_dim(backend, m, n):
     """dim_Fq Hom(M, N): nullity of the intertwining system
     phi_tgt . M_rho = N_rho . phi_src over all arrows."""
-    from . import linalg  # the F_q route only
+    from . import linalg  # the F_q oracle only
     if m.q != n.q:
         raise BackendMismatchError("matrix reps over different fields")
     K = field(m.q)

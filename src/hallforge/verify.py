@@ -4,7 +4,7 @@ Each suite runs a family of exact checks at caller-chosen bounds and
 returns a result object with one entry per check; nothing is sampled
 approximately, randomness is seeded.  `green` and `riedtmann` check the
 direct-sum merge of `cells` (`hall.merge_cells`) on every split target;
-`routes` checks the constants themselves against the F_q route.
+`routes` checks the constants themselves against the Hall polynomials.
 """
 
 import random
@@ -380,8 +380,9 @@ def suite_euler_axioms(engine=None, npairs=100, seed=0xE01):
 
 
 def suite_routes(engine, dim):
-    """The fixed-point route (`engine.cells`) against the F_q route (Hall
-    polynomials at q = 1) on every cell of every class up to `dim`."""
+    """The fixed-point route (`engine.cells`) against the Hall polynomials
+    at q = 1, exact in Z[q], on every cell of every class up to `dim`.  On
+    type A both read the splits of the indecomposables (`_summand_splits`)."""
     backend = engine.backend
     res = SuiteResult("routes", True)
     cells = bad = 0

@@ -27,6 +27,9 @@ at one point.
 
 `lr_coefficient` counts Littlewood-Richardson tableaux, with no Hall
 algebra in it: the leading coefficients of the loop Hall polynomials.
+
+`type_a_backend` writes a type-A quiver of any orientation, so that the
+type-A routes are checked beyond the built-in linear a2 and a3.
 """
 
 from itertools import product as iproduct
@@ -472,3 +475,14 @@ def lr_coefficient(lam, mu, nu):
         return total
 
     return rec(0)
+
+
+def type_a_backend(orientation):
+    """The type-A quiver on vertices 1 .. n+1 whose edge (v, v+1) points
+    right at a '>' of `orientation` and left at a '<': "><>" is the
+    zigzag 1 -> 2 <- 3 -> 4, and "><" the middle-sink a3."""
+    arrows = [{"id": f"a{v}", "src": str(v + (c == "<")), "tgt": str(v + (c == ">"))}
+              for v, c in enumerate(orientation, 1)]
+    return quiver.backend_from_json({
+        "name": "A" + orientation, "kind": "dynkin-quiver",
+        "vertices": [str(v) for v in range(1, len(orientation) + 2)], "arrows": arrows})

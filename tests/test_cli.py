@@ -521,21 +521,18 @@ def test_verify_routes_and_chi_cache_entries(tmp_path):
     assert not any(k.startswith("chi:") for k in keys)
 
 
-def test_loop_routes_pass_at_every_q_max():
-    # loop Hall polynomials are exact in Z[q]: the [J1^6] cells of degrees
-    # 8 and 9 pass at the default --q-max, and so does --q-max 2.  --q-max
-    # bounds the type-A F_q route only, which still exits 1 when its
-    # samples run out
+def test_routes_pass_at_the_default_dim_with_no_q_max():
+    # every Hall polynomial is exact in Z[q]: the [J1^6] cells of loop and
+    # the [S2^6] cells of a2, of degrees 8 and 9, pass at the default --dim,
+    # and --q-max, which bounded the fields a fit sampled, is a usage error
     r = run_cli("--backend", "loop", "--json", "verify", "routes")
     assert r.exit_code == 0
     assert json.loads(r.stdout)["counts"] == {"cells": 1109, "mismatches": 0}
-    r = run_cli("--backend", "loop", "--q-max", "2", "--dim", "4", "--json",
-                "verify", "routes")
-    assert r.exit_code == 0 and json.loads(r.stdout)["passed"] is True
-    r = run_cli("--backend", "a2", "--q-max", "2", "--dim", "2", "--json",
-                "verify", "routes")
-    assert r.exit_code == 1 and r.stdout == ""
-    assert json.loads(r.stderr.splitlines()[-1])["error"] == "NonPolynomialCountError"
+    r = run_cli("--backend", "a2", "--json", "verify", "routes")
+    assert r.exit_code == 0
+    assert json.loads(r.stdout)["counts"] == {"cells": 1002, "mismatches": 0}
+    r = run_cli("--backend", "a2", "--q-max", "2", "--dim", "2", "verify", "routes")
+    assert r.exit_code == 2 and r.stdout == ""
 
 
 def test_cache_file_with_chi_entries_still_loads(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from collections import Counter
 from itertools import product as iproduct
 
@@ -9,10 +10,11 @@ from hallforge import algebra as alg
 from hallforge import counting, hall, quiver, verify
 from hallforge.counting import Bounds
 from hallforge.errors import (BackendMismatchError, CapabilityError,
-                              NonPolynomialCountError, ResourceLimitError)
-from hallforge.gf import prime_powers
-from hallforge.hall import HallCache, HallEngine, HallPolynomial, fit_polynomial
+                              InternalInvariantError, ResourceLimitError)
+from hallforge.hall import HallCache, HallEngine, HallPolynomial
 from hallforge.quiver import make_class, parse_class
+
+import oracles
 
 
 def test_polynomial_str_and_eval():
@@ -71,18 +73,77 @@ def test_loop_polynomials_are_exact_at_every_q_max(loop):
             assert engine.hall_polynomial(sub, quot, target).coeffs == coeffs
 
 
-def test_interpolation_stability(loop_engine):
-    # refitting an accepted polynomial with one more sample cannot change it
-    loop = loop_engine.backend
-    sub = parse_class(loop, "[J1]")
-    target = parse_class(loop, "[J1+J1+J1]")
-    quot = parse_class(loop, "[J1+J1]")
-    p = loop_engine.hall_polynomial(sub, quot, target)
-    pts = [(q, counting.count_points(loop, sub, quot, target, q))
-           for q in prime_powers(13)]
-    for upto in range(p.degree + 2, len(pts) + 1):
-        coeffs = fit_polynomial(pts[:upto])
-        assert tuple(int(c) for c in coeffs) == p.coeffs
+def test_interpolation_stability(loop_engine, a2_engine):
+    # an exact polynomial counts the cell over every field, not only over
+    # the fields a fit would have sampled
+    for engine, texts in ((loop_engine, ("[J1]", "[J1+J1]", "[J1+J1+J1]")),
+                          (a2_engine, ("[P12+S1]", "[S1]", "[P12+S1+S1]"))):
+        sub, quot, target = (parse_class(engine.backend, t) for t in texts)
+        p = engine.hall_polynomial(sub, quot, target)
+        assert p.degree == 2
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+            assert p.evaluate(q) == counting.enumerate_subreps(
+                engine.backend, target, q).get((sub, quot), 0)
+
+
+def test_type_a_polynomials_are_exact_at_every_q_max(a2, a3):
+    # the Gaussian binomials [6 choose 2]_q and [6 choose 3]_q of the
+    # semisimple [S^6] targets, and q + 1, which a fit needs three fields
+    # for: the Green recursion samples no field, so no max_q bounds them
+    cases = [(a2, ("[S2+S2]", "[S2+S2+S2+S2]", "[S2+S2+S2+S2+S2+S2]"),
+              counting.gaussian_binomial(6, 2)),
+             (a3, ("[S3+S3+S3]", "[S3+S3+S3]", "[S3+S3+S3+S3+S3+S3]"),
+              counting.gaussian_binomial(6, 3)),
+             (a2, ("[S1]", "[S1]", "[S1+S1]"), (1, 1)),
+             (a3, ("[0]", "[0]", "[0]"), (1,))]
+    for bounds in (Bounds(), Bounds(max_q=2), Bounds(max_q=3)):
+        for backend, texts, coeffs in cases:
+            sub, quot, target = (parse_class(backend, t) for t in texts)
+            got = HallEngine(backend, bounds).hall_polynomial(sub, quot, target)
+            assert got.coeffs == coeffs
+
+
+@pytest.mark.parametrize("orientation,qs", [(">>", (2, 3)), ("><", (2, 3)), ("><>", (2,))],
+                         ids=["a3", "a3-sink", "zigzag-A4"])
+def test_green_recursion_counts_every_cell_over_f_q(orientation, qs):
+    # every cell of every target up to dim 5 against the subspace survey:
+    # the one check that sees a wrong `_summand_splits`, which both routes
+    # of verify routes read
+    backend = oracles.type_a_backend(orientation)
+    engine = HallEngine(backend, Bounds(max_dim=5))
+    for target in verify.classes_up_to(backend, 5)[1:]:
+        table = engine._green(target)
+        for q in qs:
+            got = {k: v for k, c in table.items()
+                   if (v := HallPolynomial(c).evaluate(q))}
+            assert got == counting.enumerate_subreps(backend, target, q, engine.bounds)
+
+
+def test_interval_hom_is_the_f_q_hom():
+    # the combinatorial Hom of the Green recursion against the rank of the
+    # intertwining system over F_2, on seeded orientations of A2 .. A7
+    rng = random.Random(0)
+    pairs = 0
+    for n in range(2, 8):
+        for orientation in sorted({"".join(rng.choice("<>") for _ in range(n - 1))
+                                   for _ in range(12)}):
+            backend = oracles.type_a_backend(orientation)
+            roots = quiver.positive_roots(backend, (1,) * n)
+            reps = {r: quiver.realize(backend, r, 2) for r in roots}
+            for i in roots:
+                for j in roots:
+                    assert hall._hom(backend, i, j) == \
+                        quiver.hom_dim(backend, reps[i], reps[j]), (orientation, i, j)
+                    pairs += 1
+    assert pairs == 16164  # 42 orientations
+
+
+def test_green_recursion_refuses_a_negative_power_of_q(a2, monkeypatch):
+    # a wrong automorphism count leaves q^-k in a cell: raised, never returned
+    aut = hall._aut
+    monkeypatch.setattr(hall, "_aut", lambda b, c: (aut(b, c)[0] - 1, aut(b, c)[1]))
+    with pytest.raises(InternalInvariantError, match="q\\^-"):
+        HallEngine(a2)._green(parse_class(a2, "[S1+S2]"))
 
 
 def test_split_consistency_binomials(loop_engine, a2_engine):
@@ -107,15 +168,6 @@ def test_split_consistency_binomials(loop_engine, a2_engine):
                     mb = sum(1 for l in b if l == label)
                     expected *= math.comb(ma + mb, ma)
                 assert engine.euler_constant(a, b, target) == expected
-
-
-def test_non_polynomial_error_when_samples_run_out(a2):
-    # type A is still fitted: q + 1 needs three prime powers, two are <= 3
-    engine = HallEngine(a2, Bounds(max_dim=6, max_q=3))
-    with pytest.raises(NonPolynomialCountError):
-        engine.hall_polynomial(parse_class(a2, "[S1]"),
-                               parse_class(a2, "[S1]"),
-                               parse_class(a2, "[S1+S1]"))
 
 
 def test_cache_round_trip(loop, tmp_path):
@@ -346,8 +398,8 @@ def test_p1_polynomial_loads_no_backend(p1b, monkeypatch):
 
 
 def test_surveys_are_engine_memos(a3):
-    # the F_q histograms belong to the engine: a reversed-arrow a3, also
-    # named "a3", counts its own [P13] after the built-in's engine ran
+    # the Green tables belong to the engine: a reversed-arrow a3, also
+    # named "a3", builds its own [P13] table after the built-in's engine ran
     rev = quiver.backend_from_json({
         "name": "a3", "kind": "dynkin-quiver", "vertices": ["1", "2", "3"],
         "arrows": [{"id": "a", "src": "2", "tgt": "1"},

@@ -126,8 +126,8 @@ def test_library_import_loads_no_dataclasses_inspect_or_resources():
 
 
 # hallforge modules that a CLI command loads only when it runs them: the
-# F_q route (counting, linalg), the verify suites (verify, pbw), and the
-# comultiplication (coalgebra)
+# Hall polynomials (counting), the F_q oracle's kernels (linalg), the
+# verify suites (verify, pbw), and the comultiplication (coalgebra)
 DEFERRED = {"counting", "linalg", "verify", "pbw", "coalgebra"}
 
 
@@ -138,7 +138,11 @@ DEFERRED = {"counting", "linalg", "verify", "pbw", "coalgebra"}
     (("--backend", "loop", "comul", "[J1+J1]"), {"coalgebra"}),
     (("--backend", "a3", "cache", "stats"), set()),
     (("--backend", "a3", "--dim", "4", "verify", "bialgebra"), {"coalgebra", "verify"}),
-], ids=["mul", "bracket", "power", "comul", "cache-stats", "verify-bialgebra"])
+    # Hall polynomials come from Z[q]: no F_q kernel on the route
+    (("--backend", "a3", "--dim", "4", "verify", "routes"),
+     {"coalgebra", "counting", "verify"}),
+], ids=["mul", "bracket", "power", "comul", "cache-stats", "verify-bialgebra",
+        "verify-routes"])
 def test_cli_command_loads_only_the_modules_it_runs(args, loads):
     # a process per command: sys.modules keeps whatever an earlier one loaded
     src = Path(hallforge.__file__).resolve().parents[1]
