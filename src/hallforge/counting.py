@@ -1,11 +1,14 @@
 """Polynomials in Z[q], loop Hall polynomials, and an F_q counting oracle.
 
 `enumerate_subreps` counts subrepresentations over F_q: the oracle that
-the tests compare the Hall polynomials with.  On quiver backends it
-enumerates tuples of subspaces, one per vertex in canonical order, pruning
-a tuple as soon as an arrow with both endpoints fixed fails closure.
+the tests compare the Hall polynomials with.  On every backend with a
+matrix model, type A and loop alike, it enumerates tuples of subspaces,
+one per vertex in canonical order, pruning a tuple as soon as an arrow
+with both endpoints fixed fails closure.  It shares nothing with the Z[q]
+half of this module: no closed form, Gaussian binomial or polynomial
+helper is on its path, so it checks them with real point counts.
 
-The one-loop backend is computed in closed form, with no enumeration.  A
+Loop Hall polynomials are computed in closed form, with no enumeration.  A
 loop class is a partition (the sizes of its Jordan blocks), and the loop
 Hall algebra is commutative and generated by the u_(1^m) (Macdonald,
 *Symmetric Functions and Hall Polynomials*, ch. II sections 2-4).
@@ -55,32 +58,17 @@ def _check_bounds(backend, target, q, bounds):
         raise ResourceLimitError(
             f"field size {q} exceeds bound {bounds.max_q}",
             limit=bounds.max_q, requested=q)
-    field(q)  # refuses a q that is not a prime power, on every backend
 
 
 def enumerate_subreps(backend, target, q, bounds=DEFAULT_BOUNDS):
-    """Full histogram {(sub, quot): count} of realize_class(target, q)."""
+    """Full histogram {(sub, quot): count} of realize_class(target, q), by
+    enumerating its subrepresentations over F_q (`_quiver_survey`)."""
     _check_bounds(backend, target, q, bounds)
-    if backend.kind != quiver.KIND_LOOP:
-        return _quiver_survey(backend, target, q)
-    lam = _partition(target)
-    d = sum(lam)
-    products, out = {}, {}
-    for k in range(d + 1):
-        for mu in quiver.partitions(k, k):
-            for nu in quiver.partitions(d - k, d - k):
-                n = _value(_loop_product(mu, nu, products).get(lam, (0,)), q)
-                if n:
-                    out[_loop_class(backend, mu), _loop_class(backend, nu)] = n
-    return out
+    return _quiver_survey(backend, target, q)
 
 
 # ---------------------------------------------------------------------------
 # polynomials in Z[q]: ascending coefficient tuples, trimmed, zero is (0,)
-
-def _value(coeffs, q):
-    return sum(c * q ** i for i, c in enumerate(coeffs))
-
 
 def poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
@@ -125,10 +113,6 @@ def gaussian_binomial(n, k):
 def _partition(cls):
     """The block sizes of a loop class, or of p1 blocks at one point."""
     return tuple(sorted((l[-1] for l in cls), reverse=True))
-
-
-def _loop_class(backend, lam):
-    return quiver.make_class(backend, [("j", x) for x in lam])
 
 
 def _conjugate(lam):
@@ -182,11 +166,11 @@ def _loop_product(mu, nu, products):
 
 
 # ---------------------------------------------------------------------------
-# quiver backends: per-vertex tuples with arrow pruning
+# the F_q oracle: per-vertex subspace tuples with arrow pruning
 
 def _quiver_survey(backend, target, q):
     from . import linalg  # the F_q oracle only: the Hall polynomials need none
-    K = field(q)
+    K = field(q)  # refuses a q that is not a prime power, on every backend
     rep = quiver.realize_class(backend, target, q)
     nv = backend.n_vertices
     dims = rep.dims
@@ -274,23 +258,21 @@ def _quiver_survey(backend, target, q):
                 rec(i + 1)
         del chosen[v]
 
-    if averts:
-        rec(0)
-    else:
-        active_cells[(quiver.ZERO_CLASS, quiver.ZERO_CLASS)] += 1
+    rec(0)
 
     # fold in the unconstrained vertices (all incident arrow matrices zero):
-    # a k-dim subspace at v splits off k simples, and F_q^dv has
-    # gaussian_binomial(dv, k) of them at q
+    # a k-dim subspace at v splits off k copies of the simple at v, and
+    # counts[k] is the number of them that `linalg.subspaces` yields
     cells = active_cells
     for v in inert:
         dv = dims[v]
-        simple = ("i", v, v)
+        simple = quiver._indec_basis(backend, tuple(int(u == v) for u in range(nv)))[0]
+        counts = [sum(1 for _ in linalg.subspaces(dv, k, K)) for k in range(dv + 1)]
         folded = defaultdict(int)
         for (sub, quo), n in cells.items():
             for k in range(dv + 1):
                 s2 = quiver.make_class(backend, list(sub) + [simple] * k)
                 q2 = quiver.make_class(backend, list(quo) + [simple] * (dv - k))
-                folded[(s2, q2)] += n * _value(gaussian_binomial(dv, k), q)
+                folded[(s2, q2)] += n * counts[k]
         cells = folded
     return dict(cells)

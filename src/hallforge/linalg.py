@@ -43,42 +43,6 @@ def row_reduce(rows, K):
     return tuple(bytes(out[i]) for i in order), tuple(pivots[i] for i in order)
 
 
-def rank(rows, K):
-    """Rank by forward elimination only: no back-substitution and no
-    sorted basis, which is all that counting a rank needs."""
-    q, mul, sub, inv = K.q, K.mul, K.sub, K.inv
-    work = [bytearray(r) for r in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    rk = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rk, nrows):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rk], work[piv] = work[piv], work[rk]
-        pr = work[rk]
-        c = inv[pr[col]]
-        if c != 1:
-            for j in range(col, ncols):
-                pr[j] = mul[pr[j] * q + c]
-        for i in range(rk + 1, nrows):
-            f = work[i][col]
-            if f:
-                wi = work[i]
-                for j in range(col, ncols):
-                    x = pr[j]
-                    if x:
-                        wi[j] = sub[wi[j] * q + mul[x * q + f]]
-        rk += 1
-        if rk == nrows:
-            break
-    return rk
-
-
 def reduce_vector(v, rows, pivots, K):
     """Eliminate the pivot columns of an RREF basis from v.  Returns bytes."""
     q, mul, sub = K.q, K.mul, K.sub

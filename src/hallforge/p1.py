@@ -80,29 +80,6 @@ def _family_from_json(data):
 
 
 # ---------------------------------------------------------------------------
-# class enumeration helpers
-
-def classes_supported(backend, points, total_degree, max_summands):
-    """Torsion classes with support inside `points`, the given total
-    degree, and at most max_summands blocks."""
-    points = sorted(points)
-    out = []
-
-    def rec(i, remaining, budget, acc):
-        if i == len(points):
-            if remaining == 0:
-                out.append(quiver.make_class(backend, acc))
-            return
-        for local in range(remaining, -1, -1):
-            for part in quiver.partitions(local, budget):
-                rec(i + 1, remaining - local, budget - len(part),
-                    acc + [("t", points[i], p) for p in part])
-
-    rec(0, total_degree, max_summands, [])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # stratum products
 
 def _stratum_product(engine, sa, sb):

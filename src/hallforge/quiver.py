@@ -554,8 +554,7 @@ def hom_dim(backend, m, n):
                         row[idx] = K.sub[row[idx] * K.q + c]
                 if any(row):
                     constraints.append(bytes(row))
-    rk = linalg.rank(constraints, K) if constraints else 0
-    return total - rk
+    return total - len(linalg.row_reduce(constraints, K)[0])
 
 
 def _indec_basis(backend, dims):
@@ -579,10 +578,6 @@ def decompose(backend, rep):
         if not _is_nilpotent(rep.mats[0], rep.dims[0], rep.q):
             raise ValueError("loop matrix must be nilpotent")
     labels = _indec_basis(backend, rep.dims)
-    if not labels:
-        if any(rep.dims):
-            raise InternalInvariantError("nonzero rep with no candidate summands")
-        return ZERO_CLASS
     profile = [hom_dim(backend, realize(backend, l, rep.q), rep) for l in labels]
     return _solve_multiplicities(backend, labels, profile, rep.q)
 

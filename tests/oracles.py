@@ -30,14 +30,22 @@ algebra in it: the leading coefficients of the loop Hall polynomials.
 
 `type_a_backend` writes a type-A quiver of any orientation, so that the
 type-A routes are checked beyond the built-in linear a2 and a3.
+
+`exact_against_f_q` compares the exact Hall polynomials at q with the
+F_q survey `counting.enumerate_subreps` on every cell of every target of
+the given total dimensions: tier-1 runs it to dim 5, CI at dim 6.
+
+`classes_supported` lists the p1 torsion classes supported on a finite
+set of points.
 """
 
 from itertools import product as iproduct
 
 from hallforge import algebra as alg
 from hallforge import coalgebra as co
-from hallforge import linalg, quiver, verify
+from hallforge import counting, linalg, quiver, verify
 from hallforge.gf import field
+from hallforge.hall import HallEngine
 from hallforge.p1sets import P1Set
 
 
@@ -486,3 +494,56 @@ def type_a_backend(orientation):
     return quiver.backend_from_json({
         "name": "A" + orientation, "kind": "dynkin-quiver",
         "vertices": [str(v) for v in range(1, len(orientation) + 2)], "arrows": arrows})
+
+
+def exact_cells(engine, target):
+    """{(sub, quot): Hall polynomial} of a target, each sub and quotient
+    over `classes_with_dim` of every split of its dimension vector."""
+    backend = engine.backend
+    dt = quiver.class_dim(backend, target)
+    polys = {}
+    for vec in iproduct(*(range(d + 1) for d in dt)):
+        rest = tuple(d - k for d, k in zip(dt, vec))
+        for sub in quiver.classes_with_dim(backend, vec, sum(vec)):
+            for quot in quiver.classes_with_dim(backend, rest, sum(rest)):
+                polys[sub, quot] = engine.hall_polynomial(sub, quot, target)
+    return polys
+
+
+def exact_against_f_q(backend, dims, qs):
+    """Asserts, at each q in `qs` and for every target whose total
+    dimension is in `dims`, that the nonzero `exact_cells` at q are the
+    F_q survey's histogram.  Returns the number of (target, q) pairs
+    checked."""
+    engine = HallEngine(backend, quiver.Bounds(max_dim=max(dims)))
+    checked = 0
+    for target in verify.classes_up_to(backend, max(dims)):
+        if quiver.class_total_dim(backend, target) not in dims:
+            continue
+        polys = exact_cells(engine, target)
+        for q in qs:
+            exact = {cell: n for cell, p in polys.items() if (n := p.evaluate(q))}
+            assert exact == counting.enumerate_subreps(backend, target, q, engine.bounds), \
+                (quiver.class_name(backend, target), q)
+            checked += 1
+    return checked
+
+
+def classes_supported(backend, points, total_degree, max_summands):
+    """Torsion classes with support inside `points`, the given total
+    degree, and at most max_summands blocks."""
+    points = sorted(points)
+    out = []
+
+    def rec(i, remaining, budget, acc):
+        if i == len(points):
+            if remaining == 0:
+                out.append(quiver.make_class(backend, acc))
+            return
+        for local in range(remaining, -1, -1):
+            for part in quiver.partitions(local, budget):
+                rec(i + 1, remaining - local, budget - len(part),
+                    acc + [("t", points[i], p) for p in part])
+
+    rec(0, total_degree, max_summands, [])
+    return out

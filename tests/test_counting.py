@@ -1,6 +1,6 @@
 import pytest
 
-from hallforge import counting, quiver, verify
+from hallforge import counting, quiver
 from hallforge.counting import Bounds, enumerate_subreps, gaussian_binomial
 from hallforge.errors import CapabilityError, InternalInvariantError, ResourceLimitError
 from hallforge.hall import HallEngine, HallPolynomial
@@ -55,9 +55,9 @@ def test_dimension_mismatch_is_zero(loop):
 
 
 def test_gaussian_binomial_sanity_all_routes(loop, a2):
-    # J1 blocks on loop (the closed form) and S1 blocks on a2 (the quiver
-    # survey's fold over unconstrained vertices) both count the subspaces
-    # of F_q^m
+    # J1^m on loop and S1^m on a2 have zero arrow matrices: the survey folds
+    # in their one unconstrained vertex by counting the subspaces of F_q^m
+    # that `linalg.subspaces` yields, here against the Gaussian binomial
     for backend, simple in ((loop, ("j", 1)), (a2, ("i", 0, 0))):
         for m in (2, 3, 4):
             for q in (2, 3, 5):
@@ -136,15 +136,18 @@ def test_loop_polynomials_against_littlewood_richardson():
     assert (nonzero, non_unit) == (1330, 21)
 
 
-def test_loop_self_duality_of_cells(loop):
-    # transpose duality: the (sub, quot) histogram is symmetric.  The closed
-    # form builds u_mu u_nu from nu's columns and u_nu u_mu from mu's, so
-    # this checks it at every q, where `verify routes` sees q = 1 only
-    for target in verify.classes_up_to(loop, 6):
-        for q in (2, 3):
-            h = enumerate_subreps(loop, target, q)
-            for (s, t), n in h.items():
-                assert h.get((t, s)) == n
+def test_loop_self_duality_of_cells():
+    # the loop Hall algebra is commutative: G^lam_{mu,nu} = G^lam_{nu,mu} as
+    # polynomials.  The closed form builds u_mu u_nu from nu's columns and
+    # u_nu u_mu from mu's, so this checks it at every q, where `verify
+    # routes` sees q = 1 only
+    products = {}
+    for d in range(9):
+        for k in range(d + 1):
+            for mu in quiver.partitions(k, k):
+                for nu in quiver.partitions(d - k, d - k):
+                    assert counting._loop_product(mu, nu, products) == \
+                        counting._loop_product(nu, mu, products), (mu, nu)
 
 
 def test_count_points_agrees_with_full_enumeration(loop):
@@ -181,12 +184,34 @@ def test_resource_bounds(loop):
 
 @pytest.mark.parametrize("q", [1, 6])
 def test_field_size_that_is_not_a_prime_power_is_refused(loop, a2, q):
-    # the closed form on loop would return numbers at any q (6 and 7 at
-    # q = 6); gf.field refuses q on every backend before any count
+    # 1 and 6 are no field sizes: gf.field refuses them on every backend
+    # before any count
     for backend, text in ((loop, "[J2+J1]"), (loop, "[J1+J1]"), (a2, "[P12+S1]")):
         target = parse_class(backend, text)
         with pytest.raises(CapabilityError, match=f"{q} is not a prime power"):
             enumerate_subreps(backend, target, q)
+
+
+def test_f_q_survey_reads_no_z_q_helper(loop, a2, monkeypatch):
+    # the oracle counts over F_q on every backend: with the closed form and
+    # the Z[q] helpers patched to raise it still answers, and each answer is
+    # the exact polynomials at q, taken before the patch
+    cases = []
+    for backend, text, q in ((loop, "[J2+J1+J1]", 2), (loop, "[J1+J1+J1]", 3),
+                             (a2, "[S1+S1+S2]", 3)):
+        target = parse_class(backend, text)
+        polys = oracles.exact_cells(HallEngine(backend), target)
+        cases.append((backend, target, q, {cell: n for cell, p in polys.items()
+                                           if (n := p.evaluate(q))}))
+
+    def refuse(*args):
+        raise AssertionError("the F_q oracle read a Z[q] helper")
+
+    for name in ("_loop_product", "gaussian_binomial", "poly_mul", "_poly_add",
+                 "_poly_divexact"):
+        monkeypatch.setattr(counting, name, refuse)
+    for backend, target, q, expected in cases:
+        assert enumerate_subreps(backend, target, q) == expected
 
 
 def test_p1_counting_is_capability_error(p1b):

@@ -119,6 +119,12 @@ def test_green_recursion_counts_every_cell_over_f_q(orientation, qs):
             assert got == counting.enumerate_subreps(backend, target, q, engine.bounds)
 
 
+def test_loop_closed_form_counts_every_cell_over_f_q(loop):
+    # every cell of every loop target up to dim 5, Macdonald's closed form
+    # against the subspace survey, which shares no helper with it
+    assert oracles.exact_against_f_q(loop, range(6), (2, 3)) == 38
+
+
 def test_interval_hom_is_the_f_q_hom():
     # the combinatorial Hom of the Green recursion against the rank of the
     # intertwining system over F_2, on seeded orientations of A2 .. A7
