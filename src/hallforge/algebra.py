@@ -183,7 +183,7 @@ def class_stratum(backend, cls):
 def refine_families(backend, families):
     """Disjoint atoms generating the boolean algebra of the given families,
     as a map family -> list of its atoms.  Elements use it on p1 only;
-    `normalize` and `direct_sum` use it on every backend.
+    `normalize` uses it on every backend.
 
     Label families atomize to singletons: canonical and always available
     for finite sets.  Point families of every degree refine over one
@@ -254,20 +254,6 @@ def _stratum_key(backend, stratum):
         (f.descriptor(backend), m) for f, m in stratum))
 
 
-def direct_sum(backend, a, b):
-    """Pointwise direct sum {[X + Y]} of two constructible sets, in
-    stratified Krull-Schmidt form."""
-    fams = [f for s in list(a.strata) + list(b.strata) for f, _ in s]
-    atom_of = refine_families(backend, fams)
-    out = set()
-    for sa in a.strata:
-        for sb in b.strata:
-            for ra in _distribute(backend, sa, atom_of):
-                for rb in _distribute(backend, sb, atom_of):
-                    out.add(make_stratum(backend, list(ra) + list(rb)))
-    return ConstructibleSet(tuple(sorted(out, key=lambda s: _stratum_key(backend, s))))
-
-
 # ---------------------------------------------------------------------------
 # elements
 
@@ -336,10 +322,6 @@ def unit_element(backend):
     return char_fn(backend, [()])
 
 
-def zero_element(backend):
-    return CFElement(backend, {})
-
-
 def class_char(backend, cls):
     """1_[cls]; on the quiver backends the one-key class map {cls: 1}."""
     if backend.kind == quiver.KIND_P1:
@@ -350,9 +332,10 @@ def class_char(backend, cls):
 def _common_atoms(backend, maps, pairs=False):
     """Re-express several value maps over one common refinement: element
     maps, or with `pairs` tensor maps keyed by (left, right) key pairs.
-    On p1 every key's strata are refined to atoms over one point set; on
-    the quiver backends classes are already atoms and the maps come back
-    as they are."""
+    On p1 every key's strata are refined to atoms over one point set; a
+    key whose families are all atoms of that refinement already is one,
+    and passes through as it is.  On the quiver backends classes are
+    already atoms and the maps come back as they are."""
     if backend.kind != quiver.KIND_P1:
         return maps
     legs = (lambda k: k) if pairs else (lambda k: (k,))
@@ -362,6 +345,9 @@ def _common_atoms(backend, maps, pairs=False):
     for m in maps:
         acc = {}
         for k, v in m.items():
+            if all(atom_of[f] == [f] for s in legs(k) for f, _ in s):
+                acc[k] = acc.get(k, 0) + v
+                continue
             for a in iproduct(*(_distribute(backend, s, atom_of) for s in legs(k))):
                 a = a if pairs else a[0]
                 acc[a] = acc.get(a, 0) + v

@@ -1,12 +1,4 @@
-"""Polynomials in Z[q], loop Hall polynomials, and an F_q counting oracle.
-
-`enumerate_subreps` counts subrepresentations over F_q: the oracle that
-the tests compare the Hall polynomials with.  On every backend with a
-matrix model, type A and loop alike, it enumerates tuples of subspaces,
-one per vertex in canonical order, pruning a tuple as soon as an arrow
-with both endpoints fixed fails closure.  It shares nothing with the Z[q]
-half of this module: no closed form, Gaussian binomial or polynomial
-helper is on its path, so it checks them with real point counts.
+"""Polynomials in Z[q] and loop Hall polynomials.
 
 Loop Hall polynomials are computed in closed form, with no enumeration.  A
 loop class is a partition (the sizes of its Jordan blocks), and the loop
@@ -30,41 +22,28 @@ All of it is exact arithmetic on ascending coefficient tuples in Z[q]:
 the power of q left over is the lowest degree of a polynomial count and
 so is not negative, and a_nu divides exactly (ch. II (4.3)).
 
-A histogram is a dict {(sub class, quotient class): count}, and
-`enumerate_subreps` returns a target's full one.  Memos belong to the
-caller, but for the backend-free `gaussian_binomial`: each `HallEngine`
-owns a `_surveys` dict, holding loop products {lam: G^lam_{mu,nu}(q)} by
-(mu, nu) and the type-A Green tables of `hall`, so the memo is freed with
-the engine and never shared between two backend definitions.  Only the
-Hall polynomials load this module, and `Bounds` is `quiver.Bounds`.  A p1
-target has no matrix model (`realize_class` refuses it): its polynomials
-are products of loop ones, point by point.
+Memos belong to the caller, but for the backend-free
+`gaussian_binomial`: each `HallEngine` owns a `_surveys` dict, holding
+loop products {lam: G^lam_{mu,nu}(q)} by (mu, nu) and the type-A Green
+tables of `hall`, so the memo is freed with the engine and never shared
+between two backend definitions.  Only the Hall polynomials load this
+module.  A p1 target's polynomials are products of loop ones, point by
+point.
+
+The tests check these polynomials against real point counts over F_q
+with their own oracle (`tests/fq_oracle.py`, `enumerate_subreps`), which
+no library process compiles.  `Bounds` is `quiver.Bounds`, whose
+`max_q` still bounds that oracle's field size.
 """
 
-from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations, zip_longest
 
 from . import quiver
-from .errors import InternalInvariantError, ResourceLimitError
-from .gf import field
+from .errors import InternalInvariantError
+from .gf import field  # noqa: F401  perfbench/test_perfbench.py pins counting.field
 
 Bounds, DEFAULT_BOUNDS = quiver.Bounds, quiver.DEFAULT_BOUNDS  # the same objects
-
-
-def _check_bounds(backend, target, q, bounds):
-    bounds.check_dim(quiver.class_total_dim(backend, target))
-    if q > bounds.max_q:
-        raise ResourceLimitError(
-            f"field size {q} exceeds bound {bounds.max_q}",
-            limit=bounds.max_q, requested=q)
-
-
-def enumerate_subreps(backend, target, q, bounds=DEFAULT_BOUNDS):
-    """Full histogram {(sub, quot): count} of realize_class(target, q), by
-    enumerating its subrepresentations over F_q (`_quiver_survey`)."""
-    _check_bounds(backend, target, q, bounds)
-    return _quiver_survey(backend, target, q)
 
 
 # ---------------------------------------------------------------------------
@@ -163,116 +142,3 @@ def _loop_product(mu, nu, products):
         hit = products[mu, nu] = {lam: _poly_divexact(c, a_nu)
                                   for lam, c in acc.items() if any(c)}
     return hit
-
-
-# ---------------------------------------------------------------------------
-# the F_q oracle: per-vertex subspace tuples with arrow pruning
-
-def _quiver_survey(backend, target, q):
-    from . import linalg  # the F_q oracle only: the Hall polynomials need none
-    K = field(q)  # refuses a q that is not a prime power, on every backend
-    rep = quiver.realize_class(backend, target, q)
-    nv = backend.n_vertices
-    dims = rep.dims
-    active = set()
-    for ai, ar in enumerate(backend.arrows):
-        if any(any(r) for r in rep.mats[ai]):
-            active.add(ar.src)
-            active.add(ar.tgt)
-    averts = sorted(active)
-    apos = {v: i for i, v in enumerate(averts)}
-    inert = [v for v in range(nv) if v not in active and dims[v]]
-
-    arrows_by_last = defaultdict(list)
-    for ai, ar in enumerate(backend.arrows):
-        if ar.src in active and ar.tgt in active:
-            arrows_by_last[max(apos[ar.src], apos[ar.tgt])].append((ai, ar))
-
-    lists = {v: list(linalg.all_subspaces(dims[v], K)) for v in averts}
-    cls_memo = {}
-    active_cells = defaultdict(int)
-
-    def closed(ai, ar, chosen):
-        mat = rep.mats[ai]
-        rs, _ = chosen[ar.src]
-        rt, pt = chosen[ar.tgt]
-        for u in rs:
-            w = linalg.matrix_apply(mat, u, K)
-            if any(linalg.reduce_vector(w, rt, pt, K)):
-                return False
-        return True
-
-    def classify(chosen):
-        sub_dims = [0] * nv
-        quot_dims = [0] * nv
-        for v in averts:
-            sub_dims[v] = len(chosen[v][0])
-            quot_dims[v] = dims[v] - sub_dims[v]
-        sub_mats = []
-        quot_mats = []
-        for ai, ar in enumerate(backend.arrows):
-            s, t = ar.src, ar.tgt
-            # only active vertices are chosen: an inert one counts as 0 here
-            rs, ps = chosen.get(s, ((), ()))
-            rt, pt = chosen.get(t, ((), ()))
-            mat = rep.mats[ai]
-            ks, kt = len(rs), len(rt)
-            rmat = [bytearray(ks) for _ in range(kt)]
-            for j in range(ks):
-                w = linalg.matrix_apply(mat, rs[j], K)
-                coords = linalg.coordinates(w, rt, pt, K)
-                for i in range(kt):
-                    rmat[i][j] = coords[i]
-            sub_mats.append(tuple(bytes(r) for r in rmat))
-            nps = [c for c in range(dims[s]) if c not in set(ps)] \
-                if s in active else []
-            npt = [c for c in range(dims[t]) if c not in set(pt)] \
-                if t in active else []
-            qmat = [bytearray(len(nps)) for _ in range(len(npt))]
-            for j, c in enumerate(nps):
-                col = bytes(mat[i][c] for i in range(dims[t]))
-                red = linalg.reduce_vector(col, rt, pt, K)
-                for i, cc in enumerate(npt):
-                    qmat[i][j] = red[cc]
-            quot_mats.append(tuple(bytes(r) for r in qmat))
-        key = (tuple(sub_dims), tuple(sub_mats), tuple(quot_dims), tuple(quot_mats))
-        hit = cls_memo.get(key)
-        if hit is None:
-            sub_rep = quiver.MatrixRep(q, tuple(sub_dims), tuple(sub_mats))
-            quot_rep = quiver.MatrixRep(q, tuple(quot_dims), tuple(quot_mats))
-            hit = (quiver.decompose(backend, sub_rep),
-                   quiver.decompose(backend, quot_rep))
-            cls_memo[key] = hit
-        return hit
-
-    chosen = {}
-
-    def rec(i):
-        if i == len(averts):
-            active_cells[classify(chosen)] += 1
-            return
-        v = averts[i]
-        for sp in lists[v]:
-            chosen[v] = sp
-            if all(closed(ai, ar, chosen) for ai, ar in arrows_by_last[i]):
-                rec(i + 1)
-        del chosen[v]
-
-    rec(0)
-
-    # fold in the unconstrained vertices (all incident arrow matrices zero):
-    # a k-dim subspace at v splits off k copies of the simple at v, and
-    # counts[k] is the number of them that `linalg.subspaces` yields
-    cells = active_cells
-    for v in inert:
-        dv = dims[v]
-        simple = quiver._indec_basis(backend, tuple(int(u == v) for u in range(nv)))[0]
-        counts = [sum(1 for _ in linalg.subspaces(dv, k, K)) for k in range(dv + 1)]
-        folded = defaultdict(int)
-        for (sub, quo), n in cells.items():
-            for k in range(dv + 1):
-                s2 = quiver.make_class(backend, list(sub) + [simple] * k)
-                q2 = quiver.make_class(backend, list(quo) + [simple] * (dv - k))
-                folded[(s2, q2)] += n * counts[k]
-        cells = folded
-    return dict(cells)

@@ -2,10 +2,10 @@
 
 Vectors are `bytes` of field elements; a subspace is a tuple of reduced
 row-echelon rows together with its pivot columns.  Everything is exact.
-`solve_in_span` is the one exact solver over the rationals (`Fraction`).
+These are the kernels of the tests' F_q oracle (`tests/fq_oracle.py`):
+no library module imports this one, so no library process compiles it.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 
 _EMPTY = ((), ())
@@ -156,39 +156,3 @@ def subspaces(d, k, K):
 def all_subspaces(d, K):
     for k in range(d + 1):
         yield from subspaces(d, k, K)
-
-
-def solve_in_span(cols, rhss):
-    """Exact solves of (columns)·x = rhs, one per right-hand side, from one
-    elimination (its pivots depend on the columns alone and divide as
-    `Fraction`s, so int entries give no float).  Returns a (coefficients,
-    residual row indices the span cannot reach) per rhs."""
-    ncols = len(cols)
-    nrows = len(rhss[0])
-    aug = [[cols[c][r] for c in range(ncols)] + [rhs[r] for rhs in rhss]
-           for r in range(nrows)]
-    origin = list(range(nrows))
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if aug[r][col]), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        origin[row], origin[piv] = origin[piv], origin[row]
-        pv = Fraction(aug[row][col])
-        aug[row] = [x / pv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    out = []
-    for j in range(ncols, ncols + len(rhss)):
-        residual = sorted(origin[r] for r in range(row, nrows) if aug[r][j])
-        sol = [0] * ncols
-        for r, col in enumerate(pivots):
-            sol[col] = aug[r][j]
-        out.append((None if residual else sol, residual))
-    return out

@@ -7,18 +7,20 @@ families.  Its image under iterated convolution has leading term
 (product of exponent factorials) times the characteristic function of
 that stratum, and everything else of strictly smaller summand count.
 The truncation certificate checks exactly that, degree by degree, and
-back-substitutes (`linalg.solve_in_span`) to express the stratum
-functions in monomial images, reporting any residual correction
-functions that fall outside the family-generated span.
+back-substitutes (`_solve_in_span`, an exact elimination over the
+rationals) to express the stratum functions in monomial images,
+reporting any residual correction functions that fall outside the
+family-generated span.
 
 Certificates run on the quiver backends, where an element is a class
 map: values and coordinates are read off classes.
 """
 
 import math
+from fractions import Fraction
 
 from . import algebra as alg
-from . import linalg, quiver
+from . import quiver
 from .errors import CapabilityError
 
 
@@ -157,7 +159,7 @@ def certify_truncation(engine, families, gamma_max):
                      key=lambda c: alg.key_order(backend, c))
     cols = [[m.get(c, 0) for c in classes] for m in img_maps]
     rhss = [[m.get(c, 0) for c in classes] for m in tgt_maps]
-    for e, (sol, residual) in zip(emons, linalg.solve_in_span(cols, rhss)):
+    for e, (sol, residual) in zip(emons, _solve_in_span(cols, rhss)):
         entry = {
             "stratum": alg.set_to_json(backend, leads[e][1]),
             "expressible": not residual,
@@ -172,3 +174,39 @@ def certify_truncation(engine, families, gamma_max):
                 for i in residual]
         report.back_substitution.append(entry)
     return report
+
+
+def _solve_in_span(cols, rhss):
+    """Exact solves of (columns)·x = rhs, one per right-hand side, from one
+    elimination (its pivots depend on the columns alone and divide as
+    `Fraction`s, so int entries give no float).  Returns a (coefficients,
+    residual row indices the span cannot reach) per rhs."""
+    ncols = len(cols)
+    nrows = len(rhss[0])
+    aug = [[cols[c][r] for c in range(ncols)] + [rhs[r] for rhs in rhss]
+           for r in range(nrows)]
+    origin = list(range(nrows))
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, nrows) if aug[r][col]), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        origin[row], origin[piv] = origin[piv], origin[row]
+        pv = Fraction(aug[row][col])
+        aug[row] = [x / pv for x in aug[row]]
+        for r in range(nrows):
+            if r != row and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
+        pivots.append(col)
+        row += 1
+    out = []
+    for j in range(ncols, ncols + len(rhss)):
+        residual = sorted(origin[r] for r in range(row, nrows) if aug[r][j])
+        sol = [0] * ncols
+        for r, col in enumerate(pivots):
+            sol[col] = aug[r][j]
+        out.append((None if residual else sol, residual))
+    return out

@@ -1,9 +1,14 @@
-"""Backends, indecomposable labels, isomorphism classes and matrix models.
+"""Backends, indecomposable labels and isomorphism classes.
 
 A backend is one of:
   * a type-A Dynkin quiver with an arbitrary orientation,
   * the one-loop quiver restricted to nilpotent representations,
-  * the P^1 torsion-sheaf category (handled symbolically; no matrix model).
+  * the P^1 torsion-sheaf category.
+
+Every backend is handled combinatorially: no module of the library
+builds a matrix.  The matrix models over F_q (canonical realizations,
+Hom dimensions, Krull-Schmidt decomposition) belong to the tests' F_q
+oracle, `tests/fq_oracle.py`.
 
 Isomorphism classes are multisets of indecomposable labels in Krull-Schmidt
 normal form.  Labels are plain tuples so they hash and sort cheaply:
@@ -19,9 +24,8 @@ from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 
-from .errors import (BackendMismatchError, CapabilityError, InternalInvariantError,
-                     ResourceLimitError)
-from .gf import field
+from .errors import BackendMismatchError, CapabilityError, ResourceLimitError
+from .gf import field  # noqa: F401  perfbench/test_perfbench.py pins quiver.field
 
 KIND_DYNKIN = "dynkin-quiver"
 KIND_LOOP = "loop-nilpotent"
@@ -57,7 +61,7 @@ class ReadOnly:
 class Bounds(ReadOnly):
     """Resource limits (configuration, not constants): max_dim bounds the
     target of every constant and Hall polynomial, max_q the field size of
-    the F_q oracle `counting.enumerate_subreps` (no Hall polynomial samples one)."""
+    the tests' F_q oracle (no Hall polynomial samples one)."""
     __slots__ = ("max_dim", "max_q")
 
     def __init__(self, max_dim=6, max_q=13):
@@ -211,8 +215,7 @@ def builtin_backend(name):
 
 class LabelTable(dict):
     """label -> (label_key, dimension vector), each entry made on its first
-    lookup; also the vertex-name index `parse_label` reads and the Hom
-    tables `decompose` solves with, keyed by (labels, q).  Every class,
+    lookup; also the vertex-name index `parse_label` reads.  Every class,
     sort key, dimension and name reads the table, so it alone decides
     which labels its backend has: a miss on any other label raises
     BackendMismatchError."""
@@ -223,7 +226,6 @@ class LabelTable(dict):
         self.kind, self.name = backend.kind, backend.name
         self.n_vertices = backend.n_vertices
         self.vertex_index = {v: i for i, v in enumerate(backend.vertices)}
-        self.homs = {}
 
     def __missing__(self, label):
         k = label[0]
@@ -445,170 +447,3 @@ def partitions(n, max_parts):
                 for rest in rec(remaining - p, p, budget - 1):
                     yield (p,) + rest
     return list(rec(n, n, max_parts))
-
-
-# ---------------------------------------------------------------------------
-# matrix models
-
-class MatrixRep(ReadOnly):
-    """A representation over F_q: per-vertex dimensions, per-arrow matrices.
-
-    Matrices are tuples of row-bytes, shape (dim tgt) x (dim src), acting on
-    coordinate columns: w_i = sum_j M[i][j] v_j.
-    """
-    __slots__ = ("q", "dims", "mats")
-
-    def __init__(self, q, dims, mats):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "mats", mats)
-
-
-def _zero_matrix(rows, cols):
-    return tuple(bytes(cols) for _ in range(rows))
-
-
-def realize(backend, label, q):
-    """Canonical matrix model of one indecomposable."""
-    if q < 2:
-        raise ValueError("q must be a prime power >= 2")
-    field(q)
-    if backend.kind == KIND_DYNKIN:
-        _, a, b = label
-        dims = tuple(1 if a <= v <= b else 0 for v in range(backend.n_vertices))
-        mats = []
-        for ar in backend.arrows:
-            if a <= ar.src <= b and a <= ar.tgt <= b:
-                mats.append((bytes([1]),))
-            else:
-                mats.append(_zero_matrix(dims[ar.tgt], dims[ar.src]))
-        return MatrixRep(q, dims, tuple(mats))
-    if backend.kind == KIND_LOOP:
-        d = label[1]
-        rows = []
-        for i in range(d):
-            r = bytearray(d)
-            if i + 1 < d:
-                r[i + 1] = 1
-            rows.append(bytes(r))
-        return MatrixRep(q, (d,), (tuple(rows),))
-    raise CapabilityError("p1-torsion objects have no matrix model; use the "
-                          "family calculus")
-
-
-def realize_class(backend, cls, q):
-    """Block-diagonal direct sum of the canonical models."""
-    if backend.kind == KIND_P1:
-        raise CapabilityError("p1-torsion objects have no matrix model")
-    n = max(backend.n_vertices, 1)
-    reps = [realize(backend, l, q) for l in cls]
-    dims = tuple(sum(r.dims[v] for r in reps) for v in range(n))
-    mats = []
-    for ai, ar in enumerate(backend.arrows):
-        rows = []
-        col_off = 0
-        full_cols = dims[ar.src]
-        for r in reps:
-            h, w = r.dims[ar.tgt], r.dims[ar.src]
-            for i in range(h):
-                row = bytearray(full_cols)
-                row[col_off:col_off + w] = r.mats[ai][i]
-                rows.append(bytes(row))
-            col_off += w
-        mats.append(tuple(rows))
-    return MatrixRep(q, dims, tuple(mats))
-
-
-def hom_dim(backend, m, n):
-    """dim_Fq Hom(M, N): nullity of the intertwining system
-    phi_tgt . M_rho = N_rho . phi_src over all arrows."""
-    from . import linalg  # the F_q oracle only
-    if m.q != n.q:
-        raise BackendMismatchError("matrix reps over different fields")
-    K = field(m.q)
-    nv = max(backend.n_vertices, 1)
-    offs = []
-    total = 0
-    for v in range(nv):
-        offs.append(total)
-        total += m.dims[v] * n.dims[v]
-    if total == 0:
-        return 0
-    constraints = []
-    for ai, ar in enumerate(backend.arrows):
-        s, t = ar.src, ar.tgt
-        Ms, Nt = m.mats[ai], n.mats[ai]
-        # rows of (phi_t M_rho - N_rho phi_s) = 0, unknowns phi_v[i][j]
-        for i in range(n.dims[t]):
-            for j in range(m.dims[s]):
-                row = bytearray(total)
-                for k in range(m.dims[t]):
-                    c = Ms[k][j]
-                    if c:
-                        row[offs[t] + i * m.dims[t] + k] = \
-                            K.add[row[offs[t] + i * m.dims[t] + k] * K.q + c]
-                for k in range(n.dims[s]):
-                    c = Nt[i][k]
-                    if c:
-                        idx = offs[s] + k * m.dims[s] + j
-                        row[idx] = K.sub[row[idx] * K.q + c]
-                if any(row):
-                    constraints.append(bytes(row))
-    return total - len(linalg.row_reduce(constraints, K)[0])
-
-
-def _indec_basis(backend, dims):
-    if backend.kind == KIND_DYNKIN:
-        return positive_roots(backend, dims)
-    if backend.kind == KIND_LOOP:
-        return [("j", d) for d in range(1, dims[0] + 1)]
-    raise CapabilityError("decompose is not defined for p1")
-
-
-def decompose(backend, rep):
-    """Krull-Schmidt decomposition of a matrix representation.
-
-    Solves the multiplicity system  dim Hom(I, rep) = sum_J mult_J * dim
-    Hom(I, J)  over all indecomposables I fitting inside dim(rep).  The
-    system is not triangular in the canonical label order: on a2, in the
-    order S2, S1, P12, Hom(S2, P12) = 1 lies above the diagonal and
-    Hom(P12, S1) = 1 below it, which is why `_solve_multiplicities` pivots.
-    """
-    if backend.kind == KIND_LOOP and rep.dims[0]:
-        if not _is_nilpotent(rep.mats[0], rep.dims[0], rep.q):
-            raise ValueError("loop matrix must be nilpotent")
-    labels = _indec_basis(backend, rep.dims)
-    profile = [hom_dim(backend, realize(backend, l, rep.q), rep) for l in labels]
-    return _solve_multiplicities(backend, labels, profile, rep.q)
-
-
-def _solve_multiplicities(backend, labels, profile, q):
-    """The class with the given Hom `profile`, solved over `Fraction`s."""
-    from . import linalg
-    labels = tuple(labels)
-    homs = backend.label_table.homs
-    if (labels, q) not in homs:
-        reps = [realize(backend, l, q) for l in labels]
-        homs[labels, q] = tuple(tuple(hom_dim(backend, ri, rj) for rj in reps)
-                                for ri in reps)
-    [(mults, residual)] = linalg.solve_in_span(list(zip(*homs[labels, q])),
-                                               [profile])
-    if residual:
-        raise InternalInvariantError(f"Hom profile {list(profile)} is no class")
-    out = []
-    for l, m in zip(labels, mults):
-        if m.denominator != 1 or m < 0:
-            raise InternalInvariantError(f"multiplicity {m} of "
-                                         f"{label_name(backend, l)} is not a "
-                                         f"non-negative integer")
-        out.extend([l] * int(m))
-    return make_class(backend, out)
-
-
-def _is_nilpotent(mat, d, q):
-    from . import linalg
-    K = field(q)
-    vecs = [bytes(1 if j == i else 0 for j in range(d)) for i in range(d)]
-    for _ in range(d):
-        vecs = [linalg.matrix_apply(mat, v, K) for v in vecs]
-    return not any(any(v) for v in vecs)

@@ -32,21 +32,28 @@ algebra in it: the leading coefficients of the loop Hall polynomials.
 type-A routes are checked beyond the built-in linear a2 and a3.
 
 `exact_against_f_q` compares the exact Hall polynomials at q with the
-F_q survey `counting.enumerate_subreps` on every cell of every target of
+F_q survey `fq_oracle.enumerate_subreps` on every cell of every target of
 the given total dimensions: tier-1 runs it to dim 5, CI at dim 6.
 
 `classes_supported` lists the p1 torsion classes supported on a finite
 set of points.
+
+`direct_sum` and `zero_element` build the constructible set {[X + Y]}
+and the zero function, which the algebra's tests use and no command
+does.
 """
 
 from itertools import product as iproduct
 
 from hallforge import algebra as alg
 from hallforge import coalgebra as co
-from hallforge import counting, linalg, quiver, verify
+from hallforge import linalg, quiver, verify
 from hallforge.gf import field
 from hallforge.hall import HallEngine
 from hallforge.p1sets import P1Set
+
+import fq_oracle
+from fq_oracle import MatrixRep
 
 
 def all_matrices(rows, cols, q):
@@ -62,9 +69,9 @@ def all_reps(backend, dims, q):
     shapes = [(dims[a.tgt], dims[a.src]) for a in backend.arrows]
     for mats in iproduct(*[list(all_matrices(r, c, q)) for r, c in shapes]):
         if backend.kind == quiver.KIND_LOOP:
-            if not quiver._is_nilpotent(mats[0], dims[0], q):
+            if not fq_oracle._is_nilpotent(mats[0], dims[0], q):
                 continue
-        yield quiver.MatrixRep(q, tuple(dims), tuple(mats))
+        yield MatrixRep(q, tuple(dims), tuple(mats))
 
 
 def hom_basis(backend, m, n):
@@ -185,7 +192,7 @@ def brute_subrep_histogram(backend, target, q, classify):
     """Subrep histogram by unpruned tuple enumeration; `classify` maps a
     MatrixRep to an iso class (pass an independent classifier)."""
     K = field(q)
-    rep = quiver.realize_class(backend, target, q)
+    rep = fq_oracle.realize_class(backend, target, q)
     nv = max(backend.n_vertices, 1)
     per_vertex = [list(linalg.all_subspaces(rep.dims[v], K)) for v in range(nv)]
     counts = {}
@@ -224,7 +231,7 @@ def _restrict(backend, rep, chosen, K):
             for i in range(len(rt)):
                 rows[i][j] = coords[i]
         mats.append(tuple(bytes(r) for r in rows))
-    return quiver.MatrixRep(rep.q, dims, tuple(mats))
+    return MatrixRep(rep.q, dims, tuple(mats))
 
 
 def _quotient(backend, rep, chosen, K):
@@ -243,7 +250,7 @@ def _quotient(backend, rep, chosen, K):
             for i, cc in enumerate(nps[t]):
                 rows[i][j] = red[cc]
         mats.append(tuple(bytes(r) for r in rows))
-    return quiver.MatrixRep(rep.q, dims, tuple(mats))
+    return MatrixRep(rep.q, dims, tuple(mats))
 
 
 def classify_by_iso(backend, candidates_by_dim):
@@ -252,7 +259,7 @@ def classify_by_iso(backend, candidates_by_dim):
     def classify(rep):
         dims = rep.dims
         for cls in candidates_by_dim[dims]:
-            other = quiver.realize_class(backend, cls, rep.q)
+            other = fq_oracle.realize_class(backend, cls, rep.q)
             if are_isomorphic(backend, rep, other):
                 return cls
         raise AssertionError(f"no candidate class for dims {dims}")
@@ -523,7 +530,7 @@ def exact_against_f_q(backend, dims, qs):
         polys = exact_cells(engine, target)
         for q in qs:
             exact = {cell: n for cell, p in polys.items() if (n := p.evaluate(q))}
-            assert exact == counting.enumerate_subreps(backend, target, q, engine.bounds), \
+            assert exact == fq_oracle.enumerate_subreps(backend, target, q, engine.bounds), \
                 (quiver.class_name(backend, target), q)
             checked += 1
     return checked
@@ -547,3 +554,21 @@ def classes_supported(backend, points, total_degree, max_summands):
 
     rec(0, total_degree, max_summands, [])
     return out
+
+
+def direct_sum(backend, a, b):
+    """Pointwise direct sum {[X + Y]} of two constructible sets, in
+    stratified Krull-Schmidt form."""
+    fams = [f for s in list(a.strata) + list(b.strata) for f, _ in s]
+    atom_of = alg.refine_families(backend, fams)
+    out = set()
+    for sa in a.strata:
+        for sb in b.strata:
+            for ra in alg._distribute(backend, sa, atom_of):
+                for rb in alg._distribute(backend, sb, atom_of):
+                    out.add(alg.make_stratum(backend, list(ra) + list(rb)))
+    return alg.ConstructibleSet(tuple(sorted(out, key=lambda s: alg._stratum_key(backend, s))))
+
+
+def zero_element(backend):
+    return alg.CFElement(backend, {})

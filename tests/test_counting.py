@@ -1,13 +1,14 @@
 import pytest
 
 from hallforge import counting, quiver
-from hallforge.counting import Bounds, enumerate_subreps, gaussian_binomial
+from hallforge.counting import Bounds, gaussian_binomial
 from hallforge.errors import CapabilityError, InternalInvariantError, ResourceLimitError
 from hallforge.hall import HallEngine, HallPolynomial
 from hallforge.quiver import (Arrow, Backend, builtin_backend, make_class,
                               parse_class)
 
 import oracles
+from fq_oracle import enumerate_subreps
 
 
 def cells(backend, hist):

@@ -14,6 +14,7 @@ from hallforge.errors import (BackendMismatchError, CapabilityError,
 from hallforge.hall import HallCache, HallEngine, HallPolynomial
 from hallforge.quiver import make_class, parse_class
 
+import fq_oracle
 import oracles
 
 
@@ -82,7 +83,7 @@ def test_interpolation_stability(loop_engine, a2_engine):
         p = engine.hall_polynomial(sub, quot, target)
         assert p.degree == 2
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
-            assert p.evaluate(q) == counting.enumerate_subreps(
+            assert p.evaluate(q) == fq_oracle.enumerate_subreps(
                 engine.backend, target, q).get((sub, quot), 0)
 
 
@@ -116,7 +117,7 @@ def test_green_recursion_counts_every_cell_over_f_q(orientation, qs):
         for q in qs:
             got = {k: v for k, c in table.items()
                    if (v := HallPolynomial(c).evaluate(q))}
-            assert got == counting.enumerate_subreps(backend, target, q, engine.bounds)
+            assert got == fq_oracle.enumerate_subreps(backend, target, q, engine.bounds)
 
 
 def test_loop_closed_form_counts_every_cell_over_f_q(loop):
@@ -135,11 +136,11 @@ def test_interval_hom_is_the_f_q_hom():
                                    for _ in range(12)}):
             backend = oracles.type_a_backend(orientation)
             roots = quiver.positive_roots(backend, (1,) * n)
-            reps = {r: quiver.realize(backend, r, 2) for r in roots}
+            reps = {r: fq_oracle.realize(backend, r, 2) for r in roots}
             for i in roots:
                 for j in roots:
                     assert hall._hom(backend, i, j) == \
-                        quiver.hom_dim(backend, reps[i], reps[j]), (orientation, i, j)
+                        fq_oracle.hom_dim(backend, reps[i], reps[j]), (orientation, i, j)
                     pairs += 1
     assert pairs == 16164  # 42 orientations
 

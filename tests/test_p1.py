@@ -141,6 +141,27 @@ def test_family_products_are_stratified_ks(p1_engine):
         alg.make_stratum(b, [(fam_all(1), 1)]),)
 
 
+def test_common_atoms_passes_keys_already_over_the_refinement(p1b):
+    # every family of these keys is an atom of the common refinement (the
+    # point x, and the core off x in degrees 1 and 2), so each map comes
+    # back equal, its keys the very objects it held; a key over all of P^1
+    # still splits over x and the core
+    def off_x(d):
+        return alg.IndecFamily.of_points(d, P1Set.cofinite_of(["x"]))
+
+    atoms = {alg.make_stratum(p1b, [(fam_at(1, ["x"]), 1), (off_x(2), 1)]): 2,
+             alg.make_stratum(p1b, [(off_x(1), 2)]): Fraction(1, 3)}
+    pairs = {(k, ()): v for k, v in atoms.items()}
+    for maps, is_pairs in (([atoms, atoms], False), ([pairs], True)):
+        out = alg._common_atoms(p1b, maps, pairs=is_pairs)
+        assert out == maps
+        assert all(a is b for m, o in zip(maps, out) for a, b in zip(m, o))
+    whole = {alg.make_stratum(p1b, [(fam_all(1), 1)]): 1}
+    assert alg._common_atoms(p1b, [atoms, whole])[1] == {
+        alg.make_stratum(p1b, [(fam_at(1, ["x"]), 1)]): 1,
+        alg.make_stratum(p1b, [(off_x(1), 1)]): 1}
+
+
 def test_green_and_bialgebra_match_pointwise_on_finite_bases(p1_engine, loop_engine):
     b = p1_engine.backend
     loop = loop_engine

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 from hallforge import algebra as alg
-from hallforge import linalg, pbw
+from hallforge import pbw
 from hallforge.quiver import parse_class
 
 
@@ -85,7 +85,7 @@ def test_solve_in_span_divides_int_entries_exactly():
     # division; the third rhs leaves the span at row 2
     cols = [[2, 0, 0], [1, 3, 0]]
     rhss = [[1, 0, 0], [1, 1, 0], [0, 0, 5]]
-    (half, r1), (thirds, r2), (sol, r3) = linalg.solve_in_span(cols, rhss)
+    (half, r1), (thirds, r2), (sol, r3) = pbw._solve_in_span(cols, rhss)
     assert half == [Fraction(1, 2), 0] and thirds == [Fraction(1, 3)] * 2
     assert r1 == r2 == [] and sol is None and r3 == [2]
     assert [str(c) for c in half + thirds] == ["1/2", "0", "1/3", "1/3"]

@@ -35,7 +35,7 @@ def class_maps(draw, n=2, values=VALUES):
 
 def built_by_sums(backend, values, order):
     """The element sum v * 1_[c], added up one class at a time."""
-    f = alg.zero_element(backend)
+    f = oracles.zero_element(backend)
     for cls in order:
         f = alg.add(backend, f, alg.scale(backend, alg.class_char(backend, cls),
                                           values[cls]))
@@ -117,7 +117,7 @@ def test_family_char_fn_sums_its_members(name, data):
     members = {quiver.make_class(b, [l for pick in picks for l in pick])
                for picks in product(*(combinations_with_replacement(fam, m)
                                       for fam, m in parts))}
-    want = alg.zero_element(b)
+    want = oracles.zero_element(b)
     for cls in members:
         want = alg.add(b, want, alg.class_char(b, cls))
     got = alg.char_fn(b, [stratum])
@@ -154,7 +154,7 @@ def p1_elements(draw, families=2, max_degree=2):
     `families` point families of degree 1 to `max_degree` over a subset of
     {x, y, z} or its complement (a family that meets an earlier one of its
     degree is left out)."""
-    f = alg.zero_element(P1)
+    f = oracles.zero_element(P1)
     for _ in range(draw(st.integers(1, 2))):
         parts = []
         for _ in range(draw(st.integers(1, families))):

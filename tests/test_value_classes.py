@@ -14,6 +14,8 @@ from hallforge import coalgebra as co
 from hallforge import counting, hall, pbw, quiver, verify
 from hallforge.p1sets import P1Set
 
+import fq_oracle
+
 A2 = quiver.builtin_backend("a2")
 BASE = P1Set(False, frozenset({"x"}))
 FAMILY = alg.IndecFamily("points", (), 1, BASE)
@@ -24,7 +26,7 @@ FIELDS = {
     quiver.Arrow: lambda: ("a", 0, 1),
     quiver.Backend: lambda: ("a2", quiver.KIND_DYNKIN, ("1", "2"),
                              (quiver.Arrow("a", 0, 1),)),
-    quiver.MatrixRep: lambda: (2, (1, 1), ((b"\x01",),)),
+    fq_oracle.MatrixRep: lambda: (2, (1, 1), ((b"\x01",),)),
     alg.IndecFamily: lambda: ("points", (), 1, BASE),
     alg.ConstructibleSet: lambda: ((((FAMILY, 1),),),),
     alg.CFElement: lambda: (A2, {(("i", 0, 0),): 1}),
@@ -126,8 +128,9 @@ def test_library_import_loads_no_dataclasses_inspect_or_resources():
 
 
 # hallforge modules that a CLI command loads only when it runs them: the
-# Hall polynomials (counting), the F_q oracle's kernels (linalg), the
-# verify suites (verify, pbw), and the comultiplication (coalgebra)
+# Hall polynomials (counting), the verify suites (verify, pbw), and the
+# comultiplication (coalgebra); and linalg, the F_q oracle's kernel, which
+# no command loads
 DEFERRED = {"counting", "linalg", "verify", "pbw", "coalgebra"}
 
 
@@ -138,11 +141,13 @@ DEFERRED = {"counting", "linalg", "verify", "pbw", "coalgebra"}
     (("--backend", "loop", "comul", "[J1+J1]"), {"coalgebra"}),
     (("--backend", "a3", "cache", "stats"), set()),
     (("--backend", "a3", "--dim", "4", "verify", "bialgebra"), {"coalgebra", "verify"}),
+    # the certificate's back-substitution is pbw's own rational solver
+    (("--backend", "a2", "--dim", "4", "verify", "pbw"), {"coalgebra", "verify", "pbw"}),
     # Hall polynomials come from Z[q]: no F_q kernel on the route
     (("--backend", "a3", "--dim", "4", "verify", "routes"),
      {"coalgebra", "counting", "verify"}),
 ], ids=["mul", "bracket", "power", "comul", "cache-stats", "verify-bialgebra",
-        "verify-routes"])
+        "verify-pbw", "verify-routes"])
 def test_cli_command_loads_only_the_modules_it_runs(args, loads):
     # a process per command: sys.modules keeps whatever an earlier one loaded
     src = Path(hallforge.__file__).resolve().parents[1]
@@ -155,6 +160,19 @@ def test_cli_command_loads_only_the_modules_it_runs(args, loads):
     assert r.returncode == 0, r.stderr
     loaded = {m.split(".", 1)[1] for m in r.stdout.splitlines()[-1].split()}
     assert loaded & DEFERRED == loads
+
+
+def test_library_modules_load_no_f_q_kernel():
+    # the modules the benchmark's worker imports: the F_q matrix model and
+    # survey live in tests/fq_oracle.py, so none of them compiles linalg
+    src = Path(hallforge.__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from hallforge import algebra, coalgebra, counting, hall, pbw, quiver\n"
+            "print('hallforge.linalg' in sys.modules)")
+    r = subprocess.run([sys.executable, "-c", code, str(src)],
+                       capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["False"]
 
 
 def test_counting_bounds_are_the_quiver_bounds():
