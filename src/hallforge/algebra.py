@@ -25,9 +25,15 @@ a point by each key's other families and merged multiplicity, and builds
 strata only for a point that goes.  Output derives the stratified form
 (terms grouped by summand count and coefficient, strata in
 `_stratum_key` order) with `_canonical`.
+
+A PBW monomial is a stratum over pairwise disjoint families, its
+multiplicities the exponents.  `monomial_image` is its one image route,
+with the part below the leading term (`leading_term`): `power` (a
+one-family monomial) and `pbw.certify_truncation` both check it.
 """
 
 import json
+import math
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -480,33 +486,47 @@ def convolve(engine, f, g):
     return from_values(backend, acc)
 
 
-def convolution_power(engine, cset, k):
-    """k-th convolution power of 1_O for a single indecomposable family O.
-    Asserts the leading-term shape: k! on the k-fold sum of O, all other
-    terms of strictly smaller summand count."""
+def leading_term(mono):
+    """(product of exponent factorials, the set whose one stratum is the
+    PBW monomial `mono`): a stratum over pairwise disjoint families, its
+    multiplicities the exponents."""
+    coeff = 1
+    for _, e in mono:
+        coeff *= math.factorial(e)
+    return coeff, ConstructibleSet((mono,))
+
+
+def monomial_image(engine, mono):
+    """The image of a PBW monomial: from the unit, each family's 1_O
+    convolved in as many times as its exponent.  Returns (image, 1_mono,
+    rest), rest the image minus its leading term (`leading_term`), which
+    CF^KS = U(CF^ind) puts below the monomial's summand count."""
     backend = engine.backend
+    image = unit_element(backend)
+    for fam, e in mono:
+        f = char_fn(backend, [make_stratum(backend, [(fam, 1)])])
+        for _ in range(e):
+            image = convolve(engine, image, f)
+    coeff, lead_set = leading_term(mono)
+    lead = char_fn(backend, lead_set)
+    return image, lead, subtract(backend, image, scale(backend, lead, coeff))
+
+
+def convolution_power(engine, cset, k):
+    """k-th convolution power of 1_O for a single indecomposable family O:
+    the image of the monomial k·O, checked to be k!·1_(k·O) plus terms of
+    fewer than k summands."""
     strata = _strata_of(cset)
     if len(strata) != 1 or len(strata[0]) != 1 or strata[0][0][1] != 1:
         raise ValueError("power needs a single indecomposable family")
     if k < 1:
         raise ValueError("power exponent must be >= 1")
-    fam = strata[0][0][0]
-    base = char_fn(backend, strata)
-    result = base
-    for _ in range(k - 1):
-        result = convolve(engine, result, base)
-    _assert_power_shape(engine, result, fam, k)
-    return result
-
-
-def _assert_power_shape(engine, result, fam, k):
-    import math
-    backend = engine.backend
-    expected = char_fn(backend, [make_stratum(backend, [(fam, k)])])
-    rest = subtract(backend, result, scale(backend, expected, math.factorial(k)))
+    image, _, rest = monomial_image(
+        engine, make_stratum(engine.backend, [(strata[0][0][0], k)]))
     if rest.summand_count() >= k:
         raise InternalInvariantError(
             f"power of an indecomposable family is not {k}!·1_(k·O) + lower terms")
+    return image
 
 
 def lie_bracket(engine, f, g):

@@ -88,10 +88,10 @@ def _tensor_json(backend, t):
                       for (l, r), v in t.terms]}
 
 
-def _run(args, fn):
+def _run(args):
     try:
         session = _session(args)
-        code = fn(session)
+        code = args.run(session, args)
         session.finish()
     except ResourceLimitError as e:
         print(json.dumps({"error": "resource-limit", "message": str(e),
@@ -110,85 +110,70 @@ def _run(args, fn):
     raise SystemExit(code or 0)
 
 
-def indecomposables(args):
+def indecomposables(session, args):
     """List the indecomposable labels within the dimension bound."""
-    def go(session):
-        b = session.backend
-        if b.kind == quiver.KIND_P1:
-            if not session.families:
-                print(json.dumps({"error": "capability",
-                                  "message": "declare families in the "
-                                  "backend file to list them"}), file=sys.stderr)
-                return 1
-            if session.as_json:
-                _echo_json({"families": {n: alg.family_to_json(b, f)
-                                         for n, f in sorted(session.families.items())}})
-            else:
-                for n, f in sorted(session.families.items()):
-                    base = ("P1" if f.base.cofinite and not f.base.points else
-                            ("P1 minus " if f.base.cofinite else "") +
-                            "{" + ",".join(sorted(f.base.points)) + "}")
-                    print(f"{n}: degree {f.degree} torsion over {base}")
-            return 0
-        labels = quiver.indec_labels(b, session.bounds.max_dim)
+    b = session.backend
+    if b.kind == quiver.KIND_P1:
+        if not session.families:
+            print(json.dumps({"error": "capability",
+                              "message": "declare families in the "
+                              "backend file to list them"}), file=sys.stderr)
+            return 1
         if session.as_json:
-            _echo_json({"labels": [quiver.label_name(b, l) for l in labels]})
+            _echo_json({"families": {n: alg.family_to_json(b, f)
+                                     for n, f in sorted(session.families.items())}})
         else:
-            for l in labels:
-                dv = quiver.label_dim(b, l)
-                print(f"{quiver.label_name(b, l)}  dim {list(dv)}")
+            for n, f in sorted(session.families.items()):
+                base = ("P1" if f.base.cofinite and not f.base.points else
+                        ("P1 minus " if f.base.cofinite else "") +
+                        "{" + ",".join(sorted(f.base.points)) + "}")
+                print(f"{n}: degree {f.degree} torsion over {base}")
         return 0
-    _run(args, go)
+    labels = quiver.indec_labels(b, session.bounds.max_dim)
+    if session.as_json:
+        _echo_json({"labels": [quiver.label_name(b, l) for l in labels]})
+    else:
+        for l in labels:
+            dv = quiver.label_dim(b, l)
+            print(f"{quiver.label_name(b, l)}  dim {list(dv)}")
+    return 0
 
 
-def mul(args):
+def mul(session, args):
     """Convolution product of two elements."""
-    def go(session):
-        f = session.parse_operand(args.left)
-        g = session.parse_operand(args.right)
-        _emit_element(session, alg.convolve(session.engine, f, g))
-        return 0
-    _run(args, go)
+    f = session.parse_operand(args.left)
+    g = session.parse_operand(args.right)
+    _emit_element(session, alg.convolve(session.engine, f, g))
 
 
-def bracket(args):
+def bracket(session, args):
     """Lie bracket f*g - g*f."""
-    def go(session):
-        f = session.parse_operand(args.left)
-        g = session.parse_operand(args.right)
-        _emit_element(session, alg.lie_bracket(session.engine, f, g))
-        return 0
-    _run(args, go)
+    f = session.parse_operand(args.left)
+    g = session.parse_operand(args.right)
+    _emit_element(session, alg.lie_bracket(session.engine, f, g))
 
 
-def power(args):
+def power(session, args):
     """Convolution power of an indecomposable family's characteristic
     function, with the factorial leading term asserted."""
-    def go(session):
-        cset = session.parse_set(args.operand)
-        result = alg.convolution_power(session.engine, cset, args.exponent)
-        _emit_element(session, result)
-        return 0
-    _run(args, go)
+    cset = session.parse_set(args.operand)
+    _emit_element(session, alg.convolution_power(session.engine, cset, args.exponent))
 
 
-def comul(args):
+def comul(session, args):
     """Splitting comultiplication of an element."""
-    def go(session):
-        from . import coalgebra as co
-        b, f = session.backend, session.parse_operand(args.operand)
-        for k in f.values:  # Delta(1_[Y]) has 2^summands terms; a line bundle counts 1
-            session.bounds.check_dim(quiver.class_total_dim(b, k) if b.kind != quiver.KIND_P1
-                                     else sum((fam.degree or 1) * m for fam, m in k))
-        t = co.comultiply(b, f)
-        if session.as_json:
-            _echo_json(_tensor_json(b, t))
-        else:
-            for (l, r), v in t.terms:
-                print(f"({v}) * 1_{{{alg._stratum_text(b, l.strata[0])}}}"
-                      f" (x) 1_{{{alg._stratum_text(b, r.strata[0])}}}")
-        return 0
-    _run(args, go)
+    from . import coalgebra as co
+    b, f = session.backend, session.parse_operand(args.operand)
+    for k in f.values:  # Delta(1_[Y]) has 2^summands terms; a line bundle counts 1
+        session.bounds.check_dim(quiver.class_total_dim(b, k) if b.kind != quiver.KIND_P1
+                                 else sum((fam.degree or 1) * m for fam, m in k))
+    t = co.comultiply(b, f)
+    if session.as_json:
+        _echo_json(_tensor_json(b, t))
+    else:
+        for (l, r), v in t.terms:
+            print(f"({v}) * 1_{{{alg._stratum_text(b, l.strata[0])}}}"
+                  f" (x) 1_{{{alg._stratum_text(b, r.strata[0])}}}")
 
 
 # verify.SUITES, named before verify loads
@@ -196,64 +181,50 @@ SUITES = ("assoc", "lie-closure", "riedtmann", "pbw", "green", "bialgebra",
           "euler-axioms", "routes")
 
 
-def verify_cmd(args):
+def verify_cmd(session, args):
     """Run a named invariant suite; exit 0 only if every check passes."""
-    def go(session):
-        from . import verify
-        res = verify.run_suite(args.suite, session.engine,
-                               dim=session.bounds.max_dim,
-                               gamma=session.gamma)
-        if session.as_json:
-            _echo_json(res.to_json())
-        else:
-            for c in res.checks:
-                mark = "ok" if c["passed"] else "FAIL"
-                print(f"[{mark}] {c['name']}")
-            print(f"suite {args.suite}: {'pass' if res.passed else 'FAIL'}")
-        print(f"elapsed: {res.elapsed:.2f}s", file=sys.stderr)
-        return 0 if res.passed else 1
-    _run(args, go)
+    from . import verify
+    res = verify.run_suite(args.suite, session.engine,
+                           dim=session.bounds.max_dim,
+                           gamma=session.gamma)
+    if session.as_json:
+        _echo_json(res.to_json())
+    else:
+        for c in res.checks:
+            mark = "ok" if c["passed"] else "FAIL"
+            print(f"[{mark}] {c['name']}")
+        print(f"suite {args.suite}: {'pass' if res.passed else 'FAIL'}")
+    print(f"elapsed: {res.elapsed:.2f}s", file=sys.stderr)
+    return 0 if res.passed else 1
 
 
-def stats(args):
+def stats(session, args):
     """Print the entry count and largest polynomial degree of the cache."""
-    def go(session):
-        _echo_json(session.engine.cache.stats())
-        return 0
-    _run(args, go)
+    _echo_json(session.engine.cache.stats())
 
 
-def export(args):
+def export(session, args):
     """Write the cache to a file."""
-    def go(session):
-        session.engine.cache.dump(args.dest)
-        _echo_json({"exported": session.engine.cache.stats()})
-        return 0
-    _run(args, go)
+    session.engine.cache.dump(args.dest)
+    _echo_json({"exported": session.engine.cache.stats()})
 
 
-def import_(args):
+def import_(session, args):
     """Merge a cache file into the cache."""
-    def go(session):
-        try:
-            session.engine.cache.load(args.src, merge=True)
-        except ValueError as e:  # another version (a collision: CacheCollisionError)
-            print(json.dumps({"error": "cache-version",
-                              "message": str(e)}), file=sys.stderr)
-            return 1
-        session.engine.cache.dirty = True
-        _echo_json({"imported": session.engine.cache.stats()})
-        return 0
-    _run(args, go)
+    try:
+        session.engine.cache.load(args.src, merge=True)
+    except ValueError as e:  # another version (a collision: CacheCollisionError)
+        print(json.dumps({"error": "cache-version",
+                          "message": str(e)}), file=sys.stderr)
+        return 1
+    session.engine.cache.dirty = True
+    _echo_json({"imported": session.engine.cache.stats()})
 
 
-def clear(args):
+def clear(session, args):
     """Empty the cache."""
-    def go(session):
-        session.engine.cache.clear()
-        _echo_json({"cleared": True})
-        return 0
-    _run(args, go)
+    session.engine.cache.clear()
+    _echo_json({"cleared": True})
 
 
 def _existing_path(path):
@@ -306,8 +277,7 @@ def _parser(prog):
 def main(argv=None, prog_name="hallforge", standalone_mode=True):
     """Exact degenerate Hall-algebra computations on quiver categories."""
     try:
-        args = _parser(prog_name).parse_args(argv)
-        args.run(args)
+        _run(_parser(prog_name).parse_args(argv))
     except SystemExit as e:
         if standalone_mode:
             raise

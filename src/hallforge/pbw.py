@@ -1,47 +1,27 @@
-"""PBW monomials and the filtered comparison between the enveloping
-algebra and the Krull-Schmidt span.
+"""The truncation certificate: the filtered comparison between the
+enveloping algebra and the Krull-Schmidt span on a window of families.
 
 A monomial is a stratum (`alg.make_stratum`): the (family, exponent)
 pairs of an exponent vector over pairwise disjoint indecomposable
-families.  Its image under iterated convolution has leading term
-(product of exponent factorials) times the characteristic function of
-that stratum, and everything else of strictly smaller summand count.
-The truncation certificate checks exactly that, degree by degree, and
-back-substitutes (`_solve_in_span`, an exact elimination over the
-rationals) to express the stratum functions in monomial images,
-reporting any residual correction functions that fall outside the
-family-generated span.
+families.  `alg.monomial_image` gives its image under iterated
+convolution and the part below the leading term, (product of exponent
+factorials) times the characteristic function of that stratum; that
+part must have strictly smaller summand count, which `power` checks on
+the same route.  The certificate checks it degree by degree, reads the
+graded blocks of leading coefficients, and back-substitutes
+(`_solve_in_span`, an exact elimination over the rationals) to express
+the stratum functions in monomial images, reporting any residual
+correction functions that fall outside the family-generated span.
 
 Certificates run on the quiver backends, where an element is a class
 map: values and coordinates are read off classes.
 """
 
-import math
 from fractions import Fraction
 
 from . import algebra as alg
 from . import quiver
 from .errors import CapabilityError
-
-
-def leading_term(mono):
-    """(product of exponent factorials, the set whose one stratum is the
-    monomial)."""
-    coeff = 1
-    for _, e in mono:
-        coeff *= math.factorial(e)
-    return coeff, alg.ConstructibleSet((mono,))
-
-
-def monomial_image(engine, mono):
-    """Iterated convolution of the factor characteristic functions."""
-    backend = engine.backend
-    result = alg.unit_element(backend)
-    for fam, e in mono:
-        f = alg.char_fn(backend, [alg.make_stratum(backend, [(fam, 1)])])
-        for _ in range(e):
-            result = alg.convolve(engine, result, f)
-    return result
 
 
 def value_on_set(backend, f, cset):
@@ -106,12 +86,9 @@ def certify_truncation(engine, families, gamma_max):
         degree_es = list(alg._compositions(g, len(families)))
         for e in degree_es:
             mono = alg.make_stratum(backend, list(zip(families, e)))
-            img = monomial_image(engine, mono)
-            coeff, lead_set = leading_term(mono)
-            lead_fn = alg.char_fn(backend, lead_set)
-            images[e] = img
+            images[e], lead_fn, rest = alg.monomial_image(engine, mono)
+            coeff, lead_set = alg.leading_term(mono)
             leads[e] = (coeff, lead_set, lead_fn)
-            rest = alg.subtract(backend, img, alg.scale(backend, lead_fn, coeff))
             if rest.summand_count() >= alg.stratum_gamma(mono) > 0:
                 report.triangular = False
                 if report.counterexample is None:

@@ -247,13 +247,18 @@ def test_comul_is_bounded_by_dim():
 
 def test_products_above_dim_exit_3_before_listing_targets():
     # a huge operand exits at once instead of listing every class of its
-    # dimension (loop) or every partition of its degree (p1)
-    for backend, args in (("loop", ("mul", "[J99999999999]", "[J1]")),
-                          ("loop", ("power", "[J99999999999]", "2")),
-                          ("p1", ("mul", "[T(x,99999999999)]", "O1"))):
+    # dimension (loop) or every partition of its degree (p1); a power
+    # starts from the unit, so its first product 1_[0] * 1_X checks X
+    # itself, as `mul X [0]` does, even at exponent 1
+    for backend, args, requested in (
+            ("loop", ("mul", "[J99999999999]", "[J1]"), 100000000000),
+            ("loop", ("power", "[J99999999999]", "2"), 99999999999),
+            ("p1", ("mul", "[T(x,99999999999)]", "O1"), 99999999999),
+            ("loop", ("--dim", "2", "power", "[J3]", "1"), 3),
+            ("p1", ("--dim", "2", "power", "[T(x,3)]", "1"), 3)):
         r = run_cli("--backend", backend, *args)
         assert r.exit_code == 3 and r.stdout == ""
-        assert json.loads(r.stderr)["requested"] >= 99999999999
+        assert json.loads(r.stderr)["requested"] == requested
 
 
 VERIFY_USAGE = "usage: hallforge verify [-h] SUITE\n"

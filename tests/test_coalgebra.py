@@ -6,6 +6,7 @@ import oracles
 from hallforge import algebra as alg
 from hallforge import coalgebra as co
 from hallforge import quiver, verify
+from hallforge.errors import InternalInvariantError
 from hallforge.hall import HallEngine
 from hallforge.quiver import make_class, parse_class
 
@@ -273,10 +274,15 @@ def test_suites_report_a_corrupted_cell():
 
 def test_pbw_reports_a_corrupted_diagonal():
     # 1_[S1] * 1_[S1] = 3.1_[S1+S1] where the certificate expects 2!
-    res = verify.run_suite("pbw", corrupted_a2("[S1+S1]", "[S1]", "[S1]"), gamma=2)
+    engine = corrupted_a2("[S1+S1]", "[S1]", "[S1]")
+    res = verify.run_suite("pbw", engine, gamma=2)
     assert res.passed is False
     assert res.to_json()["report"]["counterexample"] == {
         "monomial": [0, 2, 0], "expected_leading": "2", "got": "3"}
     assert [c["name"] for c in res.checks if not c["passed"]] == [
         "gamma-triangularity", "diagonal entries are products of factorials",
         "graded bijectivity per filtration degree"]
+    # power reads the same remainder below the leading term, and refuses it
+    s1 = alg.singleton_set(engine.backend, parse_class(engine.backend, "[S1]"))
+    with pytest.raises(InternalInvariantError, match="not 2!"):
+        alg.convolution_power(engine, s1, 2)

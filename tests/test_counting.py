@@ -151,16 +151,6 @@ def test_loop_self_duality_of_cells():
                         counting._loop_product(nu, mu, products), (mu, nu)
 
 
-def test_count_points_agrees_with_full_enumeration(loop):
-    # one Hall polynomial per cell, at q, against the histogram of every product
-    engine = HallEngine(loop)
-    for text, q in (("[J2+J1+J1]", 2), ("[J2+J2]", 3)):
-        target = parse_class(loop, text)
-        full = enumerate_subreps(loop, target, q)
-        for (s, t), n in full.items():
-            assert engine.hall_polynomial(s, t, target).evaluate(q) == n
-
-
 def test_opposite_orientation_duality():
     a2 = builtin_backend("a2")
     a2op = Backend("a2op", quiver.KIND_DYNKIN, ("1", "2"),

@@ -104,20 +104,15 @@ def test_type_a_polynomials_are_exact_at_every_q_max(a2, a3):
             assert got.coeffs == coeffs
 
 
-@pytest.mark.parametrize("orientation,qs", [(">>", (2, 3)), ("><", (2, 3)), ("><>", (2,))],
+@pytest.mark.parametrize("orientation,qs,pairs",
+                         [(">>", (2, 3), 240), ("><", (2, 3), 240), ("><>", (2,), 302)],
                          ids=["a3", "a3-sink", "zigzag-A4"])
-def test_green_recursion_counts_every_cell_over_f_q(orientation, qs):
+def test_green_recursion_counts_every_cell_over_f_q(orientation, qs, pairs):
     # every cell of every target up to dim 5 against the subspace survey:
     # the one check that sees a wrong `_summand_splits`, which both routes
     # of verify routes read
     backend = oracles.type_a_backend(orientation)
-    engine = HallEngine(backend, Bounds(max_dim=5))
-    for target in verify.classes_up_to(backend, 5)[1:]:
-        table = engine._green(target)
-        for q in qs:
-            got = {k: v for k, c in table.items()
-                   if (v := HallPolynomial(c).evaluate(q))}
-            assert got == fq_oracle.enumerate_subreps(backend, target, q, engine.bounds)
+    assert oracles.exact_against_f_q(backend, range(6), qs) == pairs
 
 
 def test_loop_closed_form_counts_every_cell_over_f_q(loop):
