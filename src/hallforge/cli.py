@@ -24,7 +24,7 @@ class Session:
         self.bounds = quiver.Bounds(max_dim=dim)
         self.gamma = gamma
         self.cache_path = cache_path
-        cache = hall.HallCache(self.backend, cache_path, rebuild_stale=True)
+        cache = hall.HallCache(self.backend, cache_path)
         if cache.rebuilt:
             print(json.dumps({"warning": "cache-rebuilt",
                               "message": "cache version mismatch; "

@@ -1,7 +1,10 @@
-"""Polynomials in Z[q] and loop Hall polynomials.
+"""Hall polynomials, exact in Z[q] (`hall_polynomial`), on every backend:
+Green's theorem on type A (`green`), Macdonald's closed form on loop, and
+its product over support points on p1.  Their tables go in the engine's
+`_tables`, loop products by (mu, nu) and Green tables by target, so none
+outlives its engine or serves another backend definition.
 
-Loop Hall polynomials are computed in closed form, with no enumeration.  A
-loop class is a partition (the sizes of its Jordan blocks), and the loop
+On loop, a class is a partition (its Jordan block sizes), and the loop
 Hall algebra is commutative and generated by the u_(1^m) (Macdonald,
 *Symmetric Functions and Hall Polynomials*, ch. II sections 2-4).
 Multiplying by one of them is explicit (ch. II (4.6)): G^lam_{mu,(1^m)}(q)
@@ -22,20 +25,13 @@ All of it is exact arithmetic on ascending coefficient tuples in Z[q]:
 the power of q left over is the lowest degree of a polynomial count and
 so is not negative, and a_nu divides exactly (ch. II (4.3)).
 
-Memos belong to the caller, but for the backend-free
-`gaussian_binomial`: each `HallEngine` owns a `_surveys` dict, holding
-loop products {lam: G^lam_{mu,nu}(q)} by (mu, nu) and the type-A Green
-tables of `hall`, so the memo is freed with the engine and never shared
-between two backend definitions.  Only the Hall polynomials load this
-module.  A p1 target's polynomials are products of loop ones, point by
-point.
-
 The tests check these polynomials against real point counts over F_q
 with their own oracle (`tests/fq_oracle.py`, `enumerate_subreps`), which
 no library process compiles.  `Bounds` is `quiver.Bounds`, whose
 `max_q` still bounds that oracle's field size.
 """
 
+from collections import Counter, defaultdict
 from functools import lru_cache
 from itertools import combinations, zip_longest
 
@@ -142,3 +138,122 @@ def _loop_product(mu, nu, products):
         hit = products[mu, nu] = {lam: _poly_divexact(c, a_nu)
                                   for lam, c in acc.items() if any(c)}
     return hit
+
+
+# ---------------------------------------------------------------------------
+# one cell's Hall polynomial, on every backend; Green's theorem on type A
+
+def hall_polynomial(engine, sub, quot, target):
+    """The counting polynomial of the (sub, quot) cell of `target`, as
+    coefficients, exact in Z[q]: on type A read off the target's Green
+    table (`green`); on loop and p1 the product over support points (a
+    label's `l[1:-1]`, none on loop) of the loop polynomials of the blocks
+    there, zero if a factor is."""
+    b = engine.backend
+    quiver.class_total_dim(b, sub + quot)  # refuses a line bundle or a foreign label
+    engine.bounds.check_dim(quiver.class_total_dim(b, target))
+    if b.kind == quiver.KIND_DYNKIN:
+        return green(engine, target).get((sub, quot), (0,))
+    coeffs = (1,)
+    for x in {l[1:-1] for cls in (sub, quot, target) for l in cls}:
+        mu, nu, lam = (_partition([l for l in cls if l[1:-1] == x])
+                       for cls in (sub, quot, target))
+        p = _loop_product(mu, nu, engine._tables).get(lam)
+        if p is None:
+            return (0,)
+        coeffs = poly_mul(coeffs, p)
+    return coeffs
+
+
+def green(engine, target):
+    """{(sub, quot): coefficients} over the nonzero cells of a type-A
+    target, memoized in the engine's `_tables` by target.  An
+    indecomposable is thin (and 0 has one cell): each cell counts one
+    subobject at every q.  Otherwise Green's theorem (J. A. Green, Invent.
+    Math. 120, 1995, in C. M. Ringel's form) splits off the first summand M
+    with Ext^1(M, k) = 0 for every summand k, so that E = M + N is the only
+    extension of M by the rest N, and
+
+        F^E_{X,Y} = q^hom(M,N) / (a_X a_Y) * sum over A, B, C, D of
+            q^-<A,D> F^M_{A,B} F^N_{C,D} F^X_{A,C} F^Y_{B,D} a_A a_B a_C a_D
+
+    where F^E_{X,Y} is cell (Y, X), X and Y range over
+    `engine.candidate_targets` and a_X = |Aut X| (`_aut`).  X = 0 or Y = 0
+    gives the cell (0, E) or (E, 0), which is 1: every other X and Y is
+    smaller than E."""
+    tables = engine._tables
+    hit = tables.get(target)
+    if hit is not None:
+        return hit
+    b = engine.backend
+    if len(target) < 2:  # zero or indecomposable
+        return tables.setdefault(target, dict.fromkeys(engine.cells(target), (1,)))
+    dim = lambda c: quiver.class_dim(b, c)
+    i = next(i for i, l in enumerate(target) if all(
+        _hom(b, l, k) == _euler(b, dim((l,)), dim((k,))) for k in target))
+    m, n = target[i], target[:i] + target[i + 1:]
+    auts = {}
+    aut = lambda c: auts.get(c) or auts.setdefault(c, _aut(b, c))
+    acc = defaultdict(Counter)  # (Y, X) -> {power of q: coefficient}
+    for (bb, aa), fm in green(engine, (m,)).items():
+        for (dd, cc), fn in green(engine, n).items():
+            if not (aa or cc) or not (bb or dd):
+                continue  # X = 0 or Y = 0
+            e, base = -_euler(b, dim(aa), dim(dd)), poly_mul(fm, fn)
+            for c in (aa, bb, cc, dd):
+                e_c, p_c = aut(c)
+                e, base = e + e_c, poly_mul(base, p_c)
+            xs = [(x, f) for x in engine.candidate_targets(cc, aa)
+                  if (f := green(engine, x).get((cc, aa)))]
+            ys = [(y, f) for y in engine.candidate_targets(dd, bb)
+                  if (f := green(engine, y).get((dd, bb)))]
+            for x, fx in xs:
+                bx = poly_mul(base, fx)
+                for y, fy in ys:
+                    cell = acc[y, x]
+                    for k, c in enumerate(poly_mul(bx, fy), e):
+                        cell[k] += c
+    hom_mn = sum(_hom(b, m, k) for k in n)
+    out = {((), target): (1,), (target, ()): (1,)}
+    for (y, x), cell in acc.items():
+        powers = [k for k, c in cell.items() if c]
+        lo = min(powers)
+        (ex, px), (ey, py) = aut(x), aut(y)
+        shift = hom_mn - ex - ey + lo
+        if shift < 0:
+            raise InternalInvariantError(
+                f"q^{shift} in the Green cell ({quiver.class_name(b, y)}, "
+                f"{quiver.class_name(b, x)}) of {quiver.class_name(b, target)}")
+        num = tuple(cell[k] for k in range(lo, max(powers) + 1))
+        out[y, x] = (0,) * shift + _poly_divexact(num, poly_mul(px, py))
+    tables[target] = out
+    return out
+
+
+def _hom(backend, i, j):
+    """dim Hom(M_i, M_j) of two interval modules: 1 when C = i & j is
+    nonempty, no arrow goes from i - C into C (C is a quotient of M_i) and
+    none from C into j - C (C is a submodule of M_j), else 0."""
+    c = range(max(i[1], j[1]), min(i[2], j[2]) + 1)
+    return int(bool(c) and not any(
+        (ar.tgt in c and ar.src not in c and i[1] <= ar.src <= i[2])
+        or (ar.src in c and ar.tgt not in c and j[1] <= ar.tgt <= j[2])
+        for ar in backend.arrows))
+
+
+def _euler(backend, x, y):
+    """The Euler form <x, y> = dim Hom - dim Ext^1 of two dimension vectors."""
+    return sum(a * b for a, b in zip(x, y)) \
+        - sum(x[ar.src] * y[ar.tgt] for ar in backend.arrows)
+
+
+def _aut(backend, cls):
+    """|Aut X| = q^(dim End X - sum m^2) prod |GL_m(q)| over the summand
+    multiplicities m of a type-A class (its indecomposables are bricks),
+    as (power of q, polynomial): |GL_m(q)| = q^(m(m-1)/2) prod_{j<=m} (q^j - 1)."""
+    power, poly = sum(_hom(backend, k, l) for k in cls for l in cls), (1,)
+    for m in Counter(cls).values():
+        power -= m * (m + 1) // 2
+        for j in range(1, m + 1):
+            poly = poly_mul(poly, (-1,) + (0,) * (j - 1) + (1,))
+    return power, poly

@@ -1,4 +1,4 @@
-"""Euler-characteristic structure constants and Hall polynomials.
+"""Euler-characteristic structure constants and the Hall-polynomial cache.
 
 A structure constant is the Euler characteristic of the stratum of
 subrepresentations U of a target Y with U in class X and Y/U in class Z.
@@ -16,15 +16,11 @@ of its summands' splits, on every backend: a p1 block T(x,h) is the
 Jordan block J_h at the point x, and splits as the chain does.
 
 A Hall polynomial's value at q = 1 is the same constant, which the
-`routes` verify suite checks cell by cell.  On loop it is exact, from
-Macdonald's closed form in Z[q] (`counting`), and loop is the one-point
-case of p1, whose polynomial is the product over support points.  On
-type A it is exact too, from Green's theorem: each target's polynomials
-come from those of smaller targets (`_green`), with no field sampled and
-no matrix built.  Only Hall polynomials go to the versioned JSON cache: a
-constant is cheaper to read off `cells` than to look up there.  Only the
-polynomials import `counting`, and no route here imports `linalg`: a
-process that only reads `cells` loads neither.
+`routes` verify suite checks cell by cell.  `counting` computes each one
+exactly in Z[q]; `hall_polynomial`, the one place here that imports it,
+keeps them in the versioned JSON cache (a constant is cheaper to read
+off `cells` than to look up there), so a process that only reads
+`cells` never loads `counting`.
 
 Each `HallEngine` also keeps six memos, created in `__init__` and freed
 with it, all keyed by labels or classes (or p1 block degrees and atom
@@ -37,10 +33,10 @@ strata) of its own backend:
              that `product` returns and convolution reads: x, z, y are
              classes, or on p1 atom strata (`p1._stratum_product`);
   _classes   (dims, gmax) -> the classes `classes_with_dim` lists;
-  _surveys   the exact tables `hall_polynomial` reads: on type A target
-             -> {(sub, quot): coefficients} (`_green`), on loop and p1
-             (mu, nu) -> {lam: G^lam_{mu,nu}(q) coefficients} (`counting`;
-             on p1 the partitions of the blocks at each support point);
+  _tables    the exact tables `counting` fills and reads: on type A
+             target -> {(sub, quot): coefficients} (`counting.green`), on
+             loop and p1 (mu, nu) -> {lam: G^lam_{mu,nu}(q) coefficients}
+             (on p1 the partitions of the blocks at each support point);
   _p1_base_memo  (block degrees of A, of B) -> {(degree, mult) tuple:
              value}, the p1 backend's one-base family products
              (`p1._base_product`), read off the member with every block
@@ -54,8 +50,7 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 from . import quiver
-from .errors import (BackendMismatchError, CacheCollisionError, CacheFormatError,
-                     InternalInvariantError)
+from .errors import BackendMismatchError, CacheCollisionError, CacheFormatError
 
 CACHE_VERSION = 1
 
@@ -96,22 +91,16 @@ class HallPolynomial(quiver.ReadOnly):
 class HallCache:
     """Versioned polynomial store, one per backend."""
 
-    def __init__(self, backend, path=None, *, rebuild_stale=False):
+    def __init__(self, backend, path=None):
         self.backend = backend
         self.path = Path(path) if path else None
         self.entries = {}
-        self.dirty = False
-        self.rebuilt = False
+        self.dirty = self.rebuilt = False
         if self.path and self.path.exists():
             try:
                 self.load(self.path)
-            except ValueError:
-                if not rebuild_stale:
-                    raise
-                # stale version: start over; the next dump overwrites it
-                self.entries = {}
-                self.dirty = True
-                self.rebuilt = True
+            except ValueError:  # another version: start over; the next dump overwrites it
+                self.dirty = self.rebuilt = True
 
     def key(self, sub, quot, target):
         b = self.backend
@@ -162,7 +151,7 @@ class HallCache:
 
     def load(self, path, *, merge=False):
         """Read a cache file.  A file of another version raises ValueError
-        (a session cache rebuilds on it); one that is not JSON or not of
+        (a cache opened on it starts fresh); one that is not JSON or not of
         the cache's shape raises CacheFormatError and is left as it is.
         With merge=True, a key whose value differs from this cache's
         raises CacheCollisionError before any entry is merged."""
@@ -216,7 +205,7 @@ class HallEngine:
         self._splits = {}           # label -> _summand_splits(backend, label)
         self._products = {}         # (x, z) -> ((y, chi), ...), chi nonzero
         self._classes = {}          # (dims, gmax) -> classes
-        self._surveys = {}          # target -> polynomials, or (mu, nu) -> polynomials
+        self._tables = {}           # target -> polynomials, or (mu, nu) -> polynomials
         self._p1_base_memo = {}     # (degs_a, degs_b) -> {degmults: chi}, any base
 
     # -- Euler constants: torus fixed points --------------------------------
@@ -268,102 +257,18 @@ class HallEngine:
         self._cells[target] = out
         return out
 
-    # -- Hall polynomials: exact in Z[q] ------------------------------------
+    # -- Hall polynomials: cached, computed by `counting` ---------------------
 
     def hall_polynomial(self, sub, quot, target):
-        """Counting polynomial of the (sub, quot) cell of `target`."""
+        """The (sub, quot) cell's Hall polynomial (`counting`), cached."""
         key = self.cache.key(sub, quot, target)
         hit = self.cache.get(key)
         if hit is not None:
             return hit
-        poly = self._interpolate(sub, quot, target)
+        import hallforge.counting as counting  # `from . import` runs importlib per miss
+        poly = HallPolynomial(counting.hall_polynomial(self, sub, quot, target))
         self.cache.put(key, poly)
         return poly
-
-    def _interpolate(self, sub, quot, target):
-        """The counting polynomial of one cell, exact in Z[q]: on type A
-        read off the target's Green table (`_green`); on loop and p1 the
-        product over support points (a label's `l[1:-1]`, none on loop) of
-        the loop polynomials of the blocks there, zero if a factor is."""
-        b = self.backend
-        quiver.class_total_dim(b, sub + quot)  # refuses a line bundle or a foreign label
-        self.bounds.check_dim(quiver.class_total_dim(b, target))
-        if b.kind == quiver.KIND_DYNKIN:
-            return HallPolynomial(self._green(target).get((sub, quot), (0,)))
-        from . import counting
-        coeffs = (1,)
-        for x in {l[1:-1] for cls in (sub, quot, target) for l in cls}:
-            mu, nu, lam = (counting._partition([l for l in cls if l[1:-1] == x])
-                           for cls in (sub, quot, target))
-            p = counting._loop_product(mu, nu, self._surveys).get(lam)
-            if p is None:
-                return HallPolynomial((0,))
-            coeffs = counting.poly_mul(coeffs, p)
-        return HallPolynomial(coeffs)
-
-    def _green(self, target):
-        """{(sub, quot): coefficients} over the nonzero cells of a type-A
-        target, memoized in `_surveys` by target.  An indecomposable is
-        thin (and 0 has one cell): each cell counts one subobject at every q.
-        Otherwise Green's theorem (J. A. Green, Invent. Math. 120, 1995,
-        in C. M. Ringel's form) splits off the first summand M with
-        Ext^1(M, k) = 0 for every summand k, so that E = M + N is the only
-        extension of M by the rest N, and
-
-            F^E_{X,Y} = q^hom(M,N) / (a_X a_Y) * sum over A, B, C, D of
-                q^-<A,D> F^M_{A,B} F^N_{C,D} F^X_{A,C} F^Y_{B,D} a_A a_B a_C a_D
-
-        where F^E_{X,Y} is cell (Y, X), X and Y range over
-        `candidate_targets` and a_X = |Aut X| (`_aut`).  X = 0 or Y = 0
-        gives the cell (0, E) or (E, 0), which is 1: every other X and Y
-        is smaller than E."""
-        hit = self._surveys.get(target)
-        if hit is not None:
-            return hit
-        b = self.backend
-        if len(target) < 2:  # zero or indecomposable
-            return self._surveys.setdefault(target, dict.fromkeys(self.cells(target), (1,)))
-        from .counting import _poly_divexact, poly_mul
-        dim = lambda c: quiver.class_dim(b, c)
-        i = next(i for i, l in enumerate(target) if all(
-            _hom(b, l, k) == _euler(b, dim((l,)), dim((k,))) for k in target))
-        m, n = target[i], target[:i] + target[i + 1:]
-        auts = {}
-        aut = lambda c: auts.get(c) or auts.setdefault(c, _aut(b, c))
-        acc = defaultdict(Counter)  # (Y, X) -> {power of q: coefficient}
-        for (bb, aa), fm in self._green((m,)).items():
-            for (dd, cc), fn in self._green(n).items():
-                if not (aa or cc) or not (bb or dd):
-                    continue  # X = 0 or Y = 0
-                e, base = -_euler(b, dim(aa), dim(dd)), poly_mul(fm, fn)
-                for c in (aa, bb, cc, dd):
-                    e_c, p_c = aut(c)
-                    e, base = e + e_c, poly_mul(base, p_c)
-                xs = [(x, f) for x in self.candidate_targets(cc, aa)
-                      if (f := self._green(x).get((cc, aa)))]
-                ys = [(y, f) for y in self.candidate_targets(dd, bb)
-                      if (f := self._green(y).get((dd, bb)))]
-                for x, fx in xs:
-                    bx = poly_mul(base, fx)
-                    for y, fy in ys:
-                        cell = acc[y, x]
-                        for k, c in enumerate(poly_mul(bx, fy), e):
-                            cell[k] += c
-        hom_mn = sum(_hom(b, m, k) for k in n)
-        out = {((), target): (1,), (target, ()): (1,)}
-        for (y, x), cell in acc.items():
-            powers = [k for k, c in cell.items() if c]
-            lo = min(powers)
-            (ex, px), (ey, py) = aut(x), aut(y)
-            shift = hom_mn - ex - ey + lo
-            if shift < 0:
-                raise InternalInvariantError(
-                    f"q^{shift} in the Green cell ({quiver.class_name(b, y)}, "
-                    f"{quiver.class_name(b, x)}) of {quiver.class_name(b, target)}")
-            num = tuple(cell[k] for k in range(lo, max(powers) + 1))
-            out[y, x] = (0,) * shift + _poly_divexact(num, poly_mul(px, py))
-        self._surveys[target] = out
-        return out
 
     # -- support enumeration -------------------------------------------------
 
@@ -399,36 +304,6 @@ def merge_cells(backend, a, b):
             out[(tuple(sorted(s + ls, key=key)),
                  tuple(sorted(q + lq, key=key)))] += c * lc
     return dict(out)
-
-
-def _hom(backend, i, j):
-    """dim Hom(M_i, M_j) of two interval modules: 1 when C = i & j is
-    nonempty, no arrow goes from i - C into C (C is a quotient of M_i) and
-    none from C into j - C (C is a submodule of M_j), else 0."""
-    c = range(max(i[1], j[1]), min(i[2], j[2]) + 1)
-    return int(bool(c) and not any(
-        (ar.tgt in c and ar.src not in c and i[1] <= ar.src <= i[2])
-        or (ar.src in c and ar.tgt not in c and j[1] <= ar.tgt <= j[2])
-        for ar in backend.arrows))
-
-
-def _euler(backend, x, y):
-    """The Euler form <x, y> = dim Hom - dim Ext^1 of two dimension vectors."""
-    return sum(a * b for a, b in zip(x, y)) \
-        - sum(x[ar.src] * y[ar.tgt] for ar in backend.arrows)
-
-
-def _aut(backend, cls):
-    """|Aut X| = q^(dim End X - sum m^2) prod |GL_m(q)| over the summand
-    multiplicities m of a type-A class (its indecomposables are bricks),
-    as (power of q, polynomial): |GL_m(q)| = q^(m(m-1)/2) prod_{j<=m} (q^j - 1)."""
-    from .counting import poly_mul
-    power, poly = sum(_hom(backend, k, l) for k in cls for l in cls), (1,)
-    for m in Counter(cls).values():
-        power -= m * (m + 1) // 2
-        for j in range(1, m + 1):
-            poly = poly_mul(poly, (-1,) + (0,) * (j - 1) + (1,))
-    return power, poly
 
 
 def _summand_splits(backend, label):

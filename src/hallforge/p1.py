@@ -48,7 +48,7 @@ def _family_from_json(data):
     """(name, family) of one `families` entry of a backend file; a missing
     key, a name that is not a string, a non-integer degree or a base whose
     points are not a list of names, or are empty on a finite base, is a
-    ValueError naming family and key."""
+    ValueError naming family and key (`quiver.check_name` names a point)."""
     if not isinstance(data, dict):
         raise ValueError(f"family entry {data!r} is not an object")
     name = data.get("name")
@@ -65,6 +65,7 @@ def _family_from_json(data):
     pts = base.get("points", [])
     if not isinstance(pts, list) or not all(isinstance(x, str) for x in pts):
         raise ValueError(f"family {name!r} has 'base.points' {pts!r}, not a list of names")
+    pts = [quiver.check_name("point", x) for x in pts]
     if base["kind"] == "cofinite":
         b = P1Set.cofinite_of(pts)
     elif base["kind"] == "finite":

@@ -170,11 +170,20 @@ def backend_from_json(data, *, source="<backend>"):
             raise TypeError(f"vertices {vnames!r} are not a list of names")
         if not isinstance(arrs, list) or not all(isinstance(a, dict) for a in arrs):
             raise TypeError(f"arrows {arrs!r} are not a list of arrow objects")
-        idx = {v: i for i, v in enumerate(vnames)}
+        idx = {check_name("vertex", v): i for i, v in enumerate(vnames)}
         arrows = tuple(Arrow(a["id"], idx[a["src"]], idx[a["tgt"]]) for a in arrs)
         return Backend(name, kind, tuple(vnames), arrows)  # TypeError: an unhashable id
     except (KeyError, TypeError) as e:
         raise ValueError(f"{source}: malformed backend definition ({e})") from e
+
+
+def check_name(what, name):
+    """`name` if a vertex or point name (`what`) prints unambiguously in
+    labels, classes and cache keys, else a ValueError naming it."""
+    reserved = "+-|[]" if what == "vertex" else ",+|()[]{}\\"  # separators in names
+    if not name or name != name.strip() or any(c in reserved for c in name):
+        raise ValueError(f"{what} name {name!r} is empty, padded or has one of {reserved}")
+    return name
 
 
 def _builtin(name):
@@ -327,12 +336,12 @@ def parse_label(backend, text):
         try:
             if t.startswith("T(") and t.endswith(")"):
                 point, _, deg = t[2:-1].rpartition(",")
-                if point.strip() and int(deg) >= 1:
-                    return ("t", point.strip(), int(deg))
+                if int(deg) >= 1:
+                    return ("t", check_name("point", point.strip()), int(deg))
             elif t.startswith("O(") and t.endswith(")"):
                 return ("o", int(t[2:-1]))
-        except ValueError:  # a degree that is not an integer
-            pass
+        except ValueError as e:  # a degree that is not an integer, or a bad point name
+            raise ValueError(f"bad p1 label {text!r}: {e}") from None
         raise ValueError(f"bad p1 label {text!r}")
     vidx = backend.label_table.vertex_index
     if t.startswith("S") and t[1:] in vidx:

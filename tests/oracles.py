@@ -35,6 +35,12 @@ type-A routes are checked beyond the built-in linear a2 and a3.
 F_q survey `fq_oracle.enumerate_subreps` on every cell of every target of
 the given total dimensions: tier-1 runs it to dim 5, CI at dim 6.
 
+`assoc_in_zq` checks the Hall polynomials as polynomials, not at a few
+values of q: it counts the filtrations 0 < A < B < M with A = x, B/A = y
+and M/B = z in two ways, through B and through A, with its own Z[q]
+arithmetic and every class of each dimension vector.  tier-1 runs it on
+a3, middle-sink a3 and loop, CI on a3 at dim 7 and zigzag A4 at dim 5.
+
 `classes_supported` lists the p1 torsion classes supported on a finite
 set of points.
 
@@ -43,6 +49,7 @@ and the zero function, which the algebra's tests use and no command
 does.
 """
 
+from collections import Counter
 from itertools import product as iproduct
 
 from hallforge import algebra as alg
@@ -517,12 +524,12 @@ def exact_cells(engine, target):
     return polys
 
 
-def exact_against_f_q(backend, dims, qs):
+def exact_against_f_q(backend, dims, qs, engine=None):
     """Asserts, at each q in `qs` and for every target whose total
-    dimension is in `dims`, that the nonzero `exact_cells` at q are the
-    F_q survey's histogram.  Returns the number of (target, q) pairs
-    checked."""
-    engine = HallEngine(backend, quiver.Bounds(max_dim=max(dims)))
+    dimension is in `dims`, that the nonzero `exact_cells` at q of
+    `engine` (by default a fresh one) are the F_q survey's histogram.
+    Returns the number of (target, q) pairs checked."""
+    engine = engine or HallEngine(backend, quiver.Bounds(max_dim=max(dims)))
     checked = 0
     for target in verify.classes_up_to(backend, max(dims)):
         if quiver.class_total_dim(backend, target) not in dims:
@@ -534,6 +541,47 @@ def exact_against_f_q(backend, dims, qs):
                 (quiver.class_name(backend, target), q)
             checked += 1
     return checked
+
+
+def assoc_in_zq(engine, dim):
+    """Checks sum_E G^E_{x,y} G^M_{E,z} = sum_E G^E_{y,z} G^M_{x,E} in Z[q]
+    for every M, over every triple of nonzero classes x, y, z of total
+    dimension <= dim, where G^E_{sub,quot} is `hall_polynomial(sub, quot,
+    E)` and E and M range over every class of their dimension vectors.
+    Returns (triples checked, names of the triples that fail)."""
+    backend = engine.backend
+    classes = [(c, quiver.class_total_dim(backend, c))
+               for c in verify.classes_up_to(backend, dim) if c]
+    memo = {}
+
+    def cells(a, b):  # [(E, coefficients of G^E_{a,b})], nonzero ones only
+        if (a, b) not in memo:
+            dims = quiver.dim_add(quiver.class_dim(backend, a), quiver.class_dim(backend, b))
+            memo[a, b] = [(e, p.coeffs) for e in quiver.classes_with_dim(backend, dims, sum(dims))
+                          if any((p := engine.hall_polynomial(a, b, e)).coeffs)]
+        return memo[a, b]
+
+    def filtrations(first, second):  # {M: {power of q: coefficient}}
+        acc = {}
+        for e, f in cells(*first):
+            for m, g in cells(*second(e)):
+                poly = acc.setdefault(m, Counter())
+                for i, a in enumerate(f):
+                    for j, b in enumerate(g):
+                        poly[i + j] += a * b
+        return {m: nonzero for m, poly in acc.items()
+                if (nonzero := {k: c for k, c in poly.items() if c})}
+
+    triples, failed = 0, []
+    for x, dx in classes:
+        for y, dy in classes:
+            for z, dz in classes:
+                if dx + dy + dz > dim:
+                    continue
+                triples += 1
+                if filtrations((x, y), lambda e: (e, z)) != filtrations((y, z), lambda e: (x, e)):
+                    failed.append(" ".join(quiver.class_name(backend, c) for c in (x, y, z)))
+    return triples, failed
 
 
 def classes_supported(backend, points, total_degree, max_summands):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hallforge
-from hallforge import cli, hall, quiver, verify
+from hallforge import cli, counting, hall, quiver, verify
 
 from conftest import run_cli
 
@@ -118,8 +118,10 @@ def test_power_of_a_family_over_two_points(tmp_path):
 
 
 def test_p1_blocks_and_families_below_degree_one_are_refused(tmp_path):
-    # a torsion block needs a named point and degree >= 1; so does a family
-    for bad in ("[T(x,-1)]", "[T(x,0)]", "[T(,1)]", "[T(x,abc)]", "[T(x,)]", "[O(x)]"):
+    # a torsion block needs a named point and degree >= 1; so does a family.
+    # T(x,y,1) would be a block at the point "x,y", printed O1{x,y}
+    for bad in ("[T(x,-1)]", "[T(x,0)]", "[T(,1)]", "[T(x,abc)]", "[T(x,)]", "[O(x)]",
+                "[T(x,y,1)]"):
         r = run_cli("--backend", "p1", "mul", bad, "[T(x,1)]")
         assert r.exit_code == 2 and r.stdout == ""
         assert f"bad p1 label '{bad[1:-1]}'" in r.stderr
@@ -167,8 +169,19 @@ def test_p1_family_entry_with_a_missing_key_is_refused(tmp_path, entry, message)
      "family 'F' is declared twice"),
     ([{"name": "F", "degree": 1, "base": {"kind": "open", "points": []}}],
      "family 'F' has 'base.kind' 'open', not 'finite' or 'cofinite'"),
+    # the one point "x,y" would print as the two points x and y of Ob
+    ([{"name": "Oxy", "degree": 1, "base": {"kind": "finite", "points": ["x,y"]}},
+      {"name": "Ob", "degree": 1, "base": {"kind": "finite", "points": ["x", "y"]}}],
+     "point name 'x,y' is empty, padded or has one of"),
+    ([{"name": "N", "degree": 1, "base": {"kind": "cofinite", "points": ["x "]}}],
+     "point name 'x ' is empty"),
+    ([{"name": "N", "degree": 1, "base": {"kind": "finite", "points": ["", "x"]}}],
+     "point name '' is empty"),
+    ([{"name": "N", "degree": 1, "base": {"kind": "finite", "points": ["x\\y"]}}],
+     "point name 'x\\\\y' is empty"),
 ], ids=["entry-not-object", "families-not-list", "points-string", "point-not-name",
-        "name-not-string", "empty-finite-base", "duplicate-name", "unknown-base-kind"])
+        "name-not-string", "empty-finite-base", "duplicate-name", "unknown-base-kind",
+        "point-comma", "point-padded", "point-empty", "point-backslash"])
 def test_p1_malformed_families_are_refused(tmp_path, families, message):
     path = tmp_path / "p1x.json"
     path.write_text(json.dumps({"name": "p1x", "kind": "p1-torsion",
@@ -203,7 +216,19 @@ def test_families_are_refused_off_p1(tmp_path, data, args):
      "vertices ['1', 2] are not a list of names"),
     ({"name": ["a2"]}, "name ['a2'] is not a string"),
     ({"arrows": ["a"]}, "arrows ['a'] are not a list of arrow objects"),
-], ids=["vertices-string", "vertex-not-name", "name-not-string", "arrow-not-object"])
+    # with a vertex "2-3", indecomposables would list P2-3-4, which mul
+    # could not read back
+    ({"vertices": ["1", "2-3", "4"], "arrows": [{"id": "a", "src": "1", "tgt": "2-3"},
+                                                {"id": "b", "src": "2-3", "tgt": "4"}]},
+     "vertex name '2-3' is empty, padded or has one of"),
+    ({"vertices": ["1", " 2"], "arrows": [{"id": "a", "src": "1", "tgt": " 2"}]},
+     "vertex name ' 2' is empty"),
+    ({"vertices": ["", "2"], "arrows": [{"id": "a", "src": "", "tgt": "2"}]},
+     "vertex name '' is empty"),
+    ({"vertices": ["1", "[2]"], "arrows": [{"id": "a", "src": "1", "tgt": "[2]"}]},
+     "vertex name '[2]' is empty"),
+], ids=["vertices-string", "vertex-not-name", "name-not-string", "arrow-not-object",
+        "vertex-dash", "vertex-padded", "vertex-empty", "vertex-bracket"])
 def test_malformed_backend_definitions_are_refused(tmp_path, change, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(A2, **change)))
@@ -558,13 +583,13 @@ def test_cache_file_with_chi_entries_still_loads(tmp_path, monkeypatch):
     assert cache.read_bytes() == before
 
     fitted = []
-    interpolate = hall.HallEngine._interpolate
+    compute = counting.hall_polynomial
 
     def spy(engine, sub, quot, target):
         fitted.append("|".join(quiver.class_name(engine.backend, c)
                                for c in (sub, quot, target)))
-        return interpolate(engine, sub, quot, target)
-    monkeypatch.setattr(hall.HallEngine, "_interpolate", spy)
+        return compute(engine, sub, quot, target)
+    monkeypatch.setattr(counting, "hall_polynomial", spy)
     r = run_cli("--backend", "loop", "--dim", "2", "--json", "--cache", str(cache),
                 "verify", "routes")
     assert r.exit_code == 0 and json.loads(r.stdout)["passed"] is True

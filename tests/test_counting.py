@@ -1,6 +1,6 @@
 import pytest
 
-from hallforge import counting, quiver
+from hallforge import counting, quiver, verify
 from hallforge.counting import Bounds, gaussian_binomial
 from hallforge.errors import CapabilityError, InternalInvariantError, ResourceLimitError
 from hallforge.hall import HallEngine, HallPolynomial
@@ -221,3 +221,30 @@ def test_same_name_backends_do_not_share_surveys(a3):
     got = cells(rev, enumerate_subreps(rev, parse_class(rev, "[P13]"), 2))
     assert {c for c in got if "[0]" not in c} == {("[S1]", "[P23]"),
                                                  ("[P12]", "[S3]")}
+
+
+@pytest.mark.parametrize("backend,dim,triples", [
+    (builtin_backend("a3"), 6, 5129), (oracles.type_a_backend("><"), 5, 1278),
+    (builtin_backend("loop"), 8, 552)], ids=["a3", "a3-middle-sink", "loop"])
+def test_hall_polynomials_are_associative_in_zq(backend, dim, triples):
+    # Green's recursion and Macdonald's closed form are not built to be
+    # associative, so the law checks both as polynomials, at every q
+    engine = HallEngine(backend, Bounds(max_dim=dim))
+    assert oracles.assoc_in_zq(engine, dim) == (triples, [])
+
+
+def test_associativity_in_zq_catches_what_q_1_2_3_miss(a3):
+    # (q-1)(q-2)(q-3) added to one cell of one Green table vanishes at
+    # q = 1, 2 and 3: the routes suite and the F_q survey at q = 2 and 3
+    # pass it, and associativity in Z[q] fails it
+    engine = HallEngine(a3, Bounds(max_dim=5))
+    for target in verify.classes_up_to(a3, 5):  # no later table reads the corrupted one
+        counting.green(engine, target)
+    target, sub, quot = (parse_class(a3, t) for t in ("[S1+S2+P12]", "[S1]", "[S2+P12]"))
+    table = engine._tables[target]
+    assert table[sub, quot] == (1,)
+    table[sub, quot] = (-5, 11, -6, 1)  # 1 + (q-1)(q-2)(q-3)
+    assert verify.run_suite("routes", engine, dim=5).passed
+    assert oracles.exact_against_f_q(a3, [4], (2, 3), engine) == 2 * 33
+    triples, failed = oracles.assoc_in_zq(engine, 5)
+    assert triples == 1278 and len(failed) == 10, failed
