@@ -166,9 +166,9 @@ def singleton_set(backend, cls):
 
 def class_stratum(backend, cls):
     """The Krull-Schmidt stratum of one class, its labels checked by
-    `quiver.make_class`.  Strata serve sets, output (`key_stratum`) and
-    p1, not the quiver operands: there `class_char` builds the one-key
-    class map {[x]: 1}."""
+    `quiver.make_class`.  Strata serve sets, operands, output
+    (`key_stratum`) and p1; the suites' quiver elements come from
+    `class_char`, which builds the one-key class map {[x]: 1}."""
     counts = {}
     for l in quiver.make_class(backend, cls):
         counts[l] = counts.get(l, 0) + 1
@@ -314,8 +314,8 @@ def _strata_of(cset):
 
 
 def char_fn(backend, cset):
-    """1_O for a constructible set O, or for a list of its strata: sets and
-    p1 elements, not the quiver operands 1_[x] (see `class_char`)."""
+    """1_O for a constructible set O, or for a list of its strata.  Off
+    p1 the one member of {[x]} is x, so 1_{[x]} is `class_char`'s {[x]: 1}."""
     strata = _strata_of(cset)
     if backend.kind == quiver.KIND_P1:
         keys = normalize(backend, strata).strata

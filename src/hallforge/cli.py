@@ -40,25 +40,18 @@ class Session:
             self.families = p1.families_from_json(self.raw["families"])
 
     def parse_operand(self, text):
-        t = text.strip()
-        if t.startswith("["):
-            cls = quiver.parse_class(self.backend, t)
-            return alg.class_char(self.backend, cls)
-        if t in self.families:
-            fam = self.families[t]
-            return alg.char_fn(self.backend,
-                               [alg.make_stratum(self.backend, [(fam, 1)])])
-        raise ValueError(f"unknown operand {text!r}: not a bracketed "
-                         "class and not a declared family name")
+        return alg.char_fn(self.backend, self.parse_set(text))
 
     def parse_set(self, text):
+        """The set of a bracketed class, {[x]}, or of a declared family name."""
         t = text.strip()
         if t.startswith("["):
             return alg.singleton_set(self.backend, quiver.parse_class(self.backend, t))
         if t in self.families:
             return alg.ConstructibleSet(
                 (alg.make_stratum(self.backend, [(self.families[t], 1)]),))
-        raise ValueError(f"unknown set operand {text!r}")
+        raise ValueError(f"unknown operand {text!r}: not a bracketed "
+                         "class and not a declared family name")
 
     def finish(self):
         if self.cache_path and self.engine.cache.dirty:

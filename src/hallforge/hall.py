@@ -4,16 +4,17 @@ A structure constant is the Euler characteristic of the stratum of
 subrepresentations U of a target Y with U in class X and Y/U in class Z.
 A torus acts on each stratum with isolated fixed points, one scalar per
 direct summand of the canonical model: the fixed points are the
-subrepresentations spanned by successor-closed subsets of the coefficient
-quiver (an interval with the quiver's orientation for an interval module,
-the chain e_h -> ... -> e_1 for a Jordan block J_h), and the Euler
-characteristic of a stratum is the number of fixed points in it.  The sub
-and quotient classes of a fixed point are read off the connected components
-of the subset and of its complement.  `HallEngine.cells` lists them for a
-whole target at once, and every constant (`euler_constant`, `product`) is
-read off it.  A target's cells are the direct-sum merge (`merge_cells`)
-of its summands' splits, on every backend: a p1 block T(x,h) is the
-Jordan block J_h at the point x, and splits as the chain does.
+subrepresentations spanned by the vertex sets of the coefficient quiver
+that no arrow leaves (an interval with the quiver's orientation for an
+interval module, the chain e_h -> ... -> e_1 for a Jordan block J_h), and
+the Euler characteristic of a stratum is the number of fixed points in
+it.  The sub and quotient classes of a fixed point are read off the
+connected components of the set and of its complement.
+`HallEngine.cells` lists them for a whole target at once, and every
+constant (`euler_constant`, `product`) is read off it.  A target's cells
+are the direct-sum merge (`merge_cells`) of its summands' splits, on
+every backend: a p1 block T(x,h) is the Jordan block J_h at the point x,
+and splits as the chain does.
 
 A Hall polynomial's value at q = 1 is the same constant, which the
 `routes` verify suite checks cell by cell.  `counting` computes each one
@@ -47,6 +48,7 @@ A bound failure raises before anything is stored.
 
 import json
 from collections import Counter, defaultdict
+from itertools import groupby, product as iproduct
 from pathlib import Path
 
 from . import quiver
@@ -239,8 +241,8 @@ class HallEngine:
 
         `merge_cells` folds in the splits of the target's own summands, one
         at a time from {((), ()): 1}, never the memo of a smaller target.
-        A summand's splits are the successor-closed subsets of its
-        coefficient quiver (`_summand_splits`, once per label: `_splits`);
+        A summand's splits are the vertex sets of its coefficient quiver
+        that no arrow leaves (`_summand_splits`, once per label: `_splits`);
         a p1 block T(x,h) splits as J_h does, into T(x,k) / T(x,h-k).
         The dimension bound applies to the target's total dimension, on p1
         its total degree."""
@@ -307,38 +309,25 @@ def merge_cells(backend, a, b):
 
 
 def _summand_splits(backend, label):
-    """Counter of (sub labels, quot labels) over the successor-closed
-    subsets of one indecomposable's coefficient quiver."""
+    """Counter of (sub labels, quot labels) over the torus fixed points of
+    one indecomposable: the vertex sets of its coefficient quiver that no
+    arrow leaves, so an arrow out of a chosen vertex lands on a chosen
+    vertex.  The sub is spanned by the chosen vertices and the quotient
+    by the others, one interval per run of each."""
     if label[0] in ("j", "t"):     # J_h, or T(x,h) on p1: a chain of h
         h, block = label[-1], label[:-1]
         return Counter(((block + (k,),) if k else (),
                         (block + (h - k,),) if k < h else ()) for k in range(h + 1))
     _, a, b = label
-    # edge (v, v+1) of the path: does its arrow point towards v+1?
-    forward = {min(ar.src, ar.tgt): ar.src < ar.tgt for ar in backend.arrows}
+    inner = [(ar.src - a, ar.tgt - a) for ar in backend.arrows
+             if a <= min(ar.src, ar.tgt) and max(ar.src, ar.tgt) <= b]
     out = Counter()
-
-    def runs(inside, want):
-        labels, start = [], None
-        for v, x in enumerate(inside + [not want], a):
-            if x == want and start is None:
-                start = v
-            elif x != want and start is not None:
-                labels.append(("i", start, v - 1))
-                start = None
-        return tuple(labels)
-
-    def rec(inside):
-        v = a + len(inside)
-        if v > b:
-            out[(runs(inside, True), runs(inside, False))] += 1
-            return
-        for x in (False, True):
-            # an arrow out of a chosen vertex must land on a chosen vertex
-            if inside and (inside[-1] and not x if forward[v - 1]
-                           else x and not inside[-1]):
-                continue
-            rec(inside + [x])
-
-    rec([])
+    for chosen in iproduct((False, True), repeat=b - a + 1):
+        if any(chosen[s] and not chosen[t] for s, t in inner):
+            continue
+        runs = ([], [])             # quotient runs, sub runs
+        for x, run in groupby(range(len(chosen)), chosen.__getitem__):
+            vs = list(run)
+            runs[x].append(("i", a + vs[0], a + vs[-1]))
+        out[tuple(runs[True]), tuple(runs[False])] += 1
     return out

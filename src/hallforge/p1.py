@@ -48,7 +48,8 @@ def _family_from_json(data):
     """(name, family) of one `families` entry of a backend file; a missing
     key, a name that is not a string, a non-integer degree or a base whose
     points are not a list of names, or are empty on a finite base, is a
-    ValueError naming family and key (`quiver.check_name` names a point)."""
+    ValueError naming family and key (`quiver.check_name` names a point
+    or a family name that no operand could reach)."""
     if not isinstance(data, dict):
         raise ValueError(f"family entry {data!r} is not an object")
     name = data.get("name")
@@ -58,6 +59,7 @@ def _family_from_json(data):
     base, degree = data["base"], data["degree"]
     if not isinstance(name, str):
         raise ValueError(f"family name {name!r} is not a string")
+    quiver.check_name("family", name)
     if not isinstance(base, dict) or "kind" not in base:
         raise ValueError(f"family {name!r} lacks 'base.kind'")
     if type(degree) is not int:

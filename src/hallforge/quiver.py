@@ -137,7 +137,6 @@ def _check_type_a(vertices, arrows):
     n = len(vertices)
     if n == 0:
         raise ValueError("empty quiver")
-    deg = [0] * n
     edges = set()
     for a in arrows:
         if a.src == a.tgt:
@@ -146,22 +145,16 @@ def _check_type_a(vertices, arrows):
         if e in edges:
             raise ValueError("type A quiver has no multiple edges")
         edges.add(e)
-        deg[a.src] += 1
-        deg[a.tgt] += 1
     if len(arrows) != n - 1:
         raise ValueError("type A underlying graph must be a path")
-    # a path: connected with max degree 2; vertices must come in path order
-    for i in range(n - 1):
-        if (i, i + 1) not in edges:
-            raise ValueError("vertices must be listed along the A_n path")
-    if any(d > 2 for d in deg):
-        raise ValueError("type A underlying graph must be a path")
+    if sorted(edges) != [(i, i + 1) for i in range(n - 1)]:
+        raise ValueError("vertices must be listed along the A_n path")
 
 
 def backend_from_json(data, *, source="<backend>"):
     """The `Backend` of a JSON definition: a string name, a kind, a list of
-    vertex names and a list of arrow objects; anything else is a
-    ValueError naming `source`."""
+    vertex names and a list of arrow objects; anything else, and every
+    refusal of `check_name` and `Backend`, is a ValueError naming `source`."""
     try:
         name, kind, vnames, arrs = (data[k] for k in ("name", "kind", "vertices", "arrows"))
         if not isinstance(name, str):
@@ -175,12 +168,16 @@ def backend_from_json(data, *, source="<backend>"):
         return Backend(name, kind, tuple(vnames), arrows)  # TypeError: an unhashable id
     except (KeyError, TypeError) as e:
         raise ValueError(f"{source}: malformed backend definition ({e})") from e
+    except ValueError as e:
+        raise ValueError(f"{source}: {e}") from e
 
 
 def check_name(what, name):
-    """`name` if a vertex or point name (`what`) prints unambiguously in
-    labels, classes and cache keys, else a ValueError naming it."""
-    reserved = "+-|[]" if what == "vertex" else ",+|()[]{}\\"  # separators in names
+    """`name` if a vertex, point or family name (`what`) prints and parses
+    unambiguously in labels, classes, operands and cache keys, else a
+    ValueError naming it."""
+    reserved = {"vertex": "+-|[]", "point": ",+|()[]{}\\",  # separators in names
+                "family": "[]"}[what]  # an operand in brackets is a class
     if not name or name != name.strip() or any(c in reserved for c in name):
         raise ValueError(f"{what} name {name!r} is empty, padded or has one of {reserved}")
     return name

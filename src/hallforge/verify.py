@@ -45,19 +45,18 @@ class SuiteResult:
         return out
 
 
-def classes_up_to(backend, total_dim, gamma_max=None):
+def classes_up_to(backend, total_dim):
     """All iso classes with total dimension <= total_dim.  On p1 the
     classes range over point families no finite list covers, so the
     suites built on this list refuse it; its suite is euler-axioms."""
     if backend.kind == quiver.KIND_P1:
         raise CapabilityError("p1-torsion classes range over point families; "
                               "its suite is euler-axioms")
-    gamma_max = total_dim if gamma_max is None else gamma_max
     out = [quiver.ZERO_CLASS]
     for vec in iproduct(range(total_dim + 1), repeat=backend.n_vertices):
         s = sum(vec)
         if 0 < s <= total_dim:
-            out.extend(quiver.classes_with_dim(backend, vec, min(s, gamma_max)))
+            out.extend(quiver.classes_with_dim(backend, vec, s))
     return out
 
 
@@ -71,7 +70,7 @@ def _random_element(backend, classes, rng):
     return alg.from_values(backend, terms)
 
 
-def suite_assoc(engine, dim, nrandom=50, seed=0x4A11):
+def suite_assoc(engine, dim):
     """(f*g)*h == f*(g*h) on singleton triples and random small elements."""
     backend = engine.backend
     res = SuiteResult("assoc", True)
@@ -96,7 +95,7 @@ def suite_assoc(engine, dim, nrandom=50, seed=0x4A11):
     res.add(f"exhaustive singleton triples, total dim <= {dim}", bad == 0,
             f"{triples} triples")
     small = [c for c, dc, _ in sized if dc <= max(1, dim // 2)]
-    rng = random.Random(seed)
+    rng, nrandom = random.Random(0x4A11), 50
     rbad = 0
 
     def element_dim(f):
@@ -323,12 +322,12 @@ def _coassociative(backend, cls):
     return triple_a == triple_b
 
 
-def suite_euler_axioms(engine=None, npairs=100, seed=0xE01):
+def suite_euler_axioms(engine):
     """The chi calculus on P^1 and the family product's per-point
     consistency with the loop backend."""
     res = SuiteResult("euler-axioms", True)
     res.add("chi(P^1) = 2", P1Set.cofinite_of([]).chi() == 2)
-    rng = random.Random(seed)
+    rng, npairs = random.Random(0xE01), 100
     pool = [f"pt{i}" for i in range(12)]
     bad = 0
     for _ in range(npairs):  # each branch draws b disjoint from a
@@ -348,7 +347,7 @@ def suite_euler_axioms(engine=None, npairs=100, seed=0xE01):
         if a.union(b).chi() != a.chi() + b.chi():
             bad += 1
     res.add(f"additivity on {npairs} random disjoint pairs", bad == 0)
-    if engine is not None and engine.backend.kind == quiver.KIND_P1:
+    if engine.backend.kind == quiver.KIND_P1:
         O1 = alg.IndecFamily.of_points(1, P1Set.cofinite_of([]))
         f = alg.char_fn(engine.backend,
                         [alg.make_stratum(engine.backend, [(O1, 1)])])

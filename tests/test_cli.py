@@ -179,9 +179,17 @@ def test_p1_family_entry_with_a_missing_key_is_refused(tmp_path, entry, message)
      "point name '' is empty"),
     ([{"name": "N", "degree": 1, "base": {"kind": "finite", "points": ["x\\y"]}}],
      "point name 'x\\\\y' is empty"),
+    # mul "[O1]" would read a class, and mul " O2" the stripped name O2
+    ([{"name": "[O1]", "degree": 1, "base": {"kind": "cofinite", "points": []}}],
+     "family name '[O1]' is empty, padded or has one of []"),
+    ([{"name": " O2", "degree": 2, "base": {"kind": "cofinite", "points": []}}],
+     "family name ' O2' is empty"),
+    ([{"name": "", "degree": 1, "base": {"kind": "cofinite", "points": []}}],
+     "family name '' is empty"),
 ], ids=["entry-not-object", "families-not-list", "points-string", "point-not-name",
         "name-not-string", "empty-finite-base", "duplicate-name", "unknown-base-kind",
-        "point-comma", "point-padded", "point-empty", "point-backslash"])
+        "point-comma", "point-padded", "point-empty", "point-backslash",
+        "family-bracket", "family-padded", "family-empty"])
 def test_p1_malformed_families_are_refused(tmp_path, families, message):
     path = tmp_path / "p1x.json"
     path.write_text(json.dumps({"name": "p1x", "kind": "p1-torsion",
@@ -227,14 +235,39 @@ def test_families_are_refused_off_p1(tmp_path, data, args):
      "vertex name '' is empty"),
     ({"vertices": ["1", "[2]"], "arrows": [{"id": "a", "src": "1", "tgt": "[2]"}]},
      "vertex name '[2]' is empty"),
+    ({"vertices": ["1", "2", "1"]}, "duplicate vertex names"),
+    ({"vertices": ["1", "2", "3"], "arrows": [{"id": "a", "src": "1", "tgt": "2"},
+                                              {"id": "a", "src": "2", "tgt": "3"}]},
+     "duplicate arrow ids"),
+    ({"vertices": [], "arrows": []}, "empty quiver"),
+    ({"arrows": [{"id": "a", "src": "1", "tgt": "1"}]}, "type A quiver has no loops"),
+    ({"arrows": [{"id": "a", "src": "1", "tgt": "2"}, {"id": "b", "src": "2", "tgt": "1"}]},
+     "type A quiver has no multiple edges"),
+    ({"arrows": []}, "type A underlying graph must be a path"),
+    ({"vertices": ["1", "2", "3"], "arrows": [{"id": "a", "src": "1", "tgt": "3"},
+                                              {"id": "b", "src": "3", "tgt": "2"}]},
+     "vertices must be listed along the A_n path"),
+    ({"kind": "p1-torsion"}, "p1-torsion backend has no quiver data"),
+    ({"kind": "loop-nilpotent"}, "loop-nilpotent backend needs one vertex and one loop"),
+    ({"kind": "e6"}, "unknown backend kind 'e6'"),
 ], ids=["vertices-string", "vertex-not-name", "name-not-string", "arrow-not-object",
-        "vertex-dash", "vertex-padded", "vertex-empty", "vertex-bracket"])
+        "vertex-dash", "vertex-padded", "vertex-empty", "vertex-bracket",
+        "duplicate-vertex", "duplicate-arrow-id", "empty-quiver", "type-a-loop",
+        "multiple-edge", "not-a-path", "out-of-path-order", "p1-with-vertices",
+        "loop-with-two-vertices", "unknown-kind"])
 def test_malformed_backend_definitions_are_refused(tmp_path, change, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(A2, **change)))
     r = run_cli("--backend", str(path), "indecomposables")
     assert r.exit_code == 2 and r.stdout == ""
-    assert message in r.stderr and "Traceback" not in r.stderr
+    assert f"{path}: " in r.stderr and message in r.stderr and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("bound", ["--dim", "--gamma"])
+def test_bounds_must_be_positive(bound):
+    r = run_cli("--backend", "a2", bound, "0", "indecomposables")
+    assert r.exit_code == 2 and r.stdout == ""
+    assert "error: bounds must be positive" in r.stderr
 
 
 def test_p1_target_beyond_the_degree_bound_exits_3():

@@ -105,8 +105,9 @@ def test_type_a_polynomials_are_exact_at_every_q_max(a2, a3):
 
 
 @pytest.mark.parametrize("orientation,qs,pairs",
-                         [(">>", (2, 3), 240), ("><", (2, 3), 240), ("><>", (2,), 302)],
-                         ids=["a3", "a3-sink", "zigzag-A4"])
+                         [(">>", (2, 3), 240), ("><", (2, 3), 240), ("><>", (2,), 302),
+                          ("><><", (2,), 624)],
+                         ids=["a3", "a3-sink", "zigzag-A4", "zigzag-A5"])
 def test_green_recursion_counts_every_cell_over_f_q(orientation, qs, pairs):
     # every cell of every target up to dim 5 against the subspace survey:
     # the one check that sees a wrong `_summand_splits`, which both routes

@@ -253,6 +253,8 @@ def test_backend_validation_errors():
                 (Arrow("a", 0, 0),))  # loop in type A
     with pytest.raises(ValueError):
         Backend("bad", quiver.KIND_LOOP, ("1", "2"), (Arrow("a", 0, 0),))
+    with pytest.raises(ValueError, match="loop arrow must start and end at the vertex"):
+        Backend("bad", quiver.KIND_LOOP, ("*",), (Arrow("x", 0, 1),))  # leaves the vertex
     with pytest.raises(ValueError):
         Backend("bad", quiver.KIND_DYNKIN, ("1", "2", "3"),
                 (Arrow("a", 0, 1),))  # disconnected path
