@@ -49,16 +49,18 @@ class IndecFamily(quiver.ReadOnly):
     line bundles on P^1).  kind "points": the degree-d torsion sheaves
     over a finite or cofinite base of points (a P1Set).
     """
-    __slots__ = ("kind", "labels", "degree", "base")
+    __slots__ = ("kind", "labels", "degree", "base", "_hash")
 
     def __init__(self, kind, labels=(), degree=0, base=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "base", base)
+        # no field: hashed once for every stratum and fibre lookup, never output
+        object.__setattr__(self, "_hash", hash((kind, labels, degree, base)))
 
-    def __hash__(self):  # by hand, not the base's attrgetter: hashed per stratum lookup
-        return hash((self.kind, self.labels, self.degree, self.base))
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def of_labels(backend, labels):
@@ -197,7 +199,9 @@ def refine_families(backend, families):
     the singletons {x}, x in S, that it contains, and the core P^1 \\ S
     when it is cofinite.  One S for all degrees makes any two atom bases
     equal or disjoint, whatever their degrees, which is what lets
-    `p1._stratum_product` multiply base by base."""
+    `p1._stratum_product` multiply base by base.  A point family that
+    already is an atom ({x}, or the core: a cofinite base excluding all of
+    S) maps to [itself], so canonical keys pass through unchanged."""
     mentioned = sorted({x for f in families if f.kind == "points"
                         for x in f.base.points})
     core = P1Set.cofinite_of(mentioned)
@@ -205,11 +209,13 @@ def refine_families(backend, families):
     for f in families:
         if f.kind == "labels":
             atom_of[f] = [IndecFamily.of_labels(backend, [l]) for l in f.labels]
-            continue
-        atom_of[f] = [IndecFamily.of_points(f.degree, P1Set.finite([x]))
-                      for x in mentioned if f.base.contains(x)]
-        if f.base.cofinite:
-            atom_of[f].append(IndecFamily.of_points(f.degree, core))
+        elif len(f.base.points) == (len(mentioned) if f.base.cofinite else 1):
+            atom_of[f] = [f]
+        else:
+            atom_of[f] = [IndecFamily.of_points(f.degree, P1Set.finite([x]))
+                          for x in mentioned if f.base.contains(x)]
+            if f.base.cofinite:
+                atom_of[f].append(IndecFamily.of_points(f.degree, core))
     return atom_of
 
 
@@ -394,16 +400,21 @@ def _minimize_points(backend, values):
     Whether x can go from S_d does not depend on which other points have
     gone, from degree d or any other: the fibre condition holds before a
     merge exactly when it holds after it.  So each degree has one least
-    point set, and one pass over (d, x) reaches it.  Class keys have no
-    points: off p1 the values come back as they are."""
+    point set, and one pass over (d, x) reaches it, scanning only degrees
+    with a core: if no key has a degree-d core, a key with k >= 1 copies
+    of {x} lacks the preimage with all k on the core, so no x of degree d
+    can go, and merges elsewhere make no degree-d core.  Class keys have
+    no points: off p1 the values come back as they are."""
     if backend.kind != quiver.KIND_P1:
         return values
-    points = {}
+    points, cored = {}, set()
     for s in values:
         for f, _ in s:
             if f.kind == "points":
                 points.setdefault(f.degree, set()).update(f.base.points)
-    for d in sorted(points):
+                if f.base.cofinite:
+                    cored.add(f.degree)
+    for d in sorted(cored):
         for x in sorted(points[d]):
             fibres = {}
             for s, v in values.items():

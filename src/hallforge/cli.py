@@ -33,11 +33,14 @@ class Session:
         self.as_json = as_json
         self.families = {}
         if "families" in self.raw:
-            if self.backend.kind != quiver.KIND_P1:
-                raise ValueError("'families' are declared on p1-torsion backends "
-                                 f"only, not on {self.backend.kind}")
-            from . import p1
-            self.families = p1.families_from_json(self.raw["families"])
+            try:  # refusals name the backend file, as `quiver.backend_from_json`'s do
+                if self.backend.kind != quiver.KIND_P1:
+                    raise ValueError("'families' are declared on p1-torsion backends "
+                                     f"only, not on {self.backend.kind}")
+                from . import p1
+                self.families = p1.families_from_json(self.raw["families"])
+            except ValueError as e:
+                raise ValueError(f"{backend_arg}: {e}") from e
 
     def parse_operand(self, text):
         return alg.char_fn(self.backend, self.parse_set(text))

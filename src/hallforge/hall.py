@@ -228,7 +228,7 @@ class HallEngine:
         hit = self._products.get((x, z))
         if hit is None:
             if self.backend.kind == quiver.KIND_P1:
-                from . import p1
+                import hallforge.p1 as p1  # `from . import` runs importlib per miss
                 hit = tuple(p1._stratum_product(self, x, z).items())
             else:
                 hit = tuple((y, c) for y in self.candidate_targets(x, z)

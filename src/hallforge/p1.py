@@ -102,14 +102,14 @@ def _stratum_product(engine, sa, sb):
     for side, stratum in enumerate((sa, sb)):
         for fam, m in stratum:
             degs.setdefault(fam.base, ([], []))[side].extend([fam.degree] * m)
-    per_base = [_base_product(engine, sorted(a, reverse=True),
-                              sorted(b, reverse=True)).items()
-                for a, b in degs.values()]
+    per_base = []  # per base: [((family, mult) parts, value)], each family built once
+    for base, (a, b) in degs.items():
+        local = _base_product(engine, sorted(a, reverse=True), sorted(b, reverse=True))
+        fam = {d: alg.IndecFamily.of_points(d, base) for d in {d for dm in local for d, _ in dm}}
+        per_base.append([([(fam[d], m) for d, m in dm], v) for dm, v in local.items()])
     out = {}
     for combo in iproduct(*per_base):
-        stratum = alg.make_stratum(backend, [
-            (alg.IndecFamily.of_points(deg, base), mult)
-            for base, (degmults, _) in zip(degs, combo) for deg, mult in degmults])
+        stratum = alg.make_stratum(backend, [p for parts, _ in combo for p in parts])
         out[stratum] = out.get(stratum, 0) + math.prod(v for _, v in combo)
     return out
 

@@ -34,11 +34,13 @@ KIND_P1 = "p1-torsion"
 
 class ReadOnly:
     """Read-only value class: `__init__` sets each `__slots__` field once, with
-    object.__setattr__; it compares and hashes as its fields, within its type."""
+    object.__setattr__; it compares, hashes and prints as its fields, within
+    its type.  A slot named with a leading underscore is not a field."""
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._key = attrgetter(*(f for f in cls.__slots__ if f != "__dict__"))
+        cls._fields = tuple(f for f in cls.__slots__ if not f.startswith("_"))
+        cls._key = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -54,7 +56,7 @@ class ReadOnly:
     __delattr__ = __setattr__
 
     def __repr__(self):
-        fields = (f"{f}={getattr(self, f)!r}" for f in self.__slots__ if f != "__dict__")
+        fields = (f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__name__}({', '.join(fields)})"
 
 

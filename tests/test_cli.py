@@ -150,7 +150,7 @@ def test_p1_family_entry_with_a_missing_key_is_refused(tmp_path, entry, message)
                                 "vertices": [], "arrows": [], "families": [entry]}))
     r = run_cli("--backend", str(path), "indecomposables")
     assert r.exit_code == 2 and r.stdout == ""
-    assert message in r.stderr and "Traceback" not in r.stderr
+    assert f"{path}: {message}" in r.stderr and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("families,message", [
@@ -196,7 +196,7 @@ def test_p1_malformed_families_are_refused(tmp_path, families, message):
                                 "vertices": [], "arrows": [], "families": families}))
     r = run_cli("--backend", str(path), "indecomposables")
     assert r.exit_code == 2 and r.stdout == ""
-    assert message in r.stderr and "Traceback" not in r.stderr
+    assert f"{path}: {message}" in r.stderr and "Traceback" not in r.stderr
 
 
 FAMILY_N = [{"name": "N", "degree": 1, "base": {"kind": "finite", "points": ["x"]}}]
@@ -214,7 +214,7 @@ def test_families_are_refused_off_p1(tmp_path, data, args):
     path.write_text(json.dumps(dict(data, families=FAMILY_N)))
     r = run_cli("--backend", str(path), *args)
     assert r.exit_code == 2 and r.stdout == ""
-    assert (f"'families' are declared on p1-torsion backends only, "
+    assert (f"{path}: 'families' are declared on p1-torsion backends only, "
             f"not on {data['kind']}") in r.stderr
 
 

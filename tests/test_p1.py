@@ -1,9 +1,15 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hallforge
 from hallforge import algebra as alg
 from hallforge import coalgebra as co
 from hallforge import p1, quiver
@@ -160,6 +166,90 @@ def test_common_atoms_passes_keys_already_over_the_refinement(p1b):
     assert alg._common_atoms(p1b, [atoms, whole])[1] == {
         alg.make_stratum(p1b, [(fam_at(1, ["x"]), 1)]): 1,
         alg.make_stratum(p1b, [(off_x(1), 1)]): 1}
+
+
+def test_refinement_passes_atom_families_through(p1b):
+    # an atom of the refinement maps to a list of that very object, and
+    # equals and hashes as a fresh copy of itself; a wider family splits
+    x, wide = fam_at(1, ["x"]), fam_at(2, ["x", "y"])
+    core = alg.IndecFamily.of_points(1, P1Set.cofinite_of(["x", "y"]))
+    atom_of = alg.refine_families(p1b, [x, core, x, wide])
+    assert atom_of[x][0] is x and atom_of[core][0] is core
+    assert atom_of[x] == [x] and atom_of[core] == [core]
+    fresh = fam_at(1, ["x"])
+    assert fresh is not x and fresh == x and hash(fresh) == hash(x)
+    assert atom_of[wide] == [fam_at(2, ["x"]), fam_at(2, ["y"])]
+
+
+def test_family_hash_is_no_field():
+    # one family built two ways: equal, with equal hashes; the cached hash
+    # varies with PYTHONHASHSEED, so repr does not show it
+    xy, yx = fam_at(1, ["x", "y"]), fam_at(1, ["y", "x"])
+    assert xy == yx and hash(xy) == hash(yx)
+    assert repr(xy) == ("IndecFamily(kind='points', labels=(), degree=1, "
+                        f"base={xy.base!r})")
+
+
+def convolve_atoms(engine, f, g):
+    """The atom value map of f * g before `_minimize_points`."""
+    mf, mg = alg._common_atoms(engine.backend, [f.values, g.values])
+    acc = {}
+    for x, vx in mf.items():
+        for z, vz in mg.items():
+            for y, c in engine.product(x, z):
+                acc[y] = acc.get(y, 0) + vx * vz * c
+    return {k: v for k, v in acc.items() if v}
+
+
+def test_minimize_points_skips_exactly_the_degrees_without_a_core(p1_engine):
+    # over {x, y} no degree has a core, so no degree is scanned: every
+    # product O_d * O_e, d + e <= 6, comes back as the image-keyed oracle's,
+    # item for item and in order
+    b = p1_engine.backend
+    xy = P1Set.finite(["x", "y"])
+    for d in range(1, 6):
+        for e in range(1, 7 - d):
+            atoms = convolve_atoms(p1_engine, one_family(b, alg.IndecFamily.of_points(d, xy)),
+                                   one_family(b, alg.IndecFamily.of_points(e, xy)))
+            assert list(alg._minimize_points(b, atoms).items()) == \
+                list(oracles.minimize_points_by_image(b, atoms).items()), (d, e)
+    # degree 1 has a core and x goes from it; degree 2 has none and keeps x
+    off_x = alg.IndecFamily.of_points(1, P1Set.cofinite_of(["x"]))
+    atoms = {alg.make_stratum(b, [(fam_at(1, ["x"]), 1), (fam_at(2, ["x"]), 1)]): 3,
+             alg.make_stratum(b, [(off_x, 1), (fam_at(2, ["x"]), 1)]): 3}
+    want = {alg.make_stratum(b, [(fam_all(1), 1), (fam_at(2, ["x"]), 1)]): 3}
+    assert alg._minimize_points(b, atoms) == want
+    assert list(oracles.minimize_points_by_image(b, atoms).items()) == list(want.items())
+
+
+def finite_base_families_file(tmp_path):
+    """A p1 backend file with finite-base families F1 over {x, y} and F2
+    over {x}, and G1 cofinite off x."""
+    path = tmp_path / "p1fam.json"
+    path.write_text(json.dumps({
+        "name": "p1fam", "kind": "p1-torsion", "vertices": [], "arrows": [],
+        "families": [
+            {"name": "F1", "degree": 1, "base": {"kind": "finite", "points": ["x", "y"]}},
+            {"name": "F2", "degree": 2, "base": {"kind": "finite", "points": ["x"]}},
+            {"name": "G1", "degree": 1, "base": {"kind": "cofinite", "points": ["x"]}}]}))
+    return str(path)
+
+
+def test_p1_stdout_does_not_depend_on_the_hash_seed(tmp_path):
+    # families hash once, by a seeded str hash: two seeds, one stdout
+    backend = finite_base_families_file(tmp_path)
+    src = Path(hallforge.__file__).resolve().parents[1]
+    for args in (("--backend", "p1", "--json", "mul", "O1", "O1"),
+                 ("--backend", backend, "mul", "F1", "F2"),
+                 ("--backend", backend, "mul", "F1", "G1")):
+        outs = set()
+        for seed in ("1", "2"):
+            r = subprocess.run([sys.executable, "-m", "hallforge.cli", *args],
+                               capture_output=True, text=True, timeout=60,
+                               env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed))
+            assert r.returncode == 0, r.stderr
+            outs.add(r.stdout)
+        assert len(outs) == 1 and outs.pop().strip(), args
 
 
 def test_green_and_bialgebra_match_pointwise_on_finite_bases(p1_engine, loop_engine):

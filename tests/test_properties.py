@@ -195,7 +195,9 @@ def test_p1_minimize_points_matches_the_image_keyed_oracle(f, g, point, c, bumps
     # an atom value map: f, g and c * 1_{O1 over {u, v}} refined over one
     # more point, then a few atoms bumped by a value or removed (None), so
     # that the points they sit on stay while the others go.  Dropping u,
-    # an atom O1{v} is an image of core multiplicity 0
+    # an atom O1{v} is an image of core multiplicity 0.  Degree 3 has no
+    # core unless f or g brings a cofinite one, which checks that a degree
+    # without a core is skipped exactly
     uv = alg.char_fn(P1, [alg.make_stratum(P1, [(alg.IndecFamily.of_points(
         1, P1Set.finite(["u", "v"])), 1)])])
     extra = alg.make_stratum(P1, [(alg.IndecFamily.of_points(
