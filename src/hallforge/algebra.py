@@ -14,15 +14,16 @@ function is finitely supported on classes.  On p1 a key is an atom
 stratum, because point families range over cofinite sets no class map
 can list.
 
-Every operation takes one path: refine the operands' keys to a common
-basis (`_common_atoms`), run the loop over keys, and canonicalize the
-result (`_minimize_points`).  On classes both ends are the identity.  On
-p1 refinement puts atoms of every degree over one point set, so any two
-atom bases are equal or disjoint and `HallEngine.product` can multiply
-two atom strata base by base; `_minimize_points` then keeps, degree by
-degree, only the points the function singles out: it keys the fibres of
-a point by each key's other families and merged multiplicity, and builds
-strata only for a point that goes.  Output derives the stratified form
+Every operation, `char_fn` included, takes one path: refine the
+operands' keys to a common basis (`_common_atoms`), run the loop over
+keys, and canonicalize the result (`_minimize_points`).  On classes both
+ends are the identity.  On p1 refinement puts atoms of every degree over
+one point set, so any two atom bases are equal or disjoint and
+`HallEngine.product` can multiply two atom strata base by base;
+`_minimize_points` then keeps, degree by degree, only the points the
+function singles out: it keys the fibres of a point by each key's other
+families and merged multiplicity, and builds strata only for a point
+that goes.  Output derives the stratified form
 (terms grouped by summand count and coefficient, strata in
 `_stratum_key` order) with `_canonical`.
 
@@ -185,13 +186,13 @@ def class_stratum(backend, cls):
 
 
 # ---------------------------------------------------------------------------
-# normalization: overlapping families are refined to disjoint atoms and
+# refinement: overlapping families are refined to disjoint atoms and
 # multiplicities distributed, so distinct strata denote disjoint sets.
 
 def refine_families(backend, families):
     """Disjoint atoms generating the boolean algebra of the given families,
-    as a map family -> list of its atoms.  Elements use it on p1 only;
-    `normalize` uses it on every backend.
+    as a map family -> list of its atoms.  `_common_atoms` uses it, on p1
+    only.
 
     Label families atomize to singletons: canonical and always available
     for finite sets.  Point families of every degree refine over one
@@ -221,8 +222,8 @@ def refine_families(backend, families):
 
 def _distribute(backend, stratum, atom_of):
     """Expand one stratum over the atom refinement: n copies of a family
-    split multinomially over its atoms.  Yields atom strata.  Elements use
-    it on p1 only; see `refine_families`."""
+    split multinomially over its atoms.  Yields atom strata; see
+    `refine_families`."""
     per_part = []
     for f, m in stratum:
         atoms = atom_of[f]
@@ -243,22 +244,6 @@ def _compositions(n, k):
     for first in range(n + 1):
         for rest in _compositions(n - first, k - 1):
             yield (first,) + rest
-
-
-def normalize(backend, strata):
-    """Canonical stratified Krull-Schmidt form of a union of strata.  On
-    p1 the strata are atom strata, refined by `refine_families` and then
-    stripped of the points the set does not single out
-    (`_minimize_points`), so equal sets give equal strata."""
-    strata = [s if isinstance(s, tuple) else tuple(s) for s in strata]
-    fams = [f for s in strata for f, _ in s]
-    atom_of = refine_families(backend, fams)
-    out = set()
-    for s in strata:
-        for a in _distribute(backend, s, atom_of):
-            out.add(a)
-    out = _minimize_points(backend, dict.fromkeys(out, 1))
-    return ConstructibleSet(tuple(sorted(out, key=lambda s: _stratum_key(backend, s))))
 
 
 def _stratum_key(backend, stratum):
@@ -320,14 +305,16 @@ def _strata_of(cset):
 
 
 def char_fn(backend, cset):
-    """1_O for a constructible set O, or for a list of its strata.  Off
-    p1 the one member of {[x]} is x, so 1_{[x]} is `class_char`'s {[x]: 1}."""
+    """1_O for a constructible set O, or for a list of its strata.  On p1
+    the strata are refined to atom strata (`_common_atoms`), each of which
+    takes the value 1, as O is their union, and `from_values` keeps the
+    points O singles out.  Off p1 the one member of {[x]} is x, so
+    1_{[x]} is `class_char`'s {[x]: 1}."""
     strata = _strata_of(cset)
     if backend.kind == quiver.KIND_P1:
-        keys = normalize(backend, strata).strata
-    else:
-        keys = ConstructibleSet(strata).members(backend)
-    return CFElement(backend, dict.fromkeys(keys, 1))
+        (atoms,) = _common_atoms(backend, [dict.fromkeys(strata, 1)])
+        return from_values(backend, dict.fromkeys(atoms, 1))
+    return CFElement(backend, dict.fromkeys(ConstructibleSet(strata).members(backend), 1))
 
 
 def unit_element(backend):

@@ -6,7 +6,8 @@ backends the map is canonical.  On p1 it is not: no point minimization
 runs on pairs, so the tensor product and comparison first refine both
 maps' legs to common atoms (`algebra._common_atoms` with `pairs`), which
 is the identity on classes.  Delta(1_[Y]) puts coefficient 1 on every
-pair ([A], [B]) with A + B = Y.  Output derives the stratified form.
+pair ([A], [B]) with A + B = Y (`key_splits`).  Output derives the
+stratified form.
 
 Green's identity at q = 1 equates the structure constant of a split
 target with the sum over compatible splittings of the operands;
@@ -73,25 +74,33 @@ def tensor_first_difference(backend, s, t):
 # ---------------------------------------------------------------------------
 
 def comultiply(backend, f):
-    """Delta(f): every split of a key over the two tensor legs (a class
-    into ([A], [B]) with A + B = Y, a p1 stratum family by family),
-    coefficient 1 per split."""
+    """Delta(f): every split of a key over the two tensor legs
+    (`key_splits`), coefficient 1 per split."""
     alg._check_same(backend, f)
-    splits = _stratum_splits if backend.kind == quiver.KIND_P1 else _class_splits
     pair_values = {}
     for k, v in f.values.items():
-        for pair in splits(backend, k):
+        for pair in key_splits(backend, k):
             pair_values[pair] = pair_values.get(pair, 0) + v
     return tensor_from_values(backend, pair_values)
 
 
-def _stratum_splits(backend, stratum):
-    """All ordered pairs of strata that split each family's multiplicity."""
-    fams = list(stratum)
-    for ks in iproduct(*(range(m + 1) for _, m in fams)):
-        yield (alg.make_stratum(backend, [(fam, k) for (fam, _), k in zip(fams, ks)]),
-               alg.make_stratum(backend, [(fam, m - k)
-                                          for (fam, m), k in zip(fams, ks)]))
+def key_splits(backend, key):
+    """All ordered pairs of keys that add up to `key`: each part of the key
+    puts k of its m copies on the left and m - k on the right, and the
+    legs join the parts in the key's own order, so both are keys as built.
+    A class part is a label, repeated k times; a p1 stratum part is a
+    family, kept as (family, k) and dropped where k is 0."""
+    if backend.kind == quiver.KIND_P1:
+        parts, leg = key, lambda f, k: ((f, k),) if k else ()
+    else:
+        parts, leg = Counter(key).items(), lambda l, k: (l,) * k
+    options = [[(leg(p, k), leg(p, m - k)) for k in range(m + 1)] for p, m in parts]
+    for combo in iproduct(*options):
+        left = right = ()
+        for a, b in combo:
+            left += a
+            right += b
+        yield left, right
 
 
 def counit(f):
@@ -132,19 +141,6 @@ def tensor_convolve(engine, s, t):
 
 # ---------------------------------------------------------------------------
 # Green's identity at q = 1
-
-def _class_splits(backend, cls):
-    """All ordered pairs (a, b) of classes with a + b = cls.  Both parts
-    take the labels in `label_key` order, so they are classes as built."""
-    counts = Counter(quiver.make_class(backend, cls))
-    for ks in iproduct(*(range(m + 1) for m in counts.values())):
-        a = []
-        b = []
-        for (l, m), k in zip(counts.items(), ks):
-            a.extend([l] * k)
-            b.extend([l] * (m - k))
-        yield tuple(a), tuple(b)
-
 
 def green_check(engine, o1, o2, alpha_p, beta_p):
     """Degenerate Green's identity for the split target alpha' + beta'.

@@ -70,10 +70,6 @@ class HallPolynomial(quiver.ReadOnly):
             acc = acc * x + c
         return acc
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else -1
-
     def __str__(self):
         out = ""
         for e in range(len(self.coeffs) - 1, -1, -1):

@@ -56,9 +56,6 @@ class P1Set(ReadOnly):
     def union(self, other):
         return self.complement().intersect(other.complement()).complement()
 
-    def minus(self, other):
-        return self.intersect(other.complement())
-
     def is_disjoint(self, other):
         return self.intersect(other).is_empty
 

@@ -355,7 +355,7 @@ def _splits_blockwise(engine, x, z, y):
     """Each split y1 + y2 of y carries cells (x1, z1) of y1 and (x2, z2)
     of y2 with x1 + x2 = x and z1 + z2 = z."""
     backend = engine.backend
-    for y1, y2 in co._class_splits(backend, y):
+    for y1, y2 in co.key_splits(backend, y):
         if not y1 or not y2:
             continue
         cells2 = engine.cells(y2)

@@ -50,11 +50,11 @@ def test_overlap_identity_four_pieces(a2):
             seen[c] = s
 
 
-def test_normalize_idempotent_and_merges_duplicates(a2):
+def test_char_fn_idempotent_and_merges_duplicates(a2):
     st = alg.class_stratum(a2, parse_class(a2, "[S1+S1+P12]"))
-    n1 = alg.normalize(a2, [st, st])
-    assert n1.strata == (st,)
-    assert alg.normalize(a2, n1.strata) == n1
+    n1 = alg.char_fn(a2, [st, st])
+    assert n1.terms == ((alg.ConstructibleSet((st,)), 1),)
+    assert alg.char_fn(a2, n1.terms[0][0]) == n1
 
 
 def test_summand_count_of_sets(a2):
@@ -266,3 +266,29 @@ def test_class_char_matches_the_stratum_route(backend):
         assert alg.class_char(backend, cls).values == want
         # labels in another order name the same class
         assert alg.class_char(backend, tuple(reversed(cls))).values == want
+
+
+@pytest.mark.parametrize("backend", [
+    quiver.builtin_backend("a2"), quiver.builtin_backend("a3"),
+    *(oracles.type_a_backend(o) for o in (
+        "><", "<>", "><>", "<<>", "><><", "<>><", "><><>", ">><<<"))],
+    ids=lambda b: b.name)
+def test_type_a_brackets_are_the_chevalley_constants(backend):
+    # [1_A, 1_B] for intervals A, B: +1_{A u B} when they touch and the one
+    # arrow between them points from B into A (A is then a submodule of
+    # A u B), -1_{A u B} when it points from A into B, and 0 otherwise
+    n = backend.n_vertices
+    engine = HallEngine(backend, quiver.Bounds(max_dim=2 * n))  # A and B both whole
+    head = {frozenset((a.src, a.tgt)): a.tgt for a in backend.arrows}
+    roots = quiver.positive_roots(backend, (1,) * n)
+    for a in roots:
+        for b in roots:
+            (_, a0, a1), (_, b0, b1) = a, b
+            want = {}
+            if a1 + 1 == b0 or b1 + 1 == a0:
+                into = head[frozenset((a1, b0) if a1 + 1 == b0 else (b1, a0))]
+                want = {(("i", min(a0, b0), max(a1, b1)),): 1 if a0 <= into <= a1 else -1}
+            br = alg.lie_bracket(engine, alg.class_char(backend, (a,)),
+                                 alg.class_char(backend, (b,)))
+            assert br.values == want, (quiver.label_name(backend, a),
+                                       quiver.label_name(backend, b))

@@ -1,3 +1,5 @@
+import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hallforge import coalgebra as co
 from hallforge import quiver, verify
 from hallforge.errors import InternalInvariantError
 from hallforge.hall import HallEngine
+from hallforge.p1sets import P1Set
 from hallforge.quiver import make_class, parse_class
 
 
@@ -75,6 +78,32 @@ def test_coassociativity(a2, loop):
             assert verify._coassociative(backend, parse_class(backend, text))
 
 
+def test_key_splits_are_keys_as_built(a3, loop, p1_engine):
+    # every split of a key: both legs are keys as built and add back to
+    # the key, and a key with parts of multiplicities m has prod (m + 1)
+    def check(backend, key, build, mults):
+        splits = list(co.key_splits(backend, key))
+        assert len(set(splits)) == len(splits) == math.prod(m + 1 for m in mults)
+        for left, right in splits:
+            assert build(backend, left) == left and build(backend, right) == right
+            assert build(backend, left + right) == key
+
+    for backend, dim in ((a3, 5), (loop, 6)):
+        for cls in verify.classes_up_to(backend, dim):
+            check(backend, cls, make_class, Counter(cls).values())
+    b = p1_engine.backend
+    keys = [alg.class_stratum(b, parse_class(b, "[O(1)+O(1)+O(2)+T(x,1)+T(x,1)+T(y,2)]"))]
+    for base in (P1Set.cofinite_of([]), P1Set.finite(["x", "y"])):
+        fams = {d: alg.char_fn(b, [alg.make_stratum(
+            b, [(alg.IndecFamily.of_points(d, base), 1)])]) for d in (1, 2, 3)}
+        for d in (1, 2, 3):
+            for e in range(1, 5 - d):
+                keys += alg.convolve(p1_engine, fams[d], fams[e]).values
+    assert len(keys) > 40
+    for key in keys:
+        check(b, key, alg.make_stratum, [m for _, m in key])
+
+
 def test_green_examples(a2_engine, loop_engine):
     a2, loop = a2_engine.backend, loop_engine.backend
     r = co.green_check(a2_engine,
@@ -140,8 +169,8 @@ def test_green_on_label_families_matches_member_sums(a3_engine):
         m1s, m2s = list(o1.members(a3)), list(o2.members(a3))
         lhs = sum(chi(m1, m2, target) for m1 in m1s for m2 in m2s)
         rhs = sum(chi(rho, eps, alpha) * chi(sigma, tau, beta)
-                  for m1 in m1s for rho, sigma in co._class_splits(a3, m1)
-                  for m2 in m2s for eps, tau in co._class_splits(a3, m2))
+                  for m1 in m1s for rho, sigma in co.key_splits(a3, m1)
+                  for m2 in m2s for eps, tau in co.key_splits(a3, m2))
         return lhs, rhs
 
     operands = [(family(["S1", "S2"], 1), family(["S3", "P23"], 1)),

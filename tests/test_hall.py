@@ -81,7 +81,7 @@ def test_interpolation_stability(loop_engine, a2_engine):
                           (a2_engine, ("[P12+S1]", "[S1]", "[P12+S1+S1]"))):
         sub, quot, target = (parse_class(engine.backend, t) for t in texts)
         p = engine.hall_polynomial(sub, quot, target)
-        assert p.degree == 2
+        assert len(p.coeffs) - 1 == 2
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
             assert p.evaluate(q) == fq_oracle.enumerate_subreps(
                 engine.backend, target, q).get((sub, quot), 0)
@@ -301,7 +301,7 @@ def test_zero_p1_polynomial_is_canonical(p1b):
     sub, quot, target = (parse_class(p1b, t) for t in (
         "[T(x,1)+T(y,1)+T(y,1)]", "[T(x,1)]", "[T(x,1)+T(x,1)+T(y,2)]"))
     p = engine.hall_polynomial(sub, quot, target)
-    assert p.coeffs == (0,) and p.degree == 0
+    assert p.coeffs == (0,) and len(p.coeffs) - 1 == 0
     assert list(engine.cache.entries.values()) == [[0]]
 
 

@@ -46,7 +46,7 @@ def test_set_ops_examples():
     assert P1Set.cofinite_of(["x"]).union(x) == full
     assert P1Set.cofinite_of(["x"]).intersect(
         P1Set.cofinite_of(["y"])) == P1Set.cofinite_of(["x", "y"])
-    assert x.minus(x).is_empty
+    assert x.intersect(x.complement()).is_empty
 
 
 points = st.frozensets(st.sampled_from([f"p{i}" for i in range(8)]),
@@ -58,7 +58,7 @@ points = st.frozensets(st.sampled_from([f"p{i}" for i in range(8)]),
 def test_chi_additive_on_disjoint_pairs(pa, pb, ca, cb):
     a = P1Set(ca, pa)
     b = P1Set(cb, pb)
-    b = b.minus(a)
+    b = b.intersect(a.complement())
     assert a.union(b).chi() == a.chi() + b.chi()
 
 
@@ -67,7 +67,6 @@ def test_chi_additive_on_disjoint_pairs(pa, pb, ca, cb):
 def test_boolean_algebra_involutions(pa, pb, ca, cb):
     a, b = P1Set(ca, pa), P1Set(cb, pb)
     assert a.complement().complement() == a
-    assert a.minus(b) == a.intersect(b.complement())
     assert a.union(b).complement() == a.complement().intersect(b.complement())
 
 
@@ -135,16 +134,17 @@ def test_family_products_are_stratified_ks(p1_engine):
     g = one_family(b, fam_at(1, ["x"]))
     prod = alg.convolve(p1_engine, f, g)
     for cset, coeff in prod.terms:
-        renorm = alg.normalize(b, cset.strata)
-        assert renorm.strata == cset.strata
-    # normalize keeps only the points a set singles out, in every degree
+        assert alg.char_fn(b, cset).terms == ((cset, 1),)
+    # char_fn keeps only the points a set singles out, in every degree
     rest = alg.IndecFamily.of_points(1, P1Set.cofinite_of(["x"]))
     one = alg.make_stratum(b, [(fam_at(1, ["x"]), 1), (fam_all(2), 1)])
-    assert alg.normalize(b, [one]).strata == (one,)
+    assert alg.char_fn(b, [one]).values == {one: 1}
     split = [alg.make_stratum(b, [(fam_at(1, ["x"]), 1)]),
              alg.make_stratum(b, [(rest, 1)])]
-    assert alg.normalize(b, split).strata == (
-        alg.make_stratum(b, [(fam_all(1), 1)]),)
+    whole = alg.make_stratum(b, [(fam_all(1), 1)])
+    assert alg.char_fn(b, split).values == {whole: 1}
+    # strata that overlap give their union: 1 at x, not 2
+    assert alg.char_fn(b, [whole, split[0]]).values == {whole: 1}
 
 
 def test_common_atoms_passes_keys_already_over_the_refinement(p1b):
@@ -236,10 +236,12 @@ def finite_base_families_file(tmp_path):
 
 
 def test_p1_stdout_does_not_depend_on_the_hash_seed(tmp_path):
-    # families hash once, by a seeded str hash: two seeds, one stdout
+    # families hash once, by a seeded str hash, and comul builds its legs in
+    # the key's own order: two seeds, one stdout
     backend = finite_base_families_file(tmp_path)
     src = Path(hallforge.__file__).resolve().parents[1]
     for args in (("--backend", "p1", "--json", "mul", "O1", "O1"),
+                 ("--backend", "p1", "--json", "comul", "[O(1)+T(x,1)+T(x,1)+T(y,2)]"),
                  ("--backend", backend, "mul", "F1", "F2"),
                  ("--backend", backend, "mul", "F1", "G1")):
         outs = set()
