@@ -23,7 +23,7 @@ keeps them in the versioned JSON cache (a constant is cheaper to read
 off `cells` than to look up there), so a process that only reads
 `cells` never loads `counting`.
 
-Each `HallEngine` also keeps six memos, created in `__init__` and freed
+Each `HallEngine` also keeps seven memos, created in `__init__` and freed
 with it, all keyed by labels or classes (or p1 block degrees and atom
 strata) of its own backend:
 
@@ -34,6 +34,10 @@ strata) of its own backend:
              that `product` returns and convolution reads: x, z, y are
              classes, or on p1 atom strata (`p1._stratum_product`);
   _classes   (dims, gmax) -> the classes `classes_with_dim` lists;
+  _strata    (dims, g) -> False once `product` read one product of that
+             stratum off its candidates' cells, True once a second miss
+             filled them all from the cells (s, q), |s| + |q| = g, of its
+             classes (such a cell forces |y| <= g);
   _tables    the exact tables `counting` fills and reads: on type A
              target -> {(sub, quot): coefficients} (`counting.green`), on
              loop and p1 (mu, nu) -> {lam: G^lam_{mu,nu}(q) coefficients}
@@ -47,7 +51,7 @@ A bound failure raises before anything is stored.
 """
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from itertools import groupby, product as iproduct
 from pathlib import Path
 
@@ -203,6 +207,7 @@ class HallEngine:
         self._splits = {}           # label -> _summand_splits(backend, label)
         self._products = {}         # (x, z) -> ((y, chi), ...), chi nonzero
         self._classes = {}          # (dims, gmax) -> classes
+        self._strata = {}           # (dims, g) -> whether _products holds all of it
         self._tables = {}           # target -> polynomials, or (mu, nu) -> polynomials
         self._p1_base_memo = {}     # (degs_a, degs_b) -> {degmults: chi}, any base
 
@@ -219,18 +224,33 @@ class HallEngine:
 
     def product(self, x, z):
         """The nonzero ((y, chi), ...) of 1_[x] * 1_[z], in the order of
-        `candidate_targets(x, z)`.  On p1, x and z are atom strata of one
+        `candidate_targets(x, z)`, for classes x, z as `make_class` builds
+        them.  The first miss of a stratum (dim x + dim z, |x| + |z|) reads
+        one cell of each candidate, the second fills every product of the
+        stratum (`_strata`).  On p1, x and z are atom strata of one
         refinement and so are the y (`p1._stratum_product`)."""
         hit = self._products.get((x, z))
-        if hit is None:
-            if self.backend.kind == quiver.KIND_P1:
-                import hallforge.p1 as p1  # `from . import` runs importlib per miss
-                hit = tuple(p1._stratum_product(self, x, z).items())
-            else:
-                hit = tuple((y, c) for y in self.candidate_targets(x, z)
-                            if (c := self.cells(y).get((x, z), 0)))
-            self._products[(x, z)] = hit
-        return hit
+        if hit is not None:
+            return hit
+        b, g = self.backend, len(x) + len(z)
+        if b.kind == quiver.KIND_P1:
+            import hallforge.p1 as p1  # `from . import` runs importlib per miss
+            return self._products.setdefault((x, z), tuple(p1._stratum_product(self, x, z).items()))
+        stratum = (quiver.dim_add(quiver.class_dim(b, x), quiver.class_dim(b, z)), g)
+        if stratum not in self._strata:  # a lone product of its stratum pays for no fill
+            self._products[(x, z)] = tuple((y, c) for y in self.classes_with_dim(*stratum)
+                                           if (c := self.cells(y).get((x, z))))
+            self._strata[stratum] = False
+        elif not self._strata[stratum]:
+            cols = {}
+            for y in self.classes_with_dim(*stratum):
+                for sq, c in self.cells(y).items():
+                    if len(sq[0]) + len(sq[1]) == g:
+                        cols.setdefault(sq, []).append((y, c))
+            for sq, col in cols.items():
+                self._products.setdefault(sq, tuple(col))
+            self._strata[stratum] = True
+        return self._products.setdefault((x, z), ())
 
     def cells(self, target):
         """Every nonzero constant of `target`, as {(sub, quot): chi}.
@@ -290,26 +310,29 @@ class HallEngine:
 
 def merge_cells(backend, a, b):
     """The cells {(sub, quot): chi} of a direct sum A + B from those of A
-    and B, each a {(sub labels, quot labels): chi} map such as `cells` or
-    `_summand_splits` returns.  A fixed point of the sum is a pair of fixed
-    points, so subs and quotients add up, sorted as `quiver.make_class`
-    sorts, and constants multiply.  At q = 1 Green's theorem on a split
-    target reads cells(a + b) = merge_cells(cells(a), cells(b))."""
+    and B, each a {(sub, quot): chi} map of classes as `quiver.make_class`
+    builds them, such as `cells` or `_summand_splits` returns.  A fixed
+    point of the sum is a pair of fixed points, so subs and quotients add
+    up (sorted as `make_class` sorts, where neither side is empty) and
+    constants multiply.  At q = 1 Green's theorem on a split target reads
+    cells(a + b) = merge_cells(cells(a), cells(b))."""
     key = backend.label_table.__getitem__
-    out = defaultdict(int)
+    out = {}
     for (s, q), c in a.items():
         for (ls, lq), lc in b.items():
-            out[(tuple(sorted(s + ls, key=key)),
-                 tuple(sorted(q + lq, key=key)))] += c * lc
-    return dict(out)
+            sq = (tuple(sorted(s + ls, key=key)) if s and ls else s or ls,
+                  tuple(sorted(q + lq, key=key)) if q and lq else q or lq)
+            out[sq] = out.get(sq, 0) + c * lc
+    return out
 
 
 def _summand_splits(backend, label):
-    """Counter of (sub labels, quot labels) over the torus fixed points of
-    one indecomposable: the vertex sets of its coefficient quiver that no
+    """Counter of (sub, quot) over the torus fixed points of one
+    indecomposable: the vertex sets of its coefficient quiver that no
     arrow leaves, so an arrow out of a chosen vertex lands on a chosen
     vertex.  The sub is spanned by the chosen vertices and the quotient
-    by the others, one interval per run of each."""
+    by the others, one interval per run of each; both legs are classes
+    as `quiver.make_class` builds them."""
     if label[0] in ("j", "t"):     # J_h, or T(x,h) on p1: a chain of h
         h, block = label[-1], label[:-1]
         return Counter(((block + (k,),) if k else (),
@@ -325,5 +348,6 @@ def _summand_splits(backend, label):
         for x, run in groupby(range(len(chosen)), chosen.__getitem__):
             vs = list(run)
             runs[x].append(("i", a + vs[0], a + vs[-1]))
-        out[tuple(runs[True]), tuple(runs[False])] += 1
+        out[quiver.make_class(backend, runs[True]),
+            quiver.make_class(backend, runs[False])] += 1
     return out

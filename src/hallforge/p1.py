@@ -109,7 +109,9 @@ def _stratum_product(engine, sa, sb):
         per_base.append([([(fam[d], m) for d, m in dm], v) for dm, v in local.items()])
     out = {}
     for combo in iproduct(*per_base):
-        stratum = alg.make_stratum(backend, [p for parts, _ in combo for p in parts])
+        # the parts are disjoint and distinct: bases differ, or degrees do
+        stratum = tuple(sorted((p for parts, _ in combo for p in parts),
+                               key=lambda fm: fm[0].descriptor(backend)))
         out[stratum] = out.get(stratum, 0) + math.prod(v for _, v in combo)
     return out
 

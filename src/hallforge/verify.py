@@ -128,7 +128,8 @@ def suite_assoc(engine, dim):
 
 def suite_lie_closure(engine, dim):
     """Brackets of indecomposably supported functions stay indecomposably
-    supported."""
+    supported, and brackets of indecomposables have the known values
+    (`_indec_bracket`)."""
     backend = engine.backend
     res = SuiteResult("lie-closure", True)
     labels = quiver.indec_labels(backend, dim)
@@ -142,14 +143,27 @@ def suite_lie_closure(engine, dim):
             fb = alg.class_char(backend, quiver.make_class(backend, [lb]))
             br = alg.lie_bracket(engine, fa, fb)
             pairs += 1
+            name = f"[{quiver.label_name(backend, la)},{quiver.label_name(backend, lb)}]"
             if not alg.is_indec_supported(br):
                 bad += 1
-                res.add(f"[{quiver.label_name(backend, la)},"
-                        f"{quiver.label_name(backend, lb)}] support", False)
+                res.add(f"{name} support", False)
+            elif br.values != _indec_bracket(backend, la, lb):
+                res.add(f"{name} value", False)
     res.add(f"indecomposable support of brackets, dim <= {dim}", bad == 0,
             f"{pairs} pairs")
     res.counts = {"pairs": pairs}
     return res
+
+
+def _indec_bracket(backend, la, lb):
+    """{class: value} of [1_A, 1_B]: 0 on loop; for intervals A, B of a
+    type-A quiver +-1_{A u B} when they touch, + when the arrow between
+    them points from B into A (A is then a submodule of A u B), else 0."""
+    if backend.kind != quiver.KIND_DYNKIN or (la[2] + 1 != lb[1] and lb[2] + 1 != la[1]):
+        return {}
+    e = min(la[2], lb[2])  # they touch across the edge e, e + 1
+    into = next(ar.tgt for ar in backend.arrows if {ar.src, ar.tgt} == {e, e + 1})
+    return {(("i", min(la[1], lb[1]), max(la[2], lb[2])),): 1 if la[1] <= into <= la[2] else -1}
 
 
 def suite_riedtmann(engine, dim):

@@ -35,6 +35,11 @@ type-A routes are checked beyond the built-in linear a2 and a3.
 F_q survey `fq_oracle.enumerate_subreps` on every cell of every target of
 the given total dimensions: tier-1 runs it to dim 5, CI at dim 6.
 
+`products_against_candidate_scan` checks the stratum fill of
+`HallEngine.product` against the column it replaces: the nonzero cells
+(x, z) of each candidate target in turn.  tier-1 runs it up to dim 5, CI
+at dims 6 and 8.
+
 `assoc_in_zq` checks the Hall polynomials as polynomials, not at a few
 values of q: it counts the filtrations 0 < A < B < M with A = x, B/A = y
 and M/B = z in two ways, through B and through A, with its own Z[q]
@@ -541,6 +546,35 @@ def exact_against_f_q(backend, dims, qs, engine=None):
                 (quiver.class_name(backend, target), q)
             checked += 1
     return checked
+
+
+def products_against_candidate_scan(engine, dim, order="ascending"):
+    """Asserts that `engine.product(x, z)` is, tuple for tuple, the
+    candidate scan of the cells of `engine.candidate_targets(x, z)`, for
+    every pair of classes of total dim <= `dim`.  The pairs go by
+    ascending summand count |x| + |z|, by descending with `order`
+    "descending", or shuffled by a random.Random `order`; each product
+    runs before its scan.  Also asserts that exactly the strata
+    (dim x + dim z, |x| + |z|) of two or more pairs were filled.
+    Returns the number of pairs."""
+    backend = engine.backend
+    classes = [(c, quiver.class_total_dim(backend, c))
+               for c in verify.classes_up_to(backend, dim)]
+    pairs = [(x, z) for x, dx in classes for z, dz in classes if dx + dz <= dim]
+    if order in ("ascending", "descending"):
+        pairs.sort(key=lambda xz: len(xz[0]) + len(xz[1]), reverse=order == "descending")
+    else:
+        order.shuffle(pairs)
+    strata = Counter()
+    for x, z in pairs:
+        got = engine.product(x, z)
+        want = tuple((y, c) for y in engine.candidate_targets(x, z)
+                     if (c := engine.cells(y).get((x, z))))
+        assert got == want, (quiver.class_name(backend, x), quiver.class_name(backend, z))
+        strata[quiver.dim_add(quiver.class_dim(backend, x), quiver.class_dim(backend, z)),
+               len(x) + len(z)] += 1
+    assert engine._strata == {st: n > 1 for st, n in strata.items()}
+    return len(pairs)
 
 
 def assoc_in_zq(engine, dim):

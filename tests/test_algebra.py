@@ -292,3 +292,33 @@ def test_type_a_brackets_are_the_chevalley_constants(backend):
                                  alg.class_char(backend, (b,)))
             assert br.values == want, (quiver.label_name(backend, a),
                                        quiver.label_name(backend, b))
+
+
+def test_lie_closure_checks_the_bracket_values(monkeypatch, a2, a3, loop):
+    # a bracket that is wrongly 0 on a3, or wrongly 1_A on loop, keeps the
+    # indecomposable support: only the values catch it
+    wrong = ((a3, lambda engine, f, g: oracles.zero_element(a3),
+              ["[S1,S2]", "[S2,S1]", "[S2,S3]", "[S3,S2]", "[S1,P23]",
+               "[P23,S1]", "[S3,P12]", "[P12,S3]"]),
+             (loop, lambda engine, f, g: f,
+              ["[J1,J1]", "[J1,J2]", "[J2,J1]", "[J1,J3]", "[J2,J2]",
+               "[J3,J1]"]))
+    for backend, bracket, pairs in wrong:
+        engine = HallEngine(backend)
+        assert verify.suite_lie_closure(engine, 4).passed
+        with monkeypatch.context() as m:
+            m.setattr(alg, "lie_bracket", bracket)
+            res = verify.suite_lie_closure(engine, 4)
+        assert not res.passed
+        assert sorted(c["name"] for c in res.checks if not c["passed"]) == \
+            sorted(f"{p} value" for p in pairs)
+    # so does one corrupted cell: ([S2], [S1]) of [P12] and ([J1], [J2]) of
+    # [J3] raised by 1 make those brackets +-2 1_[P12] and +-1_[J3]
+    for backend, cell in ((a2, ("[S2]", "[S1]", "[P12]")), (loop, ("[J1]", "[J2]", "[J3]"))):
+        engine = HallEngine(backend)
+        sub, quot, target = (parse_class(backend, t) for t in cell)
+        engine._cells[target] = {**engine.cells(target), (sub, quot): 2}
+        res = verify.suite_lie_closure(engine, 4)
+        names = [f"[{cell[0][1:-1]},{cell[1][1:-1]}]", f"[{cell[1][1:-1]},{cell[0][1:-1]}]"]
+        assert sorted(c["name"] for c in res.checks if not c["passed"]) == \
+            sorted(f"{n} value" for n in names)

@@ -358,6 +358,43 @@ def test_bound_failure_is_not_memoized(loop):
             alg.convolve(engine, j2, j2)
 
 
+@pytest.mark.parametrize("backend,pairs", [
+    (quiver.builtin_backend("a3"), 932), (oracles.type_a_backend("><"), 932),
+    (oracles.type_a_backend("><><"), 6177), (quiver.builtin_backend("loop"), 74)],
+    ids=["a3", "a3-sink", "zigzag-A5", "loop"])
+def test_product_fills_its_stratum_as_the_candidate_scan(backend, pairs):
+    # in any order, the first miss of a stratum scans and the second fills
+    # it, and a `_classes` memo that riedtmann and green filled is no fill
+    for order in ("ascending", "descending", random.Random(0)):
+        assert oracles.products_against_candidate_scan(HallEngine(backend), 5, order) == pairs
+    engine = HallEngine(backend)
+    verify.suite_riedtmann(engine, 5)
+    if backend.kind == quiver.KIND_DYNKIN:
+        for y in verify.classes_up_to(backend, 5):
+            counting.green(engine, y)
+    assert engine._classes and not engine._strata and not engine._products
+    assert oracles.products_against_candidate_scan(engine, 5) == pairs
+
+
+def test_a_stratum_whose_bound_raised_is_not_filled(loop):
+    engine = HallEngine(loop, Bounds(max_dim=3))
+    j2 = parse_class(loop, "[J2]")
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError):
+            engine.product(j2, j2)
+    assert engine._strata == {} and engine._products == {}
+    engine.bounds = Bounds(max_dim=4)
+    # m_(2) * m_(2) = m_(4) + 2 m_(2,2), read off the candidates' cells
+    assert [(quiver.class_name(loop, y), c) for y, c in engine.product(j2, j2)] == \
+        [("[J4]", 1), ("[J2+J2]", 2)]
+    assert engine._strata == {((4,), 2): False}
+    # m_(1) * m_(3) = m_(4) + m_(3,1), by the fill of the stratum
+    j1, j3 = parse_class(loop, "[J1]"), parse_class(loop, "[J3]")
+    assert [(quiver.class_name(loop, y), c) for y, c in engine.product(j1, j3)] == \
+        [("[J4]", 1), ("[J1+J3]", 1)]
+    assert engine._strata == {((4,), 2): True}
+
+
 def test_foreign_labels_are_refused_before_any_memo():
     # the label table refuses a label its backend lacks, also on the
     # engine entry points that do not go through algebra
