@@ -33,7 +33,7 @@ strata) of its own backend:
   _products  (x, z) -> ((y, chi), ...), the nonzero terms of 1_x * 1_z
              that `product` returns and convolution reads: x, z, y are
              classes, or on p1 atom strata (`p1._stratum_product`);
-  _classes   (dims, gmax) -> the classes `classes_with_dim` lists;
+  _classes   dims -> (b, its classes with <= b summands), for `classes_with_dim`;
   _strata    (dims, g) -> False once `product` read one product of that
              stratum off its candidates' cells, True once a second miss
              filled them all from the cells (s, q), |s| + |q| = g, of its
@@ -206,7 +206,7 @@ class HallEngine:
         self._cells = {}            # target -> {(sub, quot): chi}
         self._splits = {}           # label -> _summand_splits(backend, label)
         self._products = {}         # (x, z) -> ((y, chi), ...), chi nonzero
-        self._classes = {}          # (dims, gmax) -> classes
+        self._classes = {}          # dims -> (b, classes with <= b summands)
         self._strata = {}           # (dims, g) -> whether _products holds all of it
         self._tables = {}           # target -> polynomials, or (mu, nu) -> polynomials
         self._p1_base_memo = {}     # (degs_a, degs_b) -> {degmults: chi}, any base
@@ -300,12 +300,9 @@ class HallEngine:
             quiver.summand_count(x) + quiver.summand_count(z))
 
     def classes_with_dim(self, dims, gmax):
-        """`quiver.classes_with_dim(backend, dims, gmax)`, memoized."""
-        if (dims, gmax) not in self._classes:
-            self.bounds.check_dim(sum(dims))  # before listing every class of dims
-            self._classes[dims, gmax] = quiver.classes_with_dim(
-                self.backend, dims, gmax)
-        return self._classes[dims, gmax]
+        """`quiver.classes_with_dim(backend, dims, gmax)` on the memo `_classes`."""
+        self.bounds.check_dim(sum(dims))  # before listing every class of dims
+        return quiver.classes_with_dim(self.backend, dims, gmax, self._classes)
 
 
 def merge_cells(backend, a, b):

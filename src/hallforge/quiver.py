@@ -20,8 +20,8 @@ normal form.  Labels are plain tuples so they hash and sort cheaply:
 """
 
 import json
-from functools import cached_property
-from operator import attrgetter
+from functools import cached_property, lru_cache
+from operator import attrgetter, sub
 from pathlib import Path
 
 from .errors import BackendMismatchError, CapabilityError, ResourceLimitError
@@ -389,10 +389,15 @@ def positive_roots(backend, dim_bound):
     n = backend.n_vertices
     if len(dim_bound) != n:
         raise ValueError("dimension bound has wrong length")
-    roots = [("i", a, b)
-             for a in range(n) for b in range(a, n)
-             if all(dim_bound[v] >= 1 for v in range(a, b + 1))]
-    return sorted(roots, key=lambda l: label_key(backend, l))
+    return [r for r in reversed(_intervals(n)[0]) if min(dim_bound[r[1]:r[2] + 1]) >= 1]
+
+
+@lru_cache(maxsize=None)
+def _intervals(n):
+    """The interval labels of A_n in descending `label_key` order (longest,
+    then leftmost, first), and their ranks in it."""
+    roots = [("i", a, a + k) for k in range(n - 1, -1, -1) for a in range(n - k)]
+    return roots, {r: i for i, r in enumerate(roots)}
 
 
 def indec_labels(backend, total_bound):
@@ -406,41 +411,55 @@ def indec_labels(backend, total_bound):
                           "from the backend file's family declarations")
 
 
-def classes_with_dim(backend, dimvec, max_summands):
+def classes_with_dim(backend, dimvec, max_summands, memo=None):
     """Iso classes with the given dimension vector and at most max_summands
-    indecomposable summands; `HallEngine.classes_with_dim` memoizes them.
-    On type A each interval starts at the lowest vertex with dimension left
-    and the ends there ascend, so each class is reached once; an end is
-    taken only if the rest can still be finished within the budget, so no
-    branch dies.  The classes come in ascending lexicographic order of
-    their multiplicity vectors over `positive_roots`; on the loop, in
-    `partitions` order."""
-    dimvec = tuple(dimvec)
-    if backend.kind == KIND_DYNKIN:
-        n, out = len(dimvec), []
+    indecomposable summands, in ascending lexicographic order of their
+    multiplicity vectors over `positive_roots` (on the loop, in `partitions`
+    order).  On type A: by smallest summand r, in descending `label_key`
+    order, then by the rest, a class of dimvec - r with summands >= r, so
+    one of a prefix of the list of dimvec - r.  `memo` maps a dimension
+    vector to (b, its classes with at most b summands), b capped at its
+    total: a larger budget rebuilds an entry, a smaller one filters it."""
+    if backend.kind not in (KIND_DYNKIN, KIND_LOOP):
+        raise CapabilityError("class enumeration by dimension is not defined for p1")
+    b, out = _listed(backend, {} if memo is None else memo, tuple(dimvec), max_summands)
+    return out if b <= max_summands else tuple(c for c in out if len(c) <= max_summands)
 
-        def rec(rem, v, lo, budget, acc):
-            if not rem[v]:
-                v = lo = next((w for w in range(v + 1, n) if rem[w]), n)
-                if v == n:
-                    out.append(make_class(backend, acc))
-                    return
-            for e in range(lo, n):
-                if rem[e] < rem[v]:  # the rest at v would not fit
-                    break
-                nxt = rem[:v] + tuple(x - 1 for x in rem[v:e + 1]) + rem[e + 1:]
-                # the fewest intervals that finish nxt: one per rise
-                if sum(max(0, y - x) for x, y in zip((0,) + nxt, nxt)) < budget:
-                    rec(nxt, v, e, budget - 1, acc + (("i", v, e),))
 
-        rec(dimvec, 0, 0, max_summands, ())
-        key = backend.label_table.__getitem__
-        return tuple(sorted(out, key=lambda c: tuple(map(key, c)), reverse=True))
-    if backend.kind == KIND_LOOP:
-        (n,) = dimvec
-        return tuple(make_class(backend, [("j", p) for p in part])
-                     for part in partitions(n, max_summands))
-    raise CapabilityError("class enumeration by dimension is not defined for p1")
+def _listed(backend, memo, dims, budget):
+    """The memo entry of dims, built or rebuilt for at least `budget`."""
+    if not any(dims):
+        return 0, ((),)
+    budget = min(budget, sum(dims))
+    hit = memo.get(dims)
+    if hit is None or hit[0] < budget:
+        classes = (_type_a_classes(backend, memo, dims, budget) if backend.kind == KIND_DYNKIN
+                   else tuple(make_class(backend, [("j", p) for p in part])
+                              for part in partitions(dims[0], budget)))
+        hit = memo[dims] = (budget, classes)
+    return hit
+
+
+def _type_a_classes(backend, memo, dims, budget):
+    """The type-A classes of nonzero dims with at most `budget` summands."""
+    roots, rank = _intervals(len(dims))
+    # the fewest intervals that finish dims: its rises, which dims - r
+    # loses at r's start and gains past its end unless dims falls there
+    p = (0,) + dims + (0,)
+    rises = sum(map(max, dims, p)) - sum(dims) + dims[-1]
+    out = []
+    for k, r in enumerate(roots):
+        if rises - (p[r[1] + 1] > p[r[1]]) + (p[r[2] + 2] >= p[r[2] + 1]) >= budget:
+            continue
+        rest = tuple(map(sub, dims, backend.label_table[r][1]))
+        if -1 in rest:
+            continue
+        for c in _listed(backend, memo, rest, budget - 1)[1]:
+            if c and rank[c[0]] > k:
+                break
+            if len(c) < budget:
+                out.append((r,) + c)
+    return tuple(out)
 
 
 def partitions(n, max_parts):

@@ -296,7 +296,9 @@ def test_type_a_brackets_are_the_chevalley_constants(backend):
 
 def test_lie_closure_checks_the_bracket_values(monkeypatch, a2, a3, loop):
     # a bracket that is wrongly 0 on a3, or wrongly 1_A on loop, keeps the
-    # indecomposable support: only the values catch it
+    # indecomposable support: only the values catch it, and the summary
+    # line counts them
+    summary = "indecomposable support of brackets, dim <= 4"
     wrong = ((a3, lambda engine, f, g: oracles.zero_element(a3),
               ["[S1,S2]", "[S2,S1]", "[S2,S3]", "[S3,S2]", "[S1,P23]",
                "[P23,S1]", "[S3,P12]", "[P12,S3]"]),
@@ -311,7 +313,8 @@ def test_lie_closure_checks_the_bracket_values(monkeypatch, a2, a3, loop):
             res = verify.suite_lie_closure(engine, 4)
         assert not res.passed
         assert sorted(c["name"] for c in res.checks if not c["passed"]) == \
-            sorted(f"{p} value" for p in pairs)
+            sorted(f"{p} value" for p in pairs) + [summary]
+        assert res.checks[-1]["detail"].endswith(f", {len(pairs)} wrong values")
     # so does one corrupted cell: ([S2], [S1]) of [P12] and ([J1], [J2]) of
     # [J3] raised by 1 make those brackets +-2 1_[P12] and +-1_[J3]
     for backend, cell in ((a2, ("[S2]", "[S1]", "[P12]")), (loop, ("[J1]", "[J2]", "[J3]"))):
@@ -321,4 +324,5 @@ def test_lie_closure_checks_the_bracket_values(monkeypatch, a2, a3, loop):
         res = verify.suite_lie_closure(engine, 4)
         names = [f"[{cell[0][1:-1]},{cell[1][1:-1]}]", f"[{cell[1][1:-1]},{cell[0][1:-1]}]"]
         assert sorted(c["name"] for c in res.checks if not c["passed"]) == \
-            sorted(f"{n} value" for n in names)
+            sorted(f"{n} value" for n in names) + [summary]
+        assert res.checks[-1]["detail"].endswith(", 2 wrong values")

@@ -265,6 +265,18 @@ def test_euler_constant_bound_and_chi_entry(loop):
     assert engine.cache.entries == {}
 
 
+def test_a_class_list_over_the_bound_stores_nothing(a3):
+    engine = HallEngine(a3, Bounds(max_dim=4))
+    with pytest.raises(ResourceLimitError):
+        engine.classes_with_dim((2, 2, 1), 5)
+    assert engine._classes == {}
+    # within the bound the entry and those of its sub-vectors are stored
+    # once, with the budget capped at the total dimension
+    assert engine.classes_with_dim((1, 2, 1), 9) == \
+        quiver.classes_with_dim(a3, (1, 2, 1), 4)
+    assert engine._classes[(1, 2, 1)][0] == 4
+
+
 def test_p1_polynomial_is_cached_under_its_p1_key_only(p1b):
     # the constant is read off `cells` and stores nothing; the polynomial
     # is stored under its p1 key, its loop factors nowhere.  A per-point

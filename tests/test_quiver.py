@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from hallforge import quiver
+from hallforge import quiver, verify
 from hallforge.errors import CapabilityError, InternalInvariantError
 from hallforge.quiver import (Arrow, Backend, class_name, label_name,
                               make_class, parse_class, positive_roots)
@@ -115,6 +115,44 @@ def test_classes_with_dim_matches_the_skip_include_oracle(name):
             assert quiver.classes_with_dim(backend, dims, gmax) == want, (dims, gmax)
             cases += 1
     assert cases == (216 if name == "a2" else 1836)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_classes_with_dim_matches_the_oracle_on_every_orientation(n):
+    # every orientation of A_n, every dimension vector with entries <= 3
+    # (A1-A3) or <= 2 (A4, A5) and every summand budget 0-9: through a
+    # fresh memo, and through one memo shared by the requests in shuffled
+    # order, so that entries are filtered to a smaller budget and rebuilt
+    # for a larger one.  Labels and their order do not depend on the
+    # orientation, so neither does the oracle's list
+    top = 3 if n <= 3 else 2
+    requests = [(dims, gmax) for dims in product(range(top + 1), repeat=n)
+                for gmax in range(10)]
+    want = {}
+    for orientation in product("<>", repeat=n - 1):
+        backend = oracles.type_a_backend("".join(orientation))
+        want = want or {r: oracles.type_a_classes(backend, *r) for r in requests}
+        for r in requests:
+            assert quiver.classes_with_dim(backend, *r) == want[r], r
+        memo, shuffled = {}, list(requests)
+        random.Random(n).shuffle(shuffled)
+        for r in shuffled:
+            assert quiver.classes_with_dim(backend, *r, memo) == want[r], r
+        assert all(0 <= b <= sum(dims) for dims, (b, _) in memo.items())
+
+
+@pytest.mark.parametrize("name,dims", [("a2", (1, 4, 6)), ("a3", (1, 3, 5)),
+                                       ("loop", (1, 5, 8)), ("><><>", (1, 2, 4))])
+def test_classes_up_to_visits_the_vectors_of_the_full_grid(name, dims):
+    # the same list, order included, as a walk over every vector of the
+    # (dim + 1)^n grid that keeps those with 0 < sum <= dim
+    backend = oracles.type_a_backend(name) if "<" in name else quiver.builtin_backend(name)
+    for dim in dims:
+        want = [quiver.ZERO_CLASS]
+        for vec in product(range(dim + 1), repeat=backend.n_vertices):
+            if 0 < sum(vec) <= dim:
+                want.extend(quiver.classes_with_dim(backend, vec, sum(vec)))
+        assert verify.classes_up_to(backend, dim) == want, dim
 
 
 def test_decompose_zero_and_round_trip_exhaustive(a2, loop):
